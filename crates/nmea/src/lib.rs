@@ -10,7 +10,8 @@
 //!
 //! * the sentence data model ([`Sentence`], [`Gga`], [`Rmc`], …),
 //! * a validating parser ([`parse_sentence`]) and encoder
-//!   ([`Sentence::to_nmea_string`]) that round-trip,
+//!   ([`Sentence::to_nmea_string`]) that round-trip, and a no-parse type
+//!   peek ([`sentence_type`]) the parser itself dispatches on,
 //! * a streaming [`SentenceSplitter`] that re-frames arbitrary byte chunks
 //!   into complete sentences, as delivered by a serial port.
 //!
@@ -40,7 +41,7 @@ mod sentence;
 mod splitter;
 
 pub use error::NmeaError;
-pub use parser::{checksum, parse_sentence, verify_checksum};
+pub use parser::{checksum, parse_sentence, sentence_type, verify_checksum};
 pub use sentence::{
     FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
 };

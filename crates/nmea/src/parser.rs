@@ -48,6 +48,38 @@ pub fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
     Ok(body)
 }
 
+/// The three-letter type of an NMEA line or bare address field, read
+/// without parsing or validating anything else: `"GGA"` for both
+/// `"$GPGGA,123519,…*47"` and `"GPGGA"`.
+///
+/// The leading `$` is optional and the address ends at the first `,` or
+/// `*`. The type is the three characters after the two-character talker
+/// ID; an address shorter than five bytes is its own type. Returns
+/// `None` when those characters do not fall on `char` boundaries
+/// (non-ASCII input), which [`parse_sentence`] turns into
+/// [`Sentence::Unknown`].
+///
+/// This is the one place a type is read from text: [`parse_sentence`]
+/// dispatches on it, [`Sentence::type_code`] reports it for unknown
+/// types, and consumers peek with it before paying for a full parse. On
+/// any line that passes [`verify_checksum`] the peek and the parser read
+/// the same address, so they cannot disagree.
+///
+/// ```
+/// assert_eq!(perpos_nmea::sentence_type("$GPGGA,123519*00"), Some("GGA"));
+/// assert_eq!(perpos_nmea::sentence_type("GPZDA"), Some("ZDA"));
+/// assert_eq!(perpos_nmea::sentence_type("$GPXYé,1"), None);
+/// ```
+pub fn sentence_type(line: &str) -> Option<&str> {
+    let s = line.strip_prefix('$').unwrap_or(line);
+    let address = &s[..s.find([',', '*']).unwrap_or(s.len())];
+    if address.len() >= 5 {
+        address.get(2..5)
+    } else {
+        Some(address)
+    }
+}
+
 /// Parses one complete NMEA sentence (with `$` framing and checksum).
 ///
 /// Unrecognized sentence types parse to [`Sentence::Unknown`] so a PerPos
@@ -60,21 +92,24 @@ pub fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
 pub fn parse_sentence(sentence: &str) -> Result<Sentence, NmeaError> {
     let body = verify_checksum(sentence)?;
     let mut fields = body.split(',');
-    let address = fields.next().unwrap_or_default().to_string();
-    let rest: Vec<&str> = fields.collect();
-    let type_code = if address.len() >= 5 {
-        &address[2..5]
-    } else {
-        address.as_str()
-    };
-    match type_code {
-        "GGA" => parse_gga(&rest).map(Sentence::Gga),
-        "RMC" => parse_rmc(&rest).map(Sentence::Rmc),
-        "GSA" => parse_gsa(&rest).map(Sentence::Gsa),
-        "GSV" => parse_gsv(&rest).map(Sentence::Gsv),
-        "VTG" => parse_vtg(&rest).map(Sentence::Vtg),
+    let address = fields.next().unwrap_or_default();
+    // The checked length bounds the field count, so the fields are
+    // sliced on the stack instead of collected into a growing `Vec`.
+    let mut slots = [""; MAX_SENTENCE_LEN];
+    let mut n = 0;
+    for (slot, field) in slots.iter_mut().zip(fields) {
+        *slot = field;
+        n += 1;
+    }
+    let rest = &slots[..n];
+    match sentence_type(body) {
+        Some("GGA") => parse_gga(rest).map(Sentence::Gga),
+        Some("RMC") => parse_rmc(rest).map(Sentence::Rmc),
+        Some("GSA") => parse_gsa(rest).map(Sentence::Gsa),
+        Some("GSV") => parse_gsv(rest).map(Sentence::Gsv),
+        Some("VTG") => parse_vtg(rest).map(Sentence::Vtg),
         _ => Ok(Sentence::Unknown {
-            talker_and_type: address,
+            talker_and_type: address.to_string(),
             fields: rest.iter().map(|s| s.to_string()).collect(),
         }),
     }
@@ -103,9 +138,14 @@ fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
     if text.len() < 6 {
         return Err(bad());
     }
-    let hour: u8 = text[0..2].parse().map_err(|_| bad())?;
-    let minute: u8 = text[2..4].parse().map_err(|_| bad())?;
-    let second: u8 = text[4..6].parse().map_err(|_| bad())?;
+    // `get` rather than indexing: a non-ASCII byte must be a field
+    // error, not a slice on a non-`char` boundary.
+    let two = |at: usize| -> Result<u8, NmeaError> {
+        text.get(at..at + 2)
+            .and_then(|d| d.parse().ok())
+            .ok_or_else(bad)
+    };
+    let (hour, minute, second) = (two(0)?, two(2)?, two(4)?);
     if hour > 23 || minute > 59 || second > 60 {
         return Err(bad());
     }
@@ -131,9 +171,9 @@ fn parse_coord(value: &str, hemi: &str, field: &'static str) -> Result<Option<f6
     if dot < 3 {
         return Err(bad());
     }
-    let deg_digits = dot - 2;
-    let degrees: f64 = value[..deg_digits].parse().map_err(|_| bad())?;
-    let minutes: f64 = value[deg_digits..].parse().map_err(|_| bad())?;
+    let (deg_text, min_text) = value.split_at_checked(dot - 2).ok_or_else(bad)?;
+    let degrees: f64 = deg_text.parse().map_err(|_| bad())?;
+    let minutes: f64 = min_text.parse().map_err(|_| bad())?;
     if minutes >= 60.0 {
         return Err(bad());
     }
@@ -200,8 +240,9 @@ fn parse_gsa(f: &[&str]) -> Result<Gsa, NmeaError> {
         "3" => GsaFixType::Fix3d,
         _ => GsaFixType::NoFix,
     };
-    let mut prns = Vec::new();
-    for field in &f[2..14] {
+    let prn_fields = &f[2..14];
+    let mut prns = Vec::with_capacity(prn_fields.iter().filter(|p| !p.is_empty()).count());
+    for field in prn_fields {
         if !field.is_empty() {
             prns.push(parse_u8_or(field, 0, "prn")?);
         }
@@ -433,6 +474,75 @@ mod tests {
         assert_eq!(t.millis, 750);
     }
 
+    fn framed(body: &str) -> String {
+        format!("${body}*{:02X}", checksum(body))
+    }
+
+    #[test]
+    fn non_ascii_address_is_unknown_not_a_panic() {
+        // Bytes 2..5 of the address "GPXYé" split the two-byte 'é'.
+        let Sentence::Unknown {
+            talker_and_type,
+            fields,
+        } = parse_sentence(&framed("GPXYé,1")).unwrap()
+        else {
+            panic!("not unknown");
+        };
+        assert_eq!(talker_and_type, "GPXYé");
+        assert_eq!(fields, vec!["1".to_string()]);
+        assert_eq!(sentence_type("$GPXYé,1"), None);
+    }
+
+    #[test]
+    fn non_ascii_time_and_coordinate_are_field_errors() {
+        // "1é2345" has six bytes but byte 2 is inside 'é'.
+        let time = framed("GPGGA,1é2345,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,");
+        assert!(matches!(
+            parse_sentence(&time),
+            Err(NmeaError::InvalidField { field: "time", .. })
+        ));
+        // The degrees/minutes split lands inside 'é'.
+        let lat = framed("GPGGA,123519,4é.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,");
+        assert!(matches!(
+            parse_sentence(&lat),
+            Err(NmeaError::InvalidField {
+                field: "latitude",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn sentence_type_reads_lines_and_addresses_alike() {
+        assert_eq!(sentence_type(GGA), Some("GGA"));
+        assert_eq!(sentence_type("GPGGA"), Some("GGA"));
+        assert_eq!(sentence_type("$GPGSV,2,1"), Some("GSV"));
+        // A comma-less body ends at the checksum's '*'.
+        assert_eq!(sentence_type("$GGA*4F"), Some("GGA"));
+        assert_eq!(sentence_type(""), Some(""));
+        assert_eq!(sentence_type("$"), Some(""));
+    }
+
+    #[test]
+    fn field_shortage_errors_are_unchanged() {
+        assert_eq!(
+            parse_sentence(&framed("GPGGA,1,2")),
+            Err(NmeaError::TooFewFields {
+                sentence: "GGA",
+                got: 2,
+                need: 14
+            })
+        );
+        assert_eq!(
+            parse_sentence(&framed("GPGSV,1")),
+            Err(NmeaError::TooFewFields {
+                sentence: "GSV",
+                got: 1,
+                need: 3
+            })
+        );
+    }
+
     mod fuzz {
         use super::super::*;
         use proptest::prelude::*;
@@ -451,6 +561,19 @@ mod tests {
             fn framed_garbage_never_panics(body in "[A-Z]{5}(,[-0-9A-Za-z.]{0,12}){0,20}") {
                 let line = format!("${body}*{:02X}", checksum(&body));
                 let _ = parse_sentence(&line);
+            }
+
+            /// Non-ASCII bytes anywhere in a correctly framed sentence
+            /// give a typed error or `Unknown`, never a panic, and the
+            /// type peek agrees with what the parser dispatched on.
+            #[test]
+            fn framed_non_ascii_never_panics(body in "[A-Zé]{2,6}(,[0-9.NSEWé]{0,4}){0,16}") {
+                let line = format!("${body}*{:02X}", checksum(&body));
+                if let Ok(sentence) = parse_sentence(&line) {
+                    if !matches!(sentence, Sentence::Unknown { .. }) {
+                        prop_assert_eq!(sentence_type(&line), Some(sentence.type_code()));
+                    }
+                }
             }
 
             /// Checksum verification agrees with manual recomputation.

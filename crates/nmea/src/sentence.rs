@@ -254,13 +254,7 @@ impl Sentence {
             Sentence::Vtg(_) => "VTG",
             Sentence::Unknown {
                 talker_and_type, ..
-            } => {
-                if talker_and_type.len() >= 5 {
-                    &talker_and_type[2..5]
-                } else {
-                    talker_and_type
-                }
-            }
+            } => crate::sentence_type(talker_and_type).unwrap_or(talker_and_type),
         }
     }
 
@@ -327,6 +321,16 @@ mod tests {
             .type_code(),
             "ZDA"
         );
+    }
+
+    #[test]
+    fn non_ascii_unknown_type_code_does_not_panic() {
+        // Bytes 2..5 of "GPXYé" split the two-byte 'é'.
+        let unknown = Sentence::Unknown {
+            talker_and_type: "GPXYé".into(),
+            fields: vec![],
+        };
+        assert_eq!(unknown.type_code(), "GPXYé");
     }
 
     #[test]

@@ -1,18 +1,23 @@
 //! Codecs between domain types and the middleware's dynamic [`Value`]
 //! representation.
 //!
-//! NMEA sentences travel the processing graph as `nmea.sentence` items;
-//! the payload is the sentence serialized to JSON text, which keeps the
-//! middleware core independent of the NMEA model while letting any
-//! component or feature recover the full structure.
+//! NMEA sentences travel the processing graph as `nmea.sentence` items
+//! whose payload is the sentence's validated NMEA-0183 wire text: the
+//! Parser forwards the very line it accepted, so no per-hop encoding
+//! happens and the middleware core stays independent of the NMEA model.
+//! Consumers peek at the type without parsing ([`sentence_type_of`]) and
+//! decode only what they use ([`gga_of`], [`sentence_of`]); every decode
+//! reads the exact line the Parser validated, so it sees the same
+//! [`Sentence`] the Parser did.
 
 use perpos_core::prelude::*;
-use perpos_nmea::Sentence;
+use perpos_nmea::{parse_sentence, sentence_type, Gga, Sentence};
 use std::fmt;
 
-/// Encodes a parsed NMEA sentence as an item payload.
+/// Encodes a parsed NMEA sentence as an item payload: its NMEA-0183 wire
+/// text.
 pub fn sentence_to_value(s: &Sentence) -> Value {
-    Value::Text(serde_json::to_string(s).expect("sentence serialization is infallible"))
+    Value::Text(s.to_nmea_string())
 }
 
 /// A per-line defect found while scanning a trace block. Carries the
@@ -203,25 +208,49 @@ pub fn ingest_nmea_block(
     Ok((ingested, report))
 }
 
-/// Decodes an item payload produced by [`sentence_to_value`].
+/// Decodes a sentence payload: the wire text parsed and validated.
+/// Anything that is not text holding a valid sentence is `None`.
 pub fn value_to_sentence(v: &Value) -> Option<Sentence> {
-    let text = v.as_text()?;
-    serde_json::from_str(text).ok()
+    parse_sentence(v.as_text()?).ok()
+}
+
+/// The wire text of an `nmea.sentence` item, or `None` for any other
+/// kind or a non-text payload.
+fn sentence_text(item: &DataItem) -> Option<&str> {
+    if item.kind != kinds::NMEA_SENTENCE {
+        return None;
+    }
+    item.payload.as_text()
 }
 
 /// Convenience: decodes the sentence carried by an `nmea.sentence` item.
 pub fn sentence_of(item: &DataItem) -> Option<Sentence> {
-    if item.kind != kinds::NMEA_SENTENCE {
+    parse_sentence(sentence_text(item)?).ok()
+}
+
+/// The sentence type (`"GGA"`, `"GSV"`, …) of an `nmea.sentence` item,
+/// read from the wire text without parsing it.
+pub fn sentence_type_of(item: &DataItem) -> Option<&str> {
+    sentence_type(sentence_text(item)?)
+}
+
+/// The GGA fix carried by an `nmea.sentence` item, parsing only lines
+/// whose type is GGA. Equal to matching [`sentence_of`] on
+/// [`Sentence::Gga`], without decoding the other sentence types.
+pub fn gga_of(item: &DataItem) -> Option<Gga> {
+    if sentence_type_of(item)? != "GGA" {
         return None;
     }
-    value_to_sentence(&item.payload)
+    match sentence_of(item)? {
+        Sentence::Gga(gga) => Some(gga),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use perpos_core::SimTime;
-    use perpos_nmea::{parse_sentence, Gga};
 
     #[test]
     fn sentence_round_trip() {
@@ -254,7 +283,7 @@ mod tests {
 
     #[test]
     fn malformed_payload_is_none() {
-        assert_eq!(value_to_sentence(&Value::Text("not json".into())), None);
+        assert_eq!(value_to_sentence(&Value::Text("not nmea".into())), None);
         assert_eq!(value_to_sentence(&Value::Int(1)), None);
     }
 

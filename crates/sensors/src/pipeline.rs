@@ -9,12 +9,15 @@ use perpos_core::component::{Component, ComponentCtx, ComponentDescriptor, Input
 use perpos_core::feature::{ComponentFeature, FeatureAction, FeatureDescriptor, FeatureHost};
 use perpos_core::prelude::*;
 use perpos_model::Building;
-use perpos_nmea::{parse_sentence, Sentence};
+use perpos_nmea::parse_sentence;
 
 use crate::codec;
 
-/// The Parser component: raw NMEA strings in, structured sentences out
+/// The Parser component: raw NMEA strings in, validated sentences out
 /// (Fig. 1/4).
+///
+/// A sentence item's payload is the accepted line itself (see
+/// [`codec`]); consumers decode it on demand.
 ///
 /// Malformed sentences are counted and dropped — reproducing the Fig. 4
 /// behaviour where several strings may be needed per sentence.
@@ -47,16 +50,17 @@ impl Component for Parser {
         item: DataItem,
         ctx: &mut ComponentCtx<'_>,
     ) -> Result<(), CoreError> {
-        let Some(text) = item.payload.as_text() else {
+        let valid = item
+            .payload
+            .as_text()
+            .is_some_and(|text| parse_sentence(text).is_ok());
+        if valid {
+            self.parsed += 1;
+            // The validated line is the sentence payload: forwarding the
+            // input's `Arc` copies nothing and keeps its arena slot.
+            ctx.emit_value(kinds::NMEA_SENTENCE, item.payload);
+        } else {
             self.errors += 1;
-            return Ok(());
-        };
-        match parse_sentence(text) {
-            Ok(sentence) => {
-                self.parsed += 1;
-                ctx.emit_value(kinds::NMEA_SENTENCE, codec::sentence_to_value(&sentence));
-            }
-            Err(_) => self.errors += 1,
         }
         Ok(())
     }
@@ -119,7 +123,7 @@ impl Component for Interpreter {
         item: DataItem,
         ctx: &mut ComponentCtx<'_>,
     ) -> Result<(), CoreError> {
-        let Some(Sentence::Gga(gga)) = codec::sentence_of(&item) else {
+        let Some(gga) = codec::gga_of(&item) else {
             return Ok(());
         };
         let (Some(lat), Some(lon)) = (gga.lat_deg, gga.lon_deg) else {
@@ -389,7 +393,7 @@ impl ComponentFeature for HdopFeature {
         mut item: DataItem,
         _host: &mut FeatureHost<'_>,
     ) -> Result<FeatureAction, CoreError> {
-        if let Some(Sentence::Gga(gga)) = codec::sentence_of(&item) {
+        if let Some(gga) = codec::gga_of(&item) {
             if gga.quality.has_fix() {
                 self.last_hdop = Some(gga.hdop);
                 item.attrs.insert("hdop", Value::Float(gga.hdop));
@@ -450,7 +454,7 @@ impl ComponentFeature for NumberOfSatellitesFeature {
         mut item: DataItem,
         _host: &mut FeatureHost<'_>,
     ) -> Result<FeatureAction, CoreError> {
-        if let Some(Sentence::Gga(gga)) = codec::sentence_of(&item) {
+        if let Some(gga) = codec::gga_of(&item) {
             let n = i64::from(gga.num_satellites);
             self.last = Some(n);
             item.attrs.insert("satellites", Value::Int(n));
@@ -591,13 +595,12 @@ mod tests {
         assert_eq!(p.invoke("errorCount", &[]).unwrap(), Value::Int(1));
     }
 
+    /// What the Parser emits for a valid `line`.
     fn parsed(line: &str) -> DataItem {
-        let sentence = parse_sentence(line).unwrap();
-        DataItem::new(
-            kinds::NMEA_SENTENCE,
-            SimTime::ZERO,
-            codec::sentence_to_value(&sentence),
-        )
+        let mut p = Parser::new();
+        let mut out = ComponentCtxProbe::run_input(&mut p, raw_item(line)).unwrap();
+        assert_eq!(out.len(), 1, "{line}");
+        out.remove(0)
     }
 
     #[test]
