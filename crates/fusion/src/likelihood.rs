@@ -41,6 +41,13 @@ impl State {
     }
 }
 
+/// The unnormalized Gaussian likelihood of a particle at `distance_m`
+/// from the measurement, floored at 1e-12 so no particle's weight
+/// collapses to zero.
+pub(crate) fn gaussian_likelihood(distance_m: f64, sigma_m: f64) -> f64 {
+    (-0.5 * (distance_m / sigma_m).powi(2)).exp().max(1e-12)
+}
+
 /// A cloneable handle to the likelihood state, handed to the particle
 /// filter — the Rust equivalent of the paper's
 /// `inputChannel.getFeature(position, Likelihood.class)`.
@@ -59,8 +66,7 @@ impl LikelihoodHandle {
     /// The likelihood of a particle at `distance_m` from the measured
     /// position (unnormalized Gaussian).
     pub fn likelihood(&self, distance_m: f64) -> f64 {
-        let sigma = self.sigma_m();
-        (-0.5 * (distance_m / sigma).powi(2)).exp().max(1e-12)
+        gaussian_likelihood(distance_m, self.sigma_m())
     }
 
     /// Number of `apply` calls observed (diagnostics).

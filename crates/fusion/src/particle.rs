@@ -6,11 +6,11 @@ use std::sync::Arc;
 use perpos_core::component::{Component, ComponentCtx, ComponentDescriptor, InputSpec, MethodSpec};
 use perpos_core::prelude::*;
 use perpos_geo::{LocalFrame, Point2, Vec2};
-use perpos_model::Building;
+use perpos_model::{Building, WallIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::likelihood::LikelihoodHandle;
+use crate::likelihood::{gaussian_likelihood, LikelihoodHandle};
 
 #[derive(Debug, Clone, Copy)]
 struct Particle {
@@ -39,8 +39,7 @@ struct Particle {
 pub struct ParticleFilter {
     name: String,
     frame: LocalFrame,
-    building: Option<Arc<Building>>,
-    floor: i32,
+    walls: Option<WallIndex>,
     likelihood: Option<LikelihoodHandle>,
     particles: Vec<Particle>,
     n_particles: usize,
@@ -61,8 +60,7 @@ impl ParticleFilter {
         ParticleFilter {
             name: name.into(),
             frame,
-            building: None,
-            floor: 0,
+            walls: None,
             likelihood: None,
             particles: Vec::new(),
             n_particles: 500,
@@ -76,10 +74,10 @@ impl ParticleFilter {
         }
     }
 
-    /// Constrains motion with a building model (builder style).
+    /// Constrains motion with the walls of one floor of a building model
+    /// (builder style). A floor the building lacks constrains nothing.
     pub fn with_building(mut self, building: Arc<Building>, floor: i32) -> Self {
-        self.building = Some(building);
-        self.floor = floor;
+        self.walls = building.floor(floor).map(WallIndex::new);
         self
     }
 
@@ -140,7 +138,7 @@ impl ParticleFilter {
             let jitter = self.heading_jitter_deg;
             let (heading, step) = {
                 let p = &self.particles[i];
-                let heading = p.heading_deg + self.normal_static() * jitter;
+                let heading = p.heading_deg + self.normal() * jitter;
                 let speed = self.rng.gen_range(0.0..self.motion_speed_mps);
                 (heading, speed * dt)
             };
@@ -148,9 +146,9 @@ impl ParticleFilter {
             let p = self.particles[i];
             let proposed = p.pos + dir * step;
             let blocked = self
-                .building
+                .walls
                 .as_ref()
-                .is_some_and(|b| b.path_blocked(p.pos, proposed, self.floor));
+                .is_some_and(|w| w.path_blocked(p.pos, proposed));
             if blocked {
                 // Reject the move: the particle bounces off the wall and
                 // picks a new heading. No weight penalty — the particle
@@ -166,22 +164,15 @@ impl ParticleFilter {
         }
     }
 
-    fn normal_static(&mut self) -> f64 {
-        self.normal()
-    }
-
     fn weight_against(&mut self, measurement: Point2, fallback_sigma: f64) {
-        let handle = self.likelihood.clone();
+        // One read of the Likelihood feature per update, so every
+        // particle of the update is weighed with the same sigma.
+        let sigma = match &self.likelihood {
+            Some(h) => h.sigma_m(),
+            None => fallback_sigma.max(2.0),
+        };
         for p in &mut self.particles {
-            let d = p.pos.distance(&measurement);
-            let l = match &handle {
-                Some(h) => h.likelihood(d),
-                None => {
-                    let sigma = fallback_sigma.max(2.0);
-                    (-0.5 * (d / sigma).powi(2)).exp().max(1e-12)
-                }
-            };
-            p.weight *= l;
+            p.weight *= gaussian_likelihood(p.pos.distance(&measurement), sigma);
         }
         self.normalize();
     }

@@ -146,7 +146,9 @@ impl Floor {
         self.rooms.iter().find(|r| r.contains(&p))
     }
 
-    /// Whether straight-line motion from `from` to `to` crosses any wall.
+    /// Whether straight-line motion from `from` to `to` crosses any wall,
+    /// testing every wall; [`WallIndex`](crate::WallIndex) answers the
+    /// same question without the scan.
     pub fn path_blocked(&self, from: Point2, to: Point2) -> bool {
         let motion = Segment2::new(from, to);
         self.walls.iter().any(|w| w.intersects(&motion))
@@ -216,8 +218,9 @@ impl Building {
     }
 
     /// Whether straight-line motion between two floor-plan points crosses
-    /// a wall on the given floor. Used by the particle filter as a
-    /// movement constraint (paper §3.2, Fig. 6).
+    /// a wall on the given floor: the particle filter's movement
+    /// constraint (paper §3.2, Fig. 6), which asks it through a
+    /// [`WallIndex`](crate::WallIndex) built once per floor.
     pub fn path_blocked(&self, from: Point2, to: Point2, level: i32) -> bool {
         self.floor(level).is_some_and(|f| f.path_blocked(from, to))
     }

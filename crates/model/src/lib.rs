@@ -12,7 +12,8 @@
 //! * [`Building::room_at`] / [`Building::resolve_wgs84`] — the location
 //!   model service (symbolic positions from coordinates),
 //! * [`Building::path_blocked`] — wall-crossing tests used as particle
-//!   filter movement constraints,
+//!   filter movement constraints, and [`WallIndex`], a uniform grid over a
+//!   floor's walls answering the same queries without scanning every wall,
 //! * [`RoomGraph`] — room adjacency (via doors) with shortest-path queries.
 //!
 //! # Examples
@@ -34,7 +35,9 @@
 mod building;
 mod graph;
 mod polygon;
+mod wall_index;
 
 pub use building::{demo_building, Building, BuildingBuilder, Door, Floor, Room, RoomId};
 pub use graph::RoomGraph;
 pub use polygon::Polygon;
+pub use wall_index::WallIndex;

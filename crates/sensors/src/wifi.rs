@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use perpos_core::component::{Component, ComponentCtx, ComponentDescriptor, InputSpec, MethodSpec};
 use perpos_core::prelude::*;
-use perpos_geo::{Point2, Segment2};
-use perpos_model::Building;
+use perpos_geo::Point2;
+use perpos_model::{Building, Floor, WallIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,6 +47,7 @@ pub struct WifiEnvironment {
     aps: Vec<AccessPoint>,
     building: Arc<Building>,
     floor: i32,
+    walls: Option<WallIndex>,
     /// Path-loss exponent; ~2 in free space, 2.5–4 indoors.
     pub path_loss_exponent: f64,
     /// Attenuation per crossed wall in dB.
@@ -71,6 +72,7 @@ impl WifiEnvironment {
     pub fn new(building: Arc<Building>, floor: i32, aps: Vec<AccessPoint>) -> Self {
         WifiEnvironment {
             aps,
+            walls: building.floor(floor).map(WallIndex::new),
             building,
             floor,
             path_loss_exponent: 2.8,
@@ -120,11 +122,7 @@ impl WifiEnvironment {
     }
 
     fn walls_crossed(&self, a: Point2, b: Point2) -> usize {
-        let Some(floor) = self.building.floor(self.floor) else {
-            return 0;
-        };
-        let path = Segment2::new(a, b);
-        floor.walls().iter().filter(|w| w.intersects(&path)).count()
+        self.walls.as_ref().map_or(0, |w| w.crossings(a, b))
     }
 
     /// A noisy scan at `p`: AP id to RSSI, shadowed and thresholded.
@@ -148,6 +146,10 @@ impl WifiEnvironment {
 /// An offline fingerprint database: mean signal vectors on a grid over
 /// the building floor.
 ///
+/// Fingerprints are stored densely: a sorted table of the environment's
+/// AP ids and one row of mean RSSIs per surveyed point, in that id order,
+/// with NaN where the point does not hear the AP.
+///
 /// ```
 /// use std::sync::Arc;
 /// use perpos_geo::Point2;
@@ -164,8 +166,42 @@ impl WifiEnvironment {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RadioMap {
-    fingerprints: Vec<(Point2, BTreeMap<String, f64>)>,
+    /// The environment's distinct AP ids, sorted.
+    ap_ids: Vec<String>,
+    /// Surveyed points, one per fingerprint row.
+    points: Vec<Point2>,
+    /// Row-major mean RSSI in dBm, `ap_ids.len()` per row; NaN where the
+    /// point does not hear the AP.
+    rssi: Vec<f64>,
     missing_penalty_dbm: f64,
+}
+
+/// Grid points `grid_step` apart over the rooms' bounding box that fall
+/// inside a room, row by row from the south-west.
+fn survey_points(floor: &Floor, grid_step: f64) -> Vec<Point2> {
+    let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
+    let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for room in floor.rooms() {
+        let (lo, hi) = room.outline().bounding_box();
+        min_x = min_x.min(lo.x);
+        min_y = min_y.min(lo.y);
+        max_x = max_x.max(hi.x);
+        max_y = max_y.max(hi.y);
+    }
+    let mut points = Vec::new();
+    let mut y = min_y + grid_step / 2.0;
+    while y < max_y {
+        let mut x = min_x + grid_step / 2.0;
+        while x < max_x {
+            let p = Point2::new(x, y);
+            if floor.room_at(p).is_some() {
+                points.push(p);
+            }
+            x += grid_step;
+        }
+        y += grid_step;
+    }
+    points
 }
 
 impl RadioMap {
@@ -173,97 +209,126 @@ impl RadioMap {
     /// a room are kept).
     pub fn build(env: &WifiEnvironment, grid_step: f64) -> Self {
         assert!(grid_step > 0.1, "grid step too fine: {grid_step}");
-        let mut fingerprints = Vec::new();
-        let Some(floor) = env.building.floor(env.floor) else {
-            return RadioMap {
-                fingerprints,
-                missing_penalty_dbm: env.detection_threshold_dbm,
-            };
-        };
-        // Bounding box over all rooms.
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for room in floor.rooms() {
-            let (lo, hi) = room.outline().bounding_box();
-            min_x = min_x.min(lo.x);
-            min_y = min_y.min(lo.y);
-            max_x = max_x.max(hi.x);
-            max_y = max_y.max(hi.y);
-        }
-        let mut y = min_y + grid_step / 2.0;
-        while y < max_y {
-            let mut x = min_x + grid_step / 2.0;
-            while x < max_x {
-                let p = Point2::new(x, y);
-                if floor.room_at(p).is_some() {
-                    let mut fp = BTreeMap::new();
-                    for ap in &env.aps {
-                        let rssi = env.mean_rssi_dbm(ap, p);
-                        if rssi >= env.detection_threshold_dbm {
-                            fp.insert(ap.id.clone(), rssi);
-                        }
-                    }
-                    fingerprints.push((p, fp));
+        let mut ap_ids: Vec<String> = env.aps.iter().map(|ap| ap.id.clone()).collect();
+        ap_ids.sort_unstable();
+        ap_ids.dedup();
+        let columns: Vec<usize> = env
+            .aps
+            .iter()
+            .map(|ap| {
+                ap_ids
+                    .binary_search(&ap.id)
+                    .expect("every AP id is in the table")
+            })
+            .collect();
+        let points = env
+            .building
+            .floor(env.floor)
+            .map(|floor| survey_points(floor, grid_step))
+            .unwrap_or_default();
+        let width = ap_ids.len();
+        let mut rssi = vec![f64::NAN; points.len() * width];
+        for (i, p) in points.iter().enumerate() {
+            let row = &mut rssi[i * width..(i + 1) * width];
+            // APs sharing an id share a column; as in a scan, the last
+            // one heard wins.
+            for (ap, &col) in env.aps.iter().zip(&columns) {
+                let mean = env.mean_rssi_dbm(ap, *p);
+                if mean >= env.detection_threshold_dbm {
+                    row[col] = mean;
                 }
-                x += grid_step;
             }
-            y += grid_step;
         }
         RadioMap {
-            fingerprints,
+            ap_ids,
+            points,
+            rssi,
             missing_penalty_dbm: env.detection_threshold_dbm,
         }
     }
 
     /// Number of surveyed grid points.
     pub fn len(&self) -> usize {
-        self.fingerprints.len()
+        self.points.len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.fingerprints.is_empty()
-    }
-
-    fn signal_distance(&self, a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (id, va) in a {
-            let vb = b.get(id).copied().unwrap_or(self.missing_penalty_dbm);
-            sum += (va - vb).powi(2);
-            n += 1;
-        }
-        for (id, vb) in b {
-            if !a.contains_key(id) {
-                sum += (vb - self.missing_penalty_dbm).powi(2);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            f64::INFINITY
-        } else {
-            (sum / n as f64).sqrt()
-        }
+        self.points.is_empty()
     }
 
     /// k-NN position estimate for a scan: the weighted centroid of the
     /// `k` closest fingerprints in signal space, plus a rough accuracy
     /// estimate (spread of the neighbours).
     pub fn estimate(&self, scan: &BTreeMap<String, f64>, k: usize) -> Option<(Point2, f64)> {
-        if self.fingerprints.is_empty() || scan.is_empty() || k == 0 {
+        self.estimate_sorted(scan.iter().map(|(id, rssi)| (id.as_str(), *rssi)), k)
+    }
+
+    /// [`estimate`](Self::estimate) for a scan given as `(AP id, RSSI)`
+    /// pairs in ascending id order without repeats, as a `BTreeMap`
+    /// yields them.
+    ///
+    /// The signal distance to a fingerprint is the RMS difference over
+    /// the scan's APs (in scan order; an AP the fingerprint does not hear
+    /// counts at the detection threshold) and then over the APs only the
+    /// fingerprint hears (in id order, against the threshold). Neighbours
+    /// are the `k` smallest `(distance, fingerprint index)` pairs.
+    fn estimate_sorted<'a>(
+        &self,
+        scan: impl IntoIterator<Item = (&'a str, f64)>,
+        k: usize,
+    ) -> Option<(Point2, f64)> {
+        let width = self.ap_ids.len();
+        let mut in_scan = vec![false; width];
+        let scan: Vec<(f64, Option<usize>)> = scan
+            .into_iter()
+            .map(|(id, rssi)| {
+                let col = self.ap_ids.binary_search_by(|a| a.as_str().cmp(id)).ok();
+                if let Some(c) = col {
+                    in_scan[c] = true;
+                }
+                (rssi, col)
+            })
+            .collect();
+        if self.points.is_empty() || scan.is_empty() || k == 0 {
             return None;
         }
-        let mut scored: Vec<(f64, Point2)> = self
-            .fingerprints
-            .iter()
-            .map(|(p, fp)| (self.signal_distance(scan, fp), *p))
+        let absent: Vec<usize> = (0..width).filter(|&c| !in_scan[c]).collect();
+        let penalty = self.missing_penalty_dbm;
+        let distance = |row: &[f64]| {
+            let mut sum = 0.0;
+            let mut n = scan.len();
+            for &(va, col) in &scan {
+                let vb = col.map(|c| row[c]).filter(|v| !v.is_nan());
+                let vb = vb.unwrap_or(penalty);
+                sum += (va - vb).powi(2);
+            }
+            for &c in &absent {
+                let vb = row[c];
+                if !vb.is_nan() {
+                    sum += (vb - penalty).powi(2);
+                    n += 1;
+                }
+            }
+            (sum / n as f64).sqrt()
+        };
+        let mut scored: Vec<(f64, usize)> = (0..self.points.len())
+            .map(|i| (distance(&self.rssi[i * width..(i + 1) * width]), i))
             .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let neighbours = &scored[..k.min(scored.len())];
+        // Ordering by (distance, index) is total, so the k smallest in
+        // that order are a stable sort's first k.
+        let by_key = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let k = k.min(scored.len());
+        if k < scored.len() {
+            scored.select_nth_unstable_by(k - 1, by_key);
+        }
+        let neighbours = &mut scored[..k];
+        neighbours.sort_unstable_by(by_key);
         let mut wx = 0.0;
         let mut wy = 0.0;
         let mut wsum = 0.0;
-        for (d, p) in neighbours {
+        for &(d, i) in neighbours.iter() {
+            let p = self.points[i];
             let w = 1.0 / (d + 0.1);
             wx += p.x * w;
             wy += p.y * w;
@@ -272,7 +337,7 @@ impl RadioMap {
         let est = Point2::new(wx / wsum, wy / wsum);
         let spread = neighbours
             .iter()
-            .map(|(_, p)| p.distance(&est))
+            .map(|&(_, i)| self.points[i].distance(&est))
             .fold(0.0, f64::max)
             .max(1.0);
         Some((est, spread))
@@ -454,11 +519,10 @@ impl Component for WifiPositioning {
         let Some(map) = item.payload.as_map() else {
             return Ok(());
         };
-        let scan: BTreeMap<String, f64> = map
+        let scan = map
             .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
-            .collect();
-        if let Some((p, acc)) = self.map.estimate(&scan, self.k) {
+            .filter_map(|(id, v)| v.as_f64().map(|rssi| (id.as_str(), rssi)));
+        if let Some((p, acc)) = self.map.estimate_sorted(scan, self.k) {
             let coord = self.building.frame().from_local(&p);
             let out = DataItem::new(
                 kinds::POSITION_WGS84,
@@ -656,5 +720,270 @@ mod tests {
         pos.invoke("setK", &[Value::Int(5)]).unwrap();
         assert_eq!(pos.invoke("getK", &[]).unwrap(), Value::Int(5));
         assert!(pos.invoke("setK", &[Value::Int(0)]).is_err());
+    }
+
+    /// The string-keyed radio map the dense one replaced: one
+    /// `BTreeMap` per fingerprint and a stable sort of every distance.
+    /// Kept as the reference the dense map must match bit for bit.
+    struct ReferenceMap {
+        fingerprints: Vec<(Point2, BTreeMap<String, f64>)>,
+        missing_penalty_dbm: f64,
+    }
+
+    impl ReferenceMap {
+        fn build(env: &WifiEnvironment, grid_step: f64) -> Self {
+            let points = env
+                .building
+                .floor(env.floor)
+                .map(|f| survey_points(f, grid_step))
+                .unwrap_or_default();
+            let fingerprints = points
+                .into_iter()
+                .map(|p| {
+                    let mut fp = BTreeMap::new();
+                    for ap in &env.aps {
+                        let rssi = env.mean_rssi_dbm(ap, p);
+                        if rssi >= env.detection_threshold_dbm {
+                            fp.insert(ap.id.clone(), rssi);
+                        }
+                    }
+                    (p, fp)
+                })
+                .collect();
+            ReferenceMap {
+                fingerprints,
+                missing_penalty_dbm: env.detection_threshold_dbm,
+            }
+        }
+
+        fn signal_distance(&self, a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> f64 {
+            let mut sum = 0.0;
+            let mut n = 0usize;
+            for (id, va) in a {
+                let vb = b.get(id).copied().unwrap_or(self.missing_penalty_dbm);
+                sum += (va - vb).powi(2);
+                n += 1;
+            }
+            for (id, vb) in b {
+                if !a.contains_key(id) {
+                    sum += (vb - self.missing_penalty_dbm).powi(2);
+                    n += 1;
+                }
+            }
+            if n == 0 {
+                f64::INFINITY
+            } else {
+                (sum / n as f64).sqrt()
+            }
+        }
+
+        fn estimate(&self, scan: &BTreeMap<String, f64>, k: usize) -> Option<(Point2, f64)> {
+            if self.fingerprints.is_empty() || scan.is_empty() || k == 0 {
+                return None;
+            }
+            let mut scored: Vec<(f64, Point2)> = self
+                .fingerprints
+                .iter()
+                .map(|(p, fp)| (self.signal_distance(scan, fp), *p))
+                .collect();
+            scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let neighbours = &scored[..k.min(scored.len())];
+            let mut wx = 0.0;
+            let mut wy = 0.0;
+            let mut wsum = 0.0;
+            for (d, p) in neighbours {
+                let w = 1.0 / (d + 0.1);
+                wx += p.x * w;
+                wy += p.y * w;
+                wsum += w;
+            }
+            let est = Point2::new(wx / wsum, wy / wsum);
+            let spread = neighbours
+                .iter()
+                .map(|(_, p)| p.distance(&est))
+                .fold(0.0, f64::max)
+                .max(1.0);
+            Some((est, spread))
+        }
+    }
+
+    fn bits(estimate: Option<(Point2, f64)>) -> Option<[u64; 3]> {
+        estimate.map(|(p, spread)| [p.x.to_bits(), p.y.to_bits(), spread.to_bits()])
+    }
+
+    /// Demo floor; APs with repeated ids (`AP01` twice, `AP05` three
+    /// times, at different places) and a high threshold, so the copies
+    /// of an id are heard at some points and not at others.
+    fn duplicate_id_env() -> WifiEnvironment {
+        let mut aps = WifiEnvironment::with_ap_per_room(Arc::new(demo_building()), 0)
+            .access_points()
+            .to_vec();
+        aps.push(AccessPoint::new("AP01", Point2::new(18.0, 9.0)));
+        aps.insert(0, AccessPoint::new("AP05", Point2::new(1.0, 1.0)));
+        aps.push(AccessPoint::new("AP05", Point2::new(18.0, 1.0)));
+        let mut env = WifiEnvironment::new(Arc::new(demo_building()), 0, aps);
+        env.detection_threshold_dbm = -52.0;
+        env
+    }
+
+    /// One 4 m square room with a single AP in its centre: the 1 m survey
+    /// grid is symmetric about the AP, so fingerprints tie exactly.
+    fn symmetric_env() -> WifiEnvironment {
+        let mut floor = Floor::new(0);
+        floor.add_room(perpos_model::Room::new(
+            "A",
+            "A",
+            perpos_model::Polygon::rectangle(0.0, 0.0, 4.0, 4.0),
+        ));
+        let origin = perpos_geo::Wgs84::new(56.17, 10.19, 0.0).unwrap();
+        let building = perpos_model::BuildingBuilder::new("Square", origin)
+            .floor(floor)
+            .build();
+        WifiEnvironment::new(
+            Arc::new(building),
+            0,
+            vec![AccessPoint::new("C", Point2::new(2.0, 2.0))],
+        )
+    }
+
+    type Case = (WifiEnvironment, RadioMap, ReferenceMap);
+
+    fn cases() -> &'static [Case] {
+        static CASES: std::sync::OnceLock<Vec<Case>> = std::sync::OnceLock::new();
+        CASES.get_or_init(|| {
+            let envs = [
+                (
+                    WifiEnvironment::with_ap_per_room(Arc::new(demo_building()), 0),
+                    1.0,
+                ),
+                (
+                    WifiEnvironment::with_ap_per_room(Arc::new(demo_building()), 0),
+                    1.5,
+                ),
+                (duplicate_id_env(), 1.0),
+                (symmetric_env(), 1.0),
+            ];
+            envs.into_iter()
+                .map(|(env, step)| {
+                    let map = RadioMap::build(&env, step);
+                    let reference = ReferenceMap::build(&env, step);
+                    (env, map, reference)
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn dense_rows_hold_the_reference_fingerprints() {
+        for (_, map, reference) in cases() {
+            assert_eq!(map.len(), reference.fingerprints.len());
+            let width = map.ap_ids.len();
+            for (i, (p, fp)) in reference.fingerprints.iter().enumerate() {
+                assert_eq!(map.points[i], *p);
+                let row = &map.rssi[i * width..(i + 1) * width];
+                let dense: BTreeMap<String, u64> = map
+                    .ap_ids
+                    .iter()
+                    .zip(row)
+                    .filter(|(_, v)| !v.is_nan())
+                    .map(|(id, v)| (id.clone(), v.to_bits()))
+                    .collect();
+                let expected: BTreeMap<String, u64> =
+                    fp.iter().map(|(id, v)| (id.clone(), v.to_bits())).collect();
+                assert_eq!(dense, expected, "fingerprint {i} at {p}");
+            }
+        }
+        // In the duplicate-id environment, different copies of `AP05`
+        // are the last one heard at different survey points.
+        let (env, map, _) = &cases()[2];
+        assert_eq!(map.ap_ids.len(), 9);
+        let copies: Vec<&AccessPoint> = env
+            .access_points()
+            .iter()
+            .filter(|ap| ap.id == "AP05")
+            .collect();
+        assert_eq!(copies.len(), 3);
+        let winners: std::collections::BTreeSet<usize> = map
+            .points
+            .iter()
+            .filter_map(|&p| {
+                (0..copies.len())
+                    .rev()
+                    .find(|&c| env.mean_rssi_dbm(copies[c], p) >= env.detection_threshold_dbm)
+            })
+            .collect();
+        assert!(winners.len() >= 2, "winning copies {winners:?}");
+    }
+
+    #[test]
+    fn exact_ties_keep_survey_order() {
+        let (env, map, reference) = &cases()[3];
+        // A noiseless scan taken at a corner survey point: all four
+        // corners tie at distance zero.
+        let corner = Point2::new(0.5, 0.5);
+        let scan: BTreeMap<String, f64> = BTreeMap::from([(
+            "C".to_string(),
+            env.mean_rssi_dbm(&env.access_points()[0], corner),
+        )]);
+        for k in 1..=map.len() + 2 {
+            assert_eq!(
+                bits(map.estimate(&scan, k)),
+                bits(reference.estimate(&scan, k)),
+                "k {k}"
+            );
+        }
+        // k = 1 takes the first of the tied corners in survey order.
+        let (est, _) = map.estimate(&scan, 1).unwrap();
+        assert_eq!(est, corner);
+    }
+
+    #[test]
+    fn degenerate_scans_and_k() {
+        for (env, map, reference) in cases() {
+            let mut rng = StdRng::seed_from_u64(3);
+            let scan = env.scan(Point2::new(2.0, 2.0), &mut rng);
+            let unknown = BTreeMap::from([("ZZ".to_string(), -50.0), (String::new(), -80.0)]);
+            for (scan, k) in [
+                (BTreeMap::new(), 3),
+                (scan.clone(), 0),
+                (scan.clone(), map.len()),
+                (scan.clone(), map.len() + 1),
+                (scan, usize::MAX),
+                (unknown, 2),
+            ] {
+                assert_eq!(
+                    bits(map.estimate(&scan, k)),
+                    bits(reference.estimate(&scan, k))
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(600))]
+
+        /// Dense k-NN ≡ the BTreeMap k-NN, bit for bit, on noisy scans
+        /// with unknown APs added, heard APs dropped, or both.
+        #[test]
+        fn dense_knn_matches_the_btreemap_reference(
+            which in 0usize..4,
+            x in -1.0f64..21.0,
+            y in -1.0f64..11.5,
+            seed in 0u64..10_000,
+            k in 0usize..240,
+            edit in 0usize..4,
+        ) {
+            let (env, map, reference) = &cases()[which];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scan = env.scan(Point2::new(x, y), &mut rng);
+            if edit & 1 == 1 {
+                scan.insert("AP99".into(), rng.gen_range(-95.0..-30.0));
+                scan.insert("A".into(), rng.gen_range(-95.0..-30.0));
+            }
+            if edit & 2 == 2 {
+                scan.retain(|_, _| rng.gen_range(0.0..1.0) < 0.6);
+            }
+            proptest::prop_assert_eq!(bits(map.estimate(&scan, k)), bits(reference.estimate(&scan, k)));
+        }
     }
 }
