@@ -16,11 +16,23 @@ fn bench_parse(c: &mut Criterion) {
 }
 
 fn bench_encode(c: &mut Criterion) {
-    let sentence = parse_sentence(GGA).unwrap();
-    c.bench_function("encode_gga", |b| b.iter(|| sentence.to_nmea_string()));
-    let Sentence::Gga(_) = &sentence else {
-        panic!()
-    };
+    let gga = parse_sentence(GGA).unwrap();
+    assert!(matches!(gga, Sentence::Gga(_)));
+    let rmc = parse_sentence(RMC).unwrap();
+    assert!(matches!(rmc, Sentence::Rmc(_)));
+    c.bench_function("encode_gga", |b| b.iter(|| gga.to_nmea_string()));
+    c.bench_function("encode_rmc", |b| b.iter(|| rmc.to_nmea_string()));
+    // The allocation-free path: both sentences appended into one buffer
+    // that is cleared, not reallocated, between iterations.
+    let mut buf = String::with_capacity(256);
+    c.bench_function("write_nmea_reused_buffer", |b| {
+        b.iter(|| {
+            buf.clear();
+            gga.write_nmea(&mut buf);
+            rmc.write_nmea(&mut buf);
+            buf.len()
+        })
+    });
 }
 
 fn bench_splitter(c: &mut Criterion) {

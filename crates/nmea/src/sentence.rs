@@ -270,7 +270,7 @@ impl Sentence {
 
 impl fmt::Display for Sentence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_nmea_string())
+        f.write_str(&self.to_nmea_string())
     }
 }
 
