@@ -205,8 +205,8 @@ pub fn analyze_config(config: &GraphConfig, catalog: &TypeCatalog) -> Report {
     let (_, dataflow_report) = crate::domains::analyze_dataflow(&flow);
     report.merge(dataflow_report);
 
-    // Effect & determinism checks (P017-P019) against the executor and
-    // fleet deployment the configuration declares.
+    // Effect & determinism checks (P018-P020) against the fleet
+    // deployment the configuration declares.
     crate::effects::effect_diagnostics(&flow, &mut report);
 
     report
@@ -552,7 +552,6 @@ mod tests {
                 comp("app", "application"),
             ],
             connections: vec![edge("gps0", "p0", 0), edge("p0", "app", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -565,7 +564,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![comp("p0", "parser")],
             connections: vec![edge("p0", "p0", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -589,7 +587,6 @@ mod tests {
                 comp("app", "application"),
             ],
             connections: vec![edge("p0", "app", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };

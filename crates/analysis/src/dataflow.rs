@@ -90,9 +90,6 @@ pub struct FlowGraph {
     pub nodes: Vec<FlowNode>,
     /// Wires between them.
     pub edges: Vec<FlowEdge>,
-    /// Executor mode the configuration requests (`None` = the default
-    /// sequential executor; live structures do not record a request).
-    pub executor: Option<String>,
     /// Fleet deployment the configuration requests (`None` = a single
     /// unsupervised instance; live structures do not record one).
     pub fleet: Option<FleetSpec>,
@@ -111,7 +108,6 @@ impl FlowGraph {
         FlowGraph {
             nodes,
             edges,
-            executor: None,
             fleet: None,
             preds,
             succs,
@@ -185,7 +181,6 @@ impl FlowGraph {
             });
         }
         let mut graph = FlowGraph::finish(nodes, edges);
-        graph.executor = config.executor.clone();
         graph.fleet = config.fleet.clone();
         graph
     }
@@ -292,43 +287,6 @@ impl FlowGraph {
             }
         }
         (order.len() == self.nodes.len()).then_some(order)
-    }
-
-    /// Longest-path layering of the nodes: level 0 holds the nodes with
-    /// no wired producers, and every other node sits one past its
-    /// deepest producer. This mirrors the layering the level-parallel
-    /// executor schedules by, so lint output and runtime agree on the
-    /// graph's parallel width. Nodes stuck on a cycle (possible only in
-    /// declarative configs; flagged P005 elsewhere) are placed at level
-    /// 0 to keep the layering total.
-    pub fn topo_levels(&self) -> Vec<Vec<usize>> {
-        let mut level: Vec<Option<usize>> = vec![None; self.nodes.len()];
-        let mut pending: Vec<usize> = (0..self.nodes.len()).collect();
-        while !pending.is_empty() {
-            let before = pending.len();
-            pending.retain(|&i| {
-                let mut lvl = 0usize;
-                for &e in &self.preds[i] {
-                    match level[self.edges[e].from] {
-                        Some(l) => lvl = lvl.max(l + 1),
-                        None => return true, // producer not layered yet
-                    }
-                }
-                level[i] = Some(lvl);
-                false
-            });
-            if pending.len() == before {
-                for i in pending.drain(..) {
-                    level[i] = Some(0);
-                }
-            }
-        }
-        let depth = level.iter().flatten().copied().max().map_or(0, |m| m + 1);
-        let mut levels = vec![Vec::new(); depth];
-        for (i, l) in level.into_iter().enumerate() {
-            levels[l.unwrap_or(0)].push(i);
-        }
-        levels
     }
 }
 
@@ -536,7 +494,6 @@ mod tests {
                 edge("b", "c", 1),
                 edge("c", "app", 0),
             ],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -556,7 +513,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("x", "proc"), instance("y", "proc")],
             connections: vec![edge("x", "y", 0), edge("y", "x", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -568,60 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn topo_levels_layer_by_longest_path() {
-        let mut catalog = TypeCatalog::new();
-        catalog.insert(spec("src", "source", 0, &["raw.string"]));
-        catalog.insert(spec("proc", "processor", 1, &["raw.string"]));
-        catalog.insert(spec("join", "merge", 2, &["raw.string"]));
-        let config = GraphConfig {
-            components: vec![
-                instance("a", "src"),
-                instance("b", "proc"),
-                instance("c", "join"),
-                instance("app", "application"),
-            ],
-            connections: vec![
-                edge("a", "b", 0),
-                edge("a", "c", 0),
-                edge("b", "c", 1),
-                edge("c", "app", 0),
-            ],
-            executor: Some("level-parallel".into()),
-            tree_policy: None,
-            fleet: None,
-        };
-        let g = FlowGraph::from_config(&config, &catalog);
-        assert_eq!(g.executor.as_deref(), Some("level-parallel"));
-        // c consumes both a (depth 0) and b (depth 1), so it sits at
-        // level 2 — one past its *deepest* producer.
-        assert_eq!(g.topo_levels(), vec![vec![0], vec![1], vec![2], vec![3]]);
-    }
-
-    #[test]
-    fn topo_levels_stay_total_on_cycles() {
-        let mut catalog = TypeCatalog::new();
-        catalog.insert(spec("proc", "processor", 1, &["raw.string"]));
-        let config = GraphConfig {
-            components: vec![instance("x", "proc"), instance("y", "proc")],
-            connections: vec![edge("x", "y", 0), edge("y", "x", 0)],
-            executor: None,
-            tree_policy: None,
-            fleet: None,
-        };
-        let g = FlowGraph::from_config(&config, &catalog);
-        let levels = g.topo_levels();
-        let placed: usize = levels.iter().map(Vec::len).sum();
-        assert_eq!(placed, 2, "every node is layered even on a cycle");
-    }
-
-    #[test]
     fn unknown_references_are_skipped_not_fatal() {
         let mut catalog = TypeCatalog::new();
         catalog.insert(spec("src", "source", 0, &["raw.string"]));
         let config = GraphConfig {
             components: vec![instance("a", "src"), instance("ghost", "unknown-type")],
             connections: vec![edge("a", "nobody", 0), edge("ghost", "a", 7)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -641,7 +549,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("s", "src"), instance("n", "narrow")],
             connections: vec![edge("s", "n", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };

@@ -155,30 +155,17 @@ struct JsonNodeEffects {
     snapshot_capable: bool,
 }
 
-#[derive(Serialize)]
-struct JsonWaveConflict {
-    wave: u64,
-    resource: String,
-    kind: String,
-    a: String,
-    b: String,
-}
-
-/// The schema-v6 `effects` block: declared per-node effects plus the
-/// wave-interference conflicts (P017 material) found over the
-/// level-parallel schedule — reported whatever executor the
-/// configuration selects, so tooling can see latent interference.
+/// The `effects` block: declared per-node effects, the material of
+/// P018–P020.
 #[derive(Serialize)]
 struct JsonEffectsFacts {
     nodes: Vec<JsonNodeEffects>,
-    conflicts: Vec<JsonWaveConflict>,
 }
 
 #[derive(Serialize)]
 struct JsonFactsDoc {
     schema_version: u64,
     converged: bool,
-    executor: String,
     /// The channel layer's per-level pending-buffer bound the
     /// `overflow_s` node predictions are computed against.
     level_buffer_cap: u64,
@@ -186,7 +173,6 @@ struct JsonFactsDoc {
     /// one (`null` = a single unsupervised instance).
     fleet: Option<JsonFleetFacts>,
     effects: JsonEffectsFacts,
-    levels: Vec<Vec<String>>,
     nodes: Vec<JsonNodeFacts>,
     edges: Vec<JsonEdgeFacts>,
 }
@@ -194,12 +180,11 @@ struct JsonFactsDoc {
 /// Renders the solved facts as the versioned JSON document served by
 /// `perpos-lint --facts json`: per-node output facts plus per-edge views
 /// (the producer's facts filtered by what the edge can carry), the
-/// executor mode the configuration requests, and the longest-path level
-/// structure the level-parallel executor would schedule by.
+/// fleet deployment and the declared effects.
 ///
 /// Arrays are emitted in canonical order — nodes by label, edges by
-/// `(from, to, port)`, each level's members by label — so the document
-/// is byte-reproducible across runs regardless of declaration order.
+/// `(from, to, port)` — so the document is byte-reproducible across
+/// runs regardless of declaration order.
 pub fn facts_json(graph: &FlowGraph, facts: &GraphFacts) -> String {
     let mut nodes: Vec<JsonNodeFacts> = graph
         .nodes
@@ -262,23 +247,9 @@ pub fn facts_json(graph: &FlowGraph, facts: &GraphFacts) -> String {
         })
         .collect();
     canonical_sort(&mut effect_nodes, |n| n.label.clone());
-    let conflicts = crate::effects::wave_conflicts(graph)
-        .into_iter()
-        .map(|c| JsonWaveConflict {
-            wave: c.wave as u64,
-            resource: c.resource,
-            kind: c.kind.as_str().to_string(),
-            a: c.a,
-            b: c.b,
-        })
-        .collect();
     let doc = JsonFactsDoc {
         schema_version: u64::from(JSON_SCHEMA_VERSION),
         converged: facts.converged,
-        executor: graph
-            .executor
-            .clone()
-            .unwrap_or_else(|| "sequential".into()),
         level_buffer_cap: perpos_core::channel::LEVEL_BUFFER_CAP as u64,
         fleet: graph.fleet.as_ref().map(|spec| {
             let resolved = spec.to_fleet_config();
@@ -292,20 +263,7 @@ pub fn facts_json(graph: &FlowGraph, facts: &GraphFacts) -> String {
         }),
         effects: JsonEffectsFacts {
             nodes: effect_nodes,
-            conflicts,
         },
-        levels: graph
-            .topo_levels()
-            .into_iter()
-            .map(|lvl| {
-                let mut labels: Vec<String> = lvl
-                    .into_iter()
-                    .map(|i| graph.nodes[i].label.clone())
-                    .collect();
-                canonical_sort(&mut labels, Clone::clone);
-                labels
-            })
-            .collect(),
         nodes,
         edges,
     };

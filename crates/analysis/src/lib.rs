@@ -35,13 +35,12 @@
 //!
 //! An effect layer ([`effects`]) checks declared
 //! [`EffectSpec`](perpos_core::component::EffectSpec) metadata against
-//! the deployment the graph requests: shared-resource races between
-//! same-wave components under the level-parallel executor (P017),
-//! stateful-but-unsnapshotable components inside fleet deployments
-//! (P018) and exogenous/unseeded effects where deterministic replay is
-//! assumed (P019).
+//! the deployment the graph requests: stateful-but-unsnapshotable
+//! components inside fleet deployments (P018), exogenous/unseeded
+//! effects where deterministic replay is assumed (P019) and
+//! shared-resource writers replicated across a parallel fleet (P020).
 //!
-//! Every finding is a [`Diagnostic`] with a stable code (P001–P019), a
+//! Every finding is a [`Diagnostic`] with a stable code (P001–P020), a
 //! severity, the offending node/edge path and, where possible, a fix-it
 //! hint; a [`Report`] renders human-readable or JSON. The [`gate`]
 //! module adapts reports to the core's opt-in `*_checked` entry points.
@@ -70,7 +69,6 @@
 //!         effects: None,
 //!     }],
 //!     connections: vec![ConnectionConfig { from: "p".into(), to: "p".into(), port: 0 }],
-//!     executor: None,
 //!     tree_policy: None,
 //!     fleet: None,
 //! };
@@ -98,9 +96,7 @@ pub use config::analyze_config;
 pub use dataflow::{solve, Domain, FlowGraph, Solution};
 pub use diagnostic::{Code, Diagnostic, Report, Severity, JSON_SCHEMA_VERSION};
 pub use domains::{analyze_dataflow, dataflow_diagnostics, facts_json, infer_facts, GraphFacts};
-pub use effects::{
-    determinism_diagnostics, effect_diagnostics, wave_conflicts, ConflictKind, WaveConflict,
-};
-pub use live::{analyze_structure, analyze_structure_in, structure_levels, StructureContext};
+pub use effects::{determinism_diagnostics, effect_diagnostics};
+pub use live::{analyze_structure, analyze_structure_in, StructureContext};
 pub use probe::MonotonicityProbe;
 pub use synth::{synthesize, Infeasibility, RankedPipeline, Synthesis, SynthesisGoal};

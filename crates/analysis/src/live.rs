@@ -15,34 +15,23 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use perpos_core::assembly::FleetSpec;
 use perpos_core::component::ComponentRole;
-use perpos_core::executor::ExecMode;
 use perpos_core::graph::{NodeId, NodeInfo};
 
 use crate::diagnostic::{Code, Diagnostic, Report, Severity};
 
 /// Deployment context of a live structure, for the effect checks
-/// (P017–P019). A reflected [`NodeInfo`] list records components and
-/// wires but not how the graph is *run* — which executor steps it and
-/// whether it is replicated into a fleet — so callers that know supply
-/// it here. The default (sequential executor, no fleet) makes the
-/// effect checks vacuous, matching [`analyze_structure`].
+/// (P018–P020). A reflected [`NodeInfo`] list records components and
+/// wires but not how the graph is *run* — whether it is replicated into
+/// a fleet — so callers that know supply it here. The default (no
+/// fleet) makes the effect checks vacuous, matching
+/// [`analyze_structure`].
 #[derive(Debug, Clone, Default)]
 pub struct StructureContext {
-    /// Executor mode stepping the graph (`None` = sequential).
-    pub executor: Option<ExecMode>,
     /// Fleet deployment the instance belongs to (`None` = standalone).
     pub fleet: Option<FleetSpec>,
 }
 
 impl StructureContext {
-    /// Context for a graph stepped by `executor`, standalone.
-    pub fn for_executor(executor: ExecMode) -> StructureContext {
-        StructureContext {
-            executor: Some(executor),
-            fleet: None,
-        }
-    }
-
     /// Declares the fleet deployment (builder style).
     pub fn with_fleet(mut self, fleet: FleetSpec) -> StructureContext {
         self.fleet = Some(fleet);
@@ -51,16 +40,14 @@ impl StructureContext {
 }
 
 /// Analyzes a live (or simulated) process structure with no deployment
-/// context: the effect checks (P017–P019) assume the default sequential
-/// executor and no fleet. Use [`analyze_structure_in`] when the
-/// executor mode or fleet membership is known.
+/// context: the effect checks (P018–P020) assume no fleet. Use
+/// [`analyze_structure_in`] when fleet membership is known.
 pub fn analyze_structure(nodes: &[NodeInfo]) -> Report {
     analyze_structure_in(nodes, &StructureContext::default())
 }
 
 /// Analyzes a live (or simulated) process structure in a known
-/// deployment context, so the effect checks see the executor actually
-/// stepping the graph and the fleet it runs in.
+/// deployment context, so the effect checks see the fleet it runs in.
 pub fn analyze_structure_in(nodes: &[NodeInfo], ctx: &StructureContext) -> Report {
     let mut report = Report::new();
     let by_id: BTreeMap<NodeId, &NodeInfo> = nodes.iter().map(|n| (n.id, n)).collect();
@@ -74,12 +61,11 @@ pub fn analyze_structure_in(nodes: &[NodeInfo], ctx: &StructureContext) -> Repor
 
     // Semantic dataflow analyses (P010-P014) over the same structure.
     let mut flow = crate::dataflow::FlowGraph::from_structure(nodes);
-    flow.executor = ctx.executor.map(|m| m.as_str().to_string());
     flow.fleet = ctx.fleet.clone();
     let (_, dataflow_report) = crate::domains::analyze_dataflow(&flow);
     report.merge(dataflow_report);
 
-    // Effect & determinism checks (P017-P019) against the declared
+    // Effect & determinism checks (P018-P020) against the declared
     // deployment context.
     crate::effects::effect_diagnostics(&flow, &mut report);
 
@@ -89,48 +75,6 @@ pub fn analyze_structure_in(nodes: &[NodeInfo], ctx: &StructureContext) -> Repor
 /// A node's display name for diagnostic paths: `name (node#N)`.
 fn label(n: &NodeInfo) -> String {
     format!("{} ({})", n.descriptor.name, n.id)
-}
-
-/// Longest-path layering of a reflected structure: level 0 holds the
-/// nodes with no wired producers, every other node sits one past its
-/// deepest producer. This is the same layering
-/// `ProcessingGraph::topo_levels` computes for the live graph (and the
-/// level-parallel executor schedules by), recomputed here so simulated
-/// structures from [`crate::adaptation`] can be layered without
-/// instantiating them. Nodes stuck on a cycle (flagged P005) are placed
-/// at level 0 to keep the layering total.
-pub fn structure_levels(nodes: &[NodeInfo]) -> Vec<Vec<NodeId>> {
-    let ids: BTreeSet<NodeId> = nodes.iter().map(|n| n.id).collect();
-    let mut level: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut pending: Vec<&NodeInfo> = nodes.iter().collect();
-    while !pending.is_empty() {
-        let before = pending.len();
-        pending.retain(|n| {
-            let mut lvl = 0usize;
-            for producer in n.inputs.iter().flatten() {
-                if !ids.contains(producer) {
-                    continue;
-                }
-                match level.get(producer) {
-                    Some(l) => lvl = lvl.max(l + 1),
-                    None => return true, // producer not layered yet
-                }
-            }
-            level.insert(n.id, lvl);
-            false
-        });
-        if pending.len() == before {
-            for n in pending.drain(..) {
-                level.insert(n.id, 0);
-            }
-        }
-    }
-    let depth = level.values().copied().max().map_or(0, |m| m + 1);
-    let mut levels = vec![Vec::new(); depth];
-    for (id, l) in level {
-        levels[l].push(id);
-    }
-    levels
 }
 
 /// The kinds a node can currently produce: declared output plus

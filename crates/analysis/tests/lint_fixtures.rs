@@ -105,31 +105,6 @@ fn p009_no_fault_policy_fires_exactly_once() {
 }
 
 #[test]
-fn p017_wave_interference_fires_exactly_once() {
-    // Two parallel parser branches at the same topological level, both
-    // declaring writes on "bias-table", under the level-parallel
-    // executor: the only finding is the P017 error naming the wave, the
-    // resource and both components.
-    let report = lint("p017_wave_interference.json");
-    assert_only(&report, Code::P017, Severity::Error);
-    let d = report.with_code(Code::P017)[0];
-    assert!(d.message.contains("bias-table"), "{}", d.message);
-    assert!(d.message.contains("wave 1"), "{}", d.message);
-    assert_eq!(d.path, vec!["parse0".to_string(), "parse1".to_string()]);
-}
-
-#[test]
-fn p017_is_silent_under_the_sequential_executor() {
-    // The identical interference, sequentially executed, is harmless:
-    // dropping the executor request must lint completely clean.
-    let mut config: GraphConfig =
-        serde_json::from_str(&fixture("p017_wave_interference.json")).unwrap();
-    config.executor = None;
-    let report = analyze_config(&config, &catalog());
-    assert!(report.is_clean(), "{}", report.render_human());
-}
-
-#[test]
 fn p018_stateful_without_snapshot_fires_exactly_once() {
     // pipeline_ok plus a fleet block, full containment coverage, and a
     // decoder declared stateful with no snapshot capability: the only

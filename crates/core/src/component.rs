@@ -242,8 +242,8 @@ impl TransferSpec {
 /// resources it touches, which exogenous inputs it samples, and whether
 /// its accumulated state survives a checkpoint. `perpos-analysis` uses
 /// this to prove execution-level assembly properties *before* running:
-/// wave interference under the level-parallel executor (P017), silent
-/// checkpoint-restart divergence in fleets (P018) and hidden
+/// shared-resource writers replicated across a parallel fleet (P020),
+/// silent checkpoint-restart divergence in fleets (P018) and hidden
 /// nondeterminism in pipelines treated as deterministic (P019).
 ///
 /// Every field is optional; an empty spec means "no declared effects"
@@ -256,11 +256,11 @@ impl TransferSpec {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct EffectSpec {
     /// Named shared resources the component reads (e.g. a shared map
-    /// cache, a fingerprint database). Two same-wave components may both
-    /// read a resource; a read racing a write is a P017 conflict.
+    /// cache, a fingerprint database). Reported in the analysis facts
+    /// document; reads alone never race.
     pub reads: Option<Vec<String>>,
-    /// Named shared resources the component writes. Any same-wave
-    /// reader or writer of the same resource is a P017 conflict.
+    /// Named shared resources the component writes. A writer replicated
+    /// across a parallel fleet races with its own replicas (P020).
     pub writes: Option<Vec<String>>,
     /// Whether the component samples the host wall clock (as opposed to
     /// the engine's simulated clock) — an exogenous input that makes

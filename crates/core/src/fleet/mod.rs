@@ -47,7 +47,7 @@ pub mod snapshot;
 pub mod watchdog;
 
 pub use pool::{FleetConfig, FleetPool, FleetStats, FleetTotals};
-pub use scheduler::FleetScheduler;
+pub use scheduler::{machine_parallelism, FleetScheduler};
 pub use shard::{Shard, ShardState, ShardStats};
 pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 pub use watchdog::Watchdog;

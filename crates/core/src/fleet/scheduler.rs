@@ -39,7 +39,6 @@ pub enum FleetScheduler {
     /// order — the loom-free interleaving sanitizer: any schedule
     /// sensitivity shows up as a deterministic divergence from
     /// [`FleetScheduler::Serial`] rather than a thread-timing flake.
-    /// Mirrors the executor layer's `PermutedParallel`.
     Permuted {
         /// Seed driving the per-chunk Fisher–Yates shuffle; equal seeds
         /// replay the same visitation orders.
@@ -85,13 +84,25 @@ impl FleetScheduler {
 
     /// The worker count `run` will actually use on this machine:
     /// [`FleetScheduler::requested_workers`] with `0` resolved through
-    /// [`machine_parallelism`](crate::executor::machine_parallelism).
+    /// [`machine_parallelism`].
     pub fn resolved_workers(&self) -> usize {
         match self.requested_workers() {
-            0 => crate::executor::machine_parallelism(),
+            0 => machine_parallelism(),
             n => n,
         }
     }
+}
+
+/// The machine's effective core count: `available_parallelism`, which
+/// honours cgroup CPU quotas and affinity masks, falling back to 1 when
+/// the probe fails. Probing is *not* free on Linux (it re-reads the
+/// cgroup quota files), so callers must resolve once — never on a
+/// per-round path. Used by [`FleetScheduler::resolved_workers`] and
+/// benchmark metadata.
+pub fn machine_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Splits `rounds` (starting at global shard step `start`) into chunks
@@ -114,8 +125,8 @@ pub(crate) fn chunk_plan(start: u64, rounds: u64, checkpoint_every: u64) -> Vec<
     plan
 }
 
-/// splitmix64 — the same tiny generator the executor layer's
-/// `PermutedParallel` uses for its wave shuffles.
+/// splitmix64 — tiny, seedable, and plenty for shuffling shard
+/// visitation orders.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

@@ -20,7 +20,6 @@
 use crate::channel::ChannelLayerSnapshot;
 use crate::data::{DataItem, Value};
 use crate::distribution::Deployment;
-use crate::executor::ExecMode;
 use crate::graph::{NodeId, ProcessingGraph};
 use crate::supervision::HealthRegistry;
 use crate::SimTime;
@@ -29,11 +28,12 @@ use crate::SimTime;
 ///
 /// Version rules: the number is bumped whenever the captured state's
 /// shape changes incompatibly (a field added to the channel ring state,
-/// a different health-registry layout, …).
+/// a different health-registry layout, a field dropped, …). Version 2
+/// dropped the executor mode when the engine became a single loop.
 /// [`Middleware::restore`](crate::Middleware::restore) rejects
 /// snapshots whose version differs from the build's — a fleet never
 /// silently resumes from a checkpoint it may misinterpret.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Structural identity of one node, used to verify that a snapshot is
 /// restored into the graph it was taken from.
@@ -80,7 +80,6 @@ pub struct Snapshot {
     pub(crate) structure: Vec<NodeSignature>,
     pub(crate) now: SimTime,
     pub(crate) steps_run: u64,
-    pub(crate) exec_mode: ExecMode,
     pub(crate) channels: ChannelLayerSnapshot,
     pub(crate) health: HealthRegistry,
     pub(crate) pending: Vec<(NodeId, DataItem)>,
@@ -324,5 +323,41 @@ mod tests {
         let mut rewired = Middleware::new();
         config.instantiate(&mut rewired, &factories()).unwrap();
         assert_eq!(rewired.restore(&snap), Err(mismatch));
+    }
+
+    #[test]
+    fn restore_rejects_other_versions_and_leaves_the_instance_unchanged() {
+        let json = EXAMPLE_CONFIGS[0].1;
+        let (original, _) = instantiate(json);
+        let snap = original.snapshot();
+        assert_eq!(snap.version(), SNAPSHOT_VERSION);
+
+        // An instance with state of its own: steps run, time advanced.
+        let (mut target, _) = instantiate(json);
+        target
+            .step_batch(3, crate::SimDuration::from_secs(1))
+            .unwrap();
+        let before = format!("{:?}", target.snapshot());
+
+        for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            let stale = Snapshot {
+                version,
+                ..snap.clone()
+            };
+            assert_eq!(
+                target.restore(&stale),
+                Err(CoreError::ComponentFailure {
+                    component: "snapshot".into(),
+                    reason: format!(
+                        "snapshot version {version} does not match build version {SNAPSHOT_VERSION}"
+                    ),
+                })
+            );
+            assert_eq!(target.steps_run(), 3);
+            assert_eq!(format!("{:?}", target.snapshot()), before);
+        }
+        // The matching version still restores.
+        assert_eq!(target.restore(&snap), Ok(()));
+        assert_eq!(target.steps_run(), 0);
     }
 }

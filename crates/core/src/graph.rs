@@ -8,7 +8,6 @@
 //! dependencies), keeps the process acyclic, and exposes full reflective
 //! inspection of components and their attached features.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::component::{Component, ComponentDescriptor, ComponentRole, MethodSpec};
@@ -180,10 +179,6 @@ impl NodeStore {
         self.slots.iter().flatten().map(|(id, n)| (id, n))
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = (&NodeId, &mut Node)> {
-        self.slots.iter_mut().flatten().map(|(id, n)| (&*id, n))
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -232,10 +227,6 @@ impl<'a> IntoIterator for &'a NodeStore {
 pub struct ProcessingGraph {
     nodes: NodeStore,
     next_id: u64,
-    /// Cached topological levels (see [`ProcessingGraph::topo_levels`]);
-    /// invalidated by every structural mutation (add / remove / connect /
-    /// disconnect) and recomputed lazily on next access.
-    levels: Option<Vec<Vec<NodeId>>>,
     /// The interned kind namespace: every kind string any input port
     /// accepts, sorted, so `id = sorted index`. Rebuilt eagerly with
     /// each structural mutation; per-item routing then resolves an
@@ -262,7 +253,6 @@ impl ProcessingGraph {
         self.next_id += 1;
         let id = NodeId(self.next_id);
         self.nodes.insert(id, Node::new(component));
-        self.levels = None;
         self.refresh_kind_table();
         id
     }
@@ -283,7 +273,6 @@ impl ProcessingGraph {
                 }
             }
         }
-        self.levels = None;
         self.refresh_kind_table();
         Ok(node.component)
     }
@@ -348,7 +337,6 @@ impl ProcessingGraph {
             .get_mut(&to)
             .ok_or(CoreError::UnknownNode(to))?
             .inputs[port] = Some(from);
-        self.levels = None;
         self.refresh_kind_table();
         Ok(())
     }
@@ -372,7 +360,6 @@ impl ProcessingGraph {
                 pn.outputs.retain(|(t, pt)| !(*t == to && *pt == port));
             }
         }
-        self.levels = None;
         self.refresh_kind_table();
         Ok(producer)
     }
@@ -759,71 +746,6 @@ impl ProcessingGraph {
             .unwrap_or(&[])
     }
 
-    /// Topological levels of the graph: level 0 holds the nodes with no
-    /// wired producers, and every other node sits one level below its
-    /// deepest producer (longest-path layering). Within a level, nodes
-    /// are in id order.
-    ///
-    /// All nodes of one level are mutually independent — none is
-    /// (transitively) upstream of another — which is exactly the
-    /// property the level-parallel executor relies on. The result is
-    /// computed once and cached; any structural mutation (add, remove,
-    /// connect, disconnect) invalidates the cache.
-    pub fn topo_levels(&mut self) -> &[Vec<NodeId>] {
-        if self.levels.is_none() {
-            self.levels = Some(self.compute_levels());
-        }
-        self.levels.as_deref().unwrap_or(&[])
-    }
-
-    /// Node ids in a topological order (levels flattened); cached like
-    /// [`ProcessingGraph::topo_levels`].
-    pub fn topo_order(&mut self) -> impl Iterator<Item = NodeId> + '_ {
-        self.topo_levels().iter().flatten().copied()
-    }
-
-    /// The maximum number of nodes in any one topological level — the
-    /// graph's parallelism width. 1 means a purely linear process.
-    pub fn level_width(&mut self) -> usize {
-        self.topo_levels().iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    fn compute_levels(&self) -> Vec<Vec<NodeId>> {
-        let mut level: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut pending: Vec<NodeId> = self.nodes.keys().copied().collect();
-        while !pending.is_empty() {
-            let before = pending.len();
-            pending.retain(|id| {
-                let node = &self.nodes[id];
-                let mut lvl = 0usize;
-                for producer in node.inputs.iter().flatten() {
-                    if !self.nodes.contains_key(producer) {
-                        continue;
-                    }
-                    match level.get(producer) {
-                        Some(l) => lvl = lvl.max(l + 1),
-                        None => return true, // producer not layered yet
-                    }
-                }
-                level.insert(*id, lvl);
-                false
-            });
-            if pending.len() == before {
-                // Unreachable for a live graph (acyclic by construction);
-                // keep the layering total rather than panicking.
-                for id in pending.drain(..) {
-                    level.insert(id, 0);
-                }
-            }
-        }
-        let depth = level.values().copied().max().map(|m| m + 1).unwrap_or(0);
-        let mut levels = vec![Vec::new(); depth];
-        for (id, l) in level {
-            levels[l].push(id);
-        }
-        levels
-    }
-
     /// Whether `to` is reachable from `from` following output edges.
     fn reaches(&self, from: NodeId, to: NodeId) -> bool {
         let mut stack = vec![from];
@@ -847,13 +769,6 @@ impl ProcessingGraph {
 
     pub(crate) fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
         self.nodes.get_mut(&id)
-    }
-
-    /// Disjoint mutable access to every node at once — the parallel
-    /// executor hands each worker its own `&mut Node`. Does not permit
-    /// structural mutation, so the level cache stays valid.
-    pub(crate) fn nodes_iter_mut(&mut self) -> impl Iterator<Item = (&NodeId, &mut Node)> {
-        self.nodes.iter_mut()
     }
 
     /// Renders the graph as an indented ASCII tree rooted at the sinks —

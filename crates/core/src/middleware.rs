@@ -23,7 +23,7 @@ use crate::channel::{
 use crate::component::{Component, MethodSpec};
 use crate::data::{ArenaStats, DataItem, DataKind, PayloadArena, Value};
 use crate::distribution::Deployment;
-use crate::executor::{executor_for, EngineCtx, ExecMode, Executor};
+use crate::engine::{EngineCtx, Sources};
 use crate::feature::ComponentFeature;
 use crate::fleet::snapshot::{structure_signature, Snapshot, SNAPSHOT_VERSION};
 use crate::graph::{NodeId, NodeInfo, ProcessingGraph};
@@ -90,11 +90,8 @@ pub struct Middleware {
     /// Failover providers re-resolved against pipeline health after
     /// every step.
     failovers: Vec<Arc<FailoverShared>>,
-    /// The scheduling policy running each step (paper translucency
-    /// applied to execution: inspectable and swappable at runtime).
-    executor: Box<dyn Executor>,
     /// Per-shard slab of recycled payload slots, keyed by step count.
-    /// Sequential/batched unit paths intern owned-value emissions here;
+    /// The engine loop interns owned-value emissions here;
     /// retired generations recycle their slots instead of freeing them.
     arena: PayloadArena,
     /// Whether the engine hands the arena to steps. Off, every emission
@@ -139,7 +136,6 @@ impl Middleware {
             deployment: None,
             health: HealthRegistry::default(),
             failovers: Vec::new(),
-            executor: executor_for(ExecMode::Sequential),
             arena: PayloadArena::new(),
             arena_enabled: true,
         }
@@ -323,30 +319,6 @@ impl Middleware {
                 return Err(CoreError::UnknownNode(id));
             }
             return Ok(self.health.health(id).to_value());
-        }
-        if method == "executor" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            return Ok(Value::from(self.executor.mode().as_str()));
-        }
-        if method == "set_executor" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            let name =
-                args.first()
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| CoreError::BadArguments {
-                        method: "set_executor".into(),
-                        reason: "expected one text argument naming the mode".into(),
-                    })?;
-            let mode = ExecMode::from_name(name).ok_or_else(|| CoreError::BadArguments {
-                method: "set_executor".into(),
-                reason: format!("unknown executor mode {name:?}"),
-            })?;
-            self.set_executor(mode);
-            return Ok(Value::Null);
         }
         if method == "channel_stats" {
             if !self.graph.contains(id) {
@@ -857,7 +829,6 @@ impl Middleware {
             structure: structure_signature(&self.graph),
             now: self.clock.now(),
             steps_run: self.steps_run,
-            exec_mode: self.executor.mode(),
             channels: self.channels.snapshot(),
             health: self.health.clone(),
             // Snapshot seam: captured items must not carry provenance
@@ -910,7 +881,6 @@ impl Middleware {
         self.pending = snap.pending.clone();
         self.health = snap.health.clone();
         self.deployment = snap.deployment.clone();
-        self.set_executor(snap.exec_mode);
         for (id, state) in &snap.component_state {
             if let Some(node) = self.graph.node_mut(*id) {
                 node.component.restore_state(state);
@@ -947,52 +917,17 @@ impl Middleware {
     /// of nodes under any other policy are contained.
     pub fn step(&mut self) -> Result<(), CoreError> {
         let now = self.clock.now();
-        self.steps_run += 1;
-        let pending = std::mem::take(&mut self.pending);
-        let arena = self.arena_enabled.then_some(&mut self.arena);
-        let mut ctx = EngineCtx::new(
-            &mut self.graph,
-            &mut self.channels,
-            &mut self.health,
-            self.deployment.as_mut(),
-            now,
-            arena,
-            self.steps_run - 1,
-        );
-        self.executor.step(&mut ctx, pending)?;
+        self.run_engine(Sources::Tick, 1, SimDuration::ZERO)?;
         self.update_failovers(now);
         Ok(())
-    }
-
-    /// Selects the execution policy for subsequent steps (default:
-    /// [`ExecMode::Sequential`]). Both policies produce identical
-    /// channel data trees and health outcomes for the same trace; see
-    /// [`crate::executor`] for the contract and its caveats.
-    pub fn set_executor(&mut self, mode: ExecMode) {
-        if self.executor.mode() != mode {
-            self.executor = executor_for(mode);
-        }
-    }
-
-    /// The active execution mode.
-    pub fn executor_mode(&self) -> ExecMode {
-        self.executor.mode()
-    }
-
-    /// Installs a specific executor instance, for callers that need
-    /// more than a mode name — e.g.
-    /// [`LevelParallel::with_workers`](crate::executor::LevelParallel::with_workers)
-    /// to force a worker count regardless of the machine.
-    pub fn install_executor(&mut self, executor: Box<dyn Executor>) {
-        self.executor = executor;
     }
 
     /// Runs `steps` engine steps back to back, advancing the clock by
     /// `tick` after every completed step — equivalent to a
     /// [`Middleware::step`]/[`Middleware::advance_clock`] loop, but the
-    /// whole batch runs inside one executor entry, hoisting per-step
-    /// setup (source lists, queues, routing scratch) out of the inner
-    /// loop. Failover providers force the step-by-step path, since they
+    /// whole batch runs as one engine loop, hoisting per-step setup
+    /// (source list, queue, routing scratch) out of the inner loop.
+    /// Failover providers force the step-by-step path, since they
     /// re-resolve against pipeline health after every step.
     ///
     /// # Errors
@@ -1001,46 +936,25 @@ impl Middleware {
     /// failing one are reflected in [`Middleware::steps_run`] and the
     /// clock, exactly as the equivalent loop would leave them.
     pub fn step_batch(&mut self, steps: u64, tick: SimDuration) -> Result<(), CoreError> {
-        if steps == 0 {
-            return Ok(());
-        }
-        if tick.is_zero() || !self.failovers.is_empty() {
+        if !self.failovers.is_empty() {
             for _ in 0..steps {
                 self.step()?;
                 self.clock.advance(tick);
             }
             return Ok(());
         }
-        let start = self.clock.now();
-        let pending = std::mem::take(&mut self.pending);
-        let arena = self.arena_enabled.then_some(&mut self.arena);
-        let mut ctx = EngineCtx::new(
-            &mut self.graph,
-            &mut self.channels,
-            &mut self.health,
-            self.deployment.as_mut(),
-            start,
-            arena,
-            self.steps_run,
-        );
-        let result = self.executor.step_batch(&mut ctx, pending, steps, tick);
-        // The executor advances ctx.now past each completed step, so the
-        // elapsed time recovers the completed-step count on error.
-        let elapsed = ctx.now.since(start);
-        let completed = elapsed.as_micros() / tick.as_micros();
-        self.steps_run += completed + u64::from(result.is_err());
-        self.clock.advance(elapsed);
-        result
+        self.run_engine(Sources::Tick, steps, tick)
     }
 
     /// Ingests a pre-lexed block of trace lines through `source`: each
     /// line runs as one engine step in which the source emits the line
     /// as a [`Value::Text`] item of `kind` instead of being ticked. The
     /// engine machinery is exactly [`Middleware::step_batch`]'s — produce
-    /// features, routing, channel bookkeeping, supervision, failover
-    /// re-resolution — with the line text interned straight into the
-    /// payload arena, so the per-line path allocates nothing in steady
-    /// state. Returns the number of lines ingested (= steps run).
+    /// features, routing, channel bookkeeping, supervision — with the
+    /// line text interned straight into the payload arena, so the
+    /// per-line path allocates nothing in steady state. Failover
+    /// providers are re-resolved once, after the block. Returns the
+    /// number of lines ingested (= steps run).
     ///
     /// Pair with a block lexer (e.g. `perpos-sensors`' `scan_block`)
     /// that validates raw chunks and strips malformed lines first.
@@ -1056,8 +970,27 @@ impl Middleware {
         lines: &[&str],
         tick: SimDuration,
     ) -> Result<u64, CoreError> {
+        let sources = Sources::Ingest {
+            source,
+            kind: &kind,
+            lines,
+        };
+        let result = self.run_engine(sources, lines.len() as u64, tick);
+        self.update_failovers(self.clock.now());
+        result.map(|()| lines.len() as u64)
+    }
+
+    /// The one place the engine loop is entered: builds the
+    /// [`EngineCtx`], runs up to `steps` steps, then books the steps
+    /// that ran — the completed ones and a failing one — and the time
+    /// that elapsed.
+    fn run_engine(
+        &mut self,
+        sources: Sources<'_>,
+        steps: u64,
+        tick: SimDuration,
+    ) -> Result<(), CoreError> {
         let start = self.clock.now();
-        let pending = std::mem::take(&mut self.pending);
         let arena = self.arena_enabled.then_some(&mut self.arena);
         let mut ctx = EngineCtx::new(
             &mut self.graph,
@@ -1068,20 +1001,10 @@ impl Middleware {
             arena,
             self.steps_run,
         );
-        let result = self
-            .executor
-            .ingest_batch(&mut ctx, pending, source, &kind, lines, tick);
+        let (completed, result) = ctx.run(&mut self.pending, sources, steps, tick);
         let elapsed = ctx.now.since(start);
-        self.clock.advance(elapsed);
-        // On a propagated fault the completed-line count is recovered
-        // from the elapsed time, mirroring `step_batch`'s accounting.
-        let completed = match &result {
-            Ok(n) => *n,
-            Err(_) if !tick.is_zero() => elapsed.as_micros() / tick.as_micros(),
-            Err(_) => 0,
-        };
         self.steps_run += completed + u64::from(result.is_err());
-        self.update_failovers(self.clock.now());
+        self.clock.advance(elapsed);
         result
     }
 

@@ -3,8 +3,8 @@
 //! logical-time bookkeeping (it only skips tree assembly and history
 //! pushes while nothing demands them), attaching a Channel Feature or a
 //! history subscription *mid-run* must yield byte-identical trees to a
-//! process that ran eagerly from the start — under both executors and
-//! with injected faults in flight. The suite also pins the companion
+//! process that ran eagerly from the start — with and without injected
+//! faults in flight. The suite also pins the companion
 //! contracts of this layer: batched stepping equals the manual step
 //! loop, drop counters surface through reflection, and the policy
 //! round-trips through configuration.
@@ -17,7 +17,6 @@ use perpos::core::assembly::GraphConfig;
 use perpos::core::channel::{
     ChannelFeature, ChannelHost, ChannelId, DataTree, TreePolicy, LEVEL_BUFFER_CAP,
 };
-use perpos::core::executor::LevelParallel;
 use perpos::prelude::*;
 
 /// Records the rendered form of every tree it observes — the byte-level
@@ -80,25 +79,15 @@ struct Observed {
 /// then 100 demanded steps. Under `TreePolicy::Lazy` phase one skips
 /// materialization entirely; everything observed in phase two must be
 /// byte-identical to an eager run of the same trace.
-fn run_scenario(policy: TreePolicy, parallel: bool, faulty: bool) -> Observed {
-    run_scenario_with_arena(policy, parallel, faulty, true)
+fn run_scenario(policy: TreePolicy, faulty: bool) -> Observed {
+    run_scenario_with_arena(policy, faulty, true)
 }
 
-fn run_scenario_with_arena(
-    policy: TreePolicy,
-    parallel: bool,
-    faulty: bool,
-    arena: bool,
-) -> Observed {
+fn run_scenario_with_arena(policy: TreePolicy, faulty: bool, arena: bool) -> Observed {
     let tick = SimDuration::from_millis(100);
     let mut mw = Middleware::new();
     mw.set_tree_policy(policy);
     mw.set_arena_enabled(arena);
-    if parallel {
-        // Explicit worker count: the auto default degrades to the
-        // sequential path on a single-core machine.
-        mw.install_executor(Box::new(LevelParallel::with_workers(4)));
-    }
     let src_a = mw.add_component(source("src-a", 1));
     let pa1 = mw.add_component(stage("pa1", |v| v * 2));
     let pa2 = mw.add_component(stage("pa2", |v| v + 3));
@@ -173,8 +162,8 @@ fn run_scenario_with_arena(
 
 #[test]
 fn mid_run_attach_yields_identical_trees_lazy_vs_eager() {
-    let eager = run_scenario(TreePolicy::Eager, false, false);
-    let lazy = run_scenario(TreePolicy::Lazy, false, false);
+    let eager = run_scenario(TreePolicy::Eager, false);
+    let lazy = run_scenario(TreePolicy::Lazy, false);
     assert!(
         eager.trees.iter().all(|t| !t.is_empty()),
         "every channel must derive phase-two trees: {eager:?}"
@@ -184,18 +173,9 @@ fn mid_run_attach_yields_identical_trees_lazy_vs_eager() {
 }
 
 #[test]
-fn mid_run_attach_equivalence_holds_in_parallel_executor() {
-    let eager = run_scenario(TreePolicy::Eager, true, false);
-    let lazy = run_scenario(TreePolicy::Lazy, true, false);
-    assert_eq!(eager, lazy);
-    // And cross-executor: the parallel eager run matches sequential.
-    assert_eq!(eager, run_scenario(TreePolicy::Eager, false, false));
-}
-
-#[test]
 fn mid_run_attach_equivalence_holds_under_injected_faults() {
-    let eager = run_scenario(TreePolicy::Eager, false, true);
-    let lazy = run_scenario(TreePolicy::Lazy, false, true);
+    let eager = run_scenario(TreePolicy::Eager, true);
+    let lazy = run_scenario(TreePolicy::Lazy, true);
     let faults = eager.health.iter().filter(|h| !h.contains("faults: 0"));
     assert!(
         faults.count() >= 2,
@@ -203,10 +183,6 @@ fn mid_run_attach_equivalence_holds_under_injected_faults() {
         eager.health
     );
     assert_eq!(eager, lazy);
-    assert_eq!(
-        run_scenario(TreePolicy::Eager, true, true),
-        run_scenario(TreePolicy::Lazy, true, true)
-    );
 }
 
 #[test]
@@ -214,18 +190,15 @@ fn arena_interning_is_observationally_invisible() {
     // The payload arena is a pure allocation strategy: with interning
     // disabled every emission allocates fresh behind a plain `Arc`, and
     // every observable — trees, history, stats, health — must come out
-    // byte-identical, under both policies, both executors, and with
-    // faults in flight.
+    // byte-identical, under both policies and with faults in flight.
     for policy in [TreePolicy::Eager, TreePolicy::Lazy] {
-        for parallel in [false, true] {
-            for faulty in [false, true] {
-                let arena = run_scenario_with_arena(policy, parallel, faulty, true);
-                let plain = run_scenario_with_arena(policy, parallel, faulty, false);
-                assert_eq!(
-                    arena, plain,
-                    "arena/plain divergence at {policy:?} parallel={parallel} faulty={faulty}"
-                );
-            }
+        for faulty in [false, true] {
+            let arena = run_scenario_with_arena(policy, faulty, true);
+            let plain = run_scenario_with_arena(policy, faulty, false);
+            assert_eq!(
+                arena, plain,
+                "arena/plain divergence at {policy:?} faulty={faulty}"
+            );
         }
     }
 }

@@ -408,3 +408,65 @@ fn provider_failover_survives_a_quarantined_pipeline() {
         Ok(ProviderEvent::Degraded { from: 0, .. })
     ));
 }
+
+#[test]
+fn healthy_branches_survive_a_quarantined_one() {
+    // Three independent branches into the application sink: one clean,
+    // one dropping faulty items, one whose panics quarantine it. The
+    // clean branch must keep deriving a tree every step, and the
+    // dropping branch every step it does not fault.
+    std::panic::set_hook(Box::new(|_| {}));
+    let counter = |name: &str, stride: i64| {
+        let mut i = 0i64;
+        FnSource::new(name.to_string(), kinds::RAW_STRING, move |_| {
+            i += stride;
+            Some(Value::Int(i))
+        })
+    };
+    let relay = |name: &str| {
+        FnProcessor::new(name, vec![kinds::RAW_STRING], kinds::RAW_STRING, |i| {
+            Some(i.payload.clone())
+        })
+    };
+    let mut mw = Middleware::new();
+    let app = mw.application_sink();
+    let mut branches = Vec::new();
+    for (i, name) in ["clean", "dropping", "quarantined"].into_iter().enumerate() {
+        let src = mw.add_component(counter(name, 10i64.pow(i as u32)));
+        let stage = mw.add_component(relay(name));
+        mw.connect(src, stage, 0).unwrap();
+        let port = mw.connect_to_sink(stage, app).unwrap();
+        let channel = mw.channel_into(app, port).unwrap();
+        mw.subscribe_channel_history(channel, 128).unwrap();
+        branches.push((stage, channel));
+    }
+    let (dropping, quarantined) = (branches[1].0, branches[2].0);
+    mw.attach_feature(
+        dropping,
+        FaultInjector::with_seed(42)
+            .with_panic_rate(0.15)
+            .with_error_rate(0.15),
+    )
+    .unwrap();
+    mw.set_fault_policy(dropping, FaultPolicy::DropItem)
+        .unwrap();
+    mw.attach_feature(
+        quarantined,
+        FaultInjector::with_seed(7).with_panic_rate(0.3),
+    )
+    .unwrap();
+    mw.set_fault_policy(quarantined, FaultPolicy::quarantine_default())
+        .unwrap();
+
+    mw.run_for(SimDuration::from_secs(10), SimDuration::from_millis(100))
+        .unwrap();
+    let _ = std::panic::take_hook();
+
+    assert_eq!(mw.steps_run(), 100);
+    assert!(mw.node_health(quarantined).quarantines > 0);
+    let trees = |b: usize| mw.channel_history(branches[b].1).unwrap().len() as u64;
+    assert_eq!(trees(0), 100, "the clean branch derives a tree every step");
+    let faults = mw.node_health(dropping).faults;
+    assert!(faults > 0);
+    assert_eq!(trees(1) + faults, 100, "only faulted items are dropped");
+}

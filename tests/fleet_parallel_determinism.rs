@@ -5,7 +5,7 @@
 //! checkpoint contents, the same per-instance channel histories, health
 //! records and clocks, under seeded environmental faults that exercise
 //! the whole escalation ladder (containment, checkpoint-restart,
-//! quarantine), across both executors and both tree policies, and
+//! quarantine), across both tree policies, and
 //! through mid-soak checkpoint/restore. This is the contract
 //! `perpos_core::fleet::scheduler` states; here it is pinned against a
 //! chaotic fleet rather than argued from the chunk-alignment proof.
@@ -76,13 +76,8 @@ impl Component for FlakySource {
 /// Builds one instance: flaky source, pass-through stage, history
 /// subscription on the application channel. Structure is identical for
 /// every index, so the returned node/channel ids hold fleet-wide.
-fn build_instance(
-    mode: ExecMode,
-    policy: TreePolicy,
-    rng: Option<StdRng>,
-) -> (Middleware, NodeId, ChannelId) {
+fn build_instance(policy: TreePolicy, rng: Option<StdRng>) -> (Middleware, NodeId, ChannelId) {
     let mut mw = Middleware::new();
-    mw.set_executor(mode);
     mw.set_tree_policy(policy);
     let src = mw.add_boxed_component(Box::new(FlakySource { counter: 0, rng }));
     let stage = mw.add_component(FnProcessor::new(
@@ -104,7 +99,6 @@ fn build_instance(
 /// `n` of instance `i` is a pure function of `(i, n)` — byte-identical
 /// whatever order a parallel scheduler rebuilds crashed instances in.
 fn chaotic_factory(
-    mode: ExecMode,
     policy: TreePolicy,
     capacity: usize,
 ) -> impl Fn(usize) -> Middleware + Send + Sync + 'static {
@@ -117,7 +111,7 @@ fn chaotic_factory(
                 0xc4a05 ^ (index as u64).wrapping_mul(0x9E37_79B9) ^ n.wrapping_mul(0xC0FF_EE11),
             )
         });
-        build_instance(mode, policy, rng).0
+        build_instance(policy, rng).0
     }
 }
 
@@ -137,8 +131,8 @@ fn config(scheduler: FleetScheduler) -> FleetConfig {
     }
 }
 
-fn pool(mode: ExecMode, policy: TreePolicy, scheduler: FleetScheduler) -> FleetPool {
-    FleetPool::new(config(scheduler), chaotic_factory(mode, policy, 24))
+fn pool(policy: TreePolicy, scheduler: FleetScheduler) -> FleetPool {
+    FleetPool::new(config(scheduler), chaotic_factory(policy, 24))
 }
 
 /// Everything the byte-equality contract is stated over: supervision
@@ -177,8 +171,8 @@ fn observe(pool: &FleetPool, src: NodeId, chan: ChannelId) -> Observation {
 
 /// Ids shared by every instance the factory builds (identical
 /// structure), taken from a probe instance.
-fn probe_ids(mode: ExecMode, policy: TreePolicy) -> (NodeId, ChannelId) {
-    let (_, src, chan) = build_instance(mode, policy, None);
+fn probe_ids(policy: TreePolicy) -> (NodeId, ChannelId) {
+    let (_, src, chan) = build_instance(policy, None);
     (src, chan)
 }
 
@@ -192,24 +186,21 @@ fn assert_chaotic(stats: &FleetStats) {
 }
 
 #[test]
-fn work_stealing_matches_serial_across_executors_and_policies() {
-    for mode in [ExecMode::Sequential, ExecMode::LevelParallel] {
-        for policy in [TreePolicy::Lazy, TreePolicy::Eager] {
-            let (src, chan) = probe_ids(mode, policy);
-            let mut serial = pool(mode, policy, FleetScheduler::Serial);
-            serial.run(ROUNDS, tick());
-            assert_chaotic(&serial.stats());
-            let reference = observe(&serial, src, chan);
-            for workers in [1usize, 2, 8] {
-                let mut ws = pool(mode, policy, FleetScheduler::WorkStealing { workers });
-                ws.run(ROUNDS, tick());
-                assert_eq!(
-                    reference,
-                    observe(&ws, src, chan),
-                    "work stealing ({workers} workers) diverged from serial \
-                     ({mode:?}, {policy:?})"
-                );
-            }
+fn work_stealing_matches_serial_across_policies() {
+    for policy in [TreePolicy::Lazy, TreePolicy::Eager] {
+        let (src, chan) = probe_ids(policy);
+        let mut serial = pool(policy, FleetScheduler::Serial);
+        serial.run(ROUNDS, tick());
+        assert_chaotic(&serial.stats());
+        let reference = observe(&serial, src, chan);
+        for workers in [1usize, 2, 8] {
+            let mut ws = pool(policy, FleetScheduler::WorkStealing { workers });
+            ws.run(ROUNDS, tick());
+            assert_eq!(
+                reference,
+                observe(&ws, src, chan),
+                "work stealing ({workers} workers) diverged from serial ({policy:?})"
+            );
         }
     }
 }
@@ -224,19 +215,18 @@ fn unaligned_multi_call_splits_agree() {
     // the same bytes, however awkwardly the call ends straddle the
     // cadence. The pool's round cursor keeps the outer chunks of later
     // calls aligned to the cadence mid-stream.
-    let mode = ExecMode::Sequential;
     let policy = TreePolicy::Lazy;
-    let (src, chan) = probe_ids(mode, policy);
+    let (src, chan) = probe_ids(policy);
 
     let splits: [&[u64]; 3] = [&[37, 59], &[5, 91], &[1, 2, 3, 90]];
     for (w, split) in [(2usize, 0usize), (8, 1), (2, 2)] {
-        let mut serial = pool(mode, policy, FleetScheduler::Serial);
+        let mut serial = pool(policy, FleetScheduler::Serial);
         for &rounds in splits[split] {
             serial.run(rounds, tick());
         }
         let reference = observe(&serial, src, chan);
 
-        let mut ws = pool(mode, policy, FleetScheduler::WorkStealing { workers: w });
+        let mut ws = pool(policy, FleetScheduler::WorkStealing { workers: w });
         for &rounds in splits[split] {
             ws.run(rounds, tick());
         }
@@ -255,14 +245,13 @@ fn permuted_visitation_matches_serial() {
     // serial execution, shard visitation shuffled per chunk from a
     // seed. Any seed must reproduce the serial bytes — shard order is
     // not allowed to be observable.
-    let mode = ExecMode::Sequential;
     let policy = TreePolicy::Lazy;
-    let (src, chan) = probe_ids(mode, policy);
-    let mut serial = pool(mode, policy, FleetScheduler::Serial);
+    let (src, chan) = probe_ids(policy);
+    let mut serial = pool(policy, FleetScheduler::Serial);
     serial.run(ROUNDS, tick());
     let reference = observe(&serial, src, chan);
     for seed in [0u64, 1, 42, 0xdead_beef] {
-        let mut permuted = pool(mode, policy, FleetScheduler::Permuted { seed });
+        let mut permuted = pool(policy, FleetScheduler::Permuted { seed });
         permuted.run(ROUNDS, tick());
         assert_eq!(
             reference,
@@ -277,20 +266,19 @@ fn mid_soak_checkpoints_restore_identically_from_any_scheduler() {
     // The checkpoints a parallel soak captures are the same bytes the
     // serial soak captures — and restoring one into a fresh instance
     // and stepping on produces the same continuation either way.
-    let mode = ExecMode::Sequential;
     let policy = TreePolicy::Lazy;
-    let (src, chan) = probe_ids(mode, policy);
+    let (src, chan) = probe_ids(policy);
 
-    let mut serial = pool(mode, policy, FleetScheduler::Serial);
+    let mut serial = pool(policy, FleetScheduler::Serial);
     serial.run(40, tick());
-    let mut ws = pool(mode, policy, FleetScheduler::WorkStealing { workers: 8 });
+    let mut ws = pool(policy, FleetScheduler::WorkStealing { workers: 8 });
     ws.run(40, tick());
 
     let mut restored_pair = Vec::new();
     for p in [&serial, &ws] {
         let snap = p.shards()[1].checkpoint(2).unwrap().clone();
         assert!(snap.steps_run() > 0 && snap.steps_run() % 4 == 0);
-        let (mut fresh, _, _) = build_instance(mode, policy, None);
+        let (mut fresh, _, _) = build_instance(policy, None);
         fresh.restore(&snap).unwrap();
         fresh.step_batch(23, tick()).unwrap();
         restored_pair.push((
@@ -319,16 +307,15 @@ fn scheduler_switches_mid_soak_do_not_change_the_trace() {
     // permuted — is purely operational: the trace stays the one the
     // serial scheduler produces for the same call sequence (call ends
     // themselves are observable; see unaligned_multi_call_splits_agree).
-    let mode = ExecMode::LevelParallel;
     let policy = TreePolicy::Eager;
-    let (src, chan) = probe_ids(mode, policy);
-    let mut serial = pool(mode, policy, FleetScheduler::Serial);
+    let (src, chan) = probe_ids(policy);
+    let mut serial = pool(policy, FleetScheduler::Serial);
     serial.run(30, tick());
     serial.run(33, tick());
     serial.run(33, tick());
     let reference = observe(&serial, src, chan);
 
-    let mut mixed = pool(mode, policy, FleetScheduler::Serial);
+    let mut mixed = pool(policy, FleetScheduler::Serial);
     mixed.run(30, tick());
     mixed.set_scheduler(FleetScheduler::WorkStealing { workers: 4 });
     mixed.run(33, tick());

@@ -75,7 +75,8 @@ fn build(lines: Arc<Vec<String>>, scripted: bool, faulty: bool) -> (Middleware, 
     mw.connect(upper, tail, 0).unwrap();
     let port = mw.connect_to_sink(tail, app).unwrap();
     let channel = mw.channel_into(app, port).unwrap();
-    mw.attach_channel_feature(channel, TreeLog::default()).unwrap();
+    mw.attach_channel_feature(channel, TreeLog::default())
+        .unwrap();
     mw.subscribe_channel_history(channel, 32).unwrap();
     if faulty {
         mw.attach_feature(
@@ -134,7 +135,9 @@ fn assert_ingest_equals_tick(faulty: bool, arena: bool) {
     let (mut batched, src, batch_chan) = build(Arc::clone(&lines), false, faulty);
     batched.set_arena_enabled(arena);
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let ingested = batched.ingest_batch(src, kinds::RAW_STRING, &refs, tick).unwrap();
+    let ingested = batched
+        .ingest_batch(src, kinds::RAW_STRING, &refs, tick)
+        .unwrap();
     assert_eq!(ingested, lines.len() as u64);
 
     let tick_view = observe(&mut ticked, tick_chan);
@@ -178,4 +181,133 @@ fn faulty_ingest_actually_exercised_the_fault_paths() {
         .map(|n| mw.node_health(n.id).faults)
         .sum();
     assert!(faults >= 2, "injectors never fired (faults={faults})");
+}
+
+/// A relay that fails its `at`-th delivery (0-based). Under the default
+/// `Propagate` policy that aborts the step.
+struct Tripwire {
+    seen: usize,
+    at: usize,
+}
+
+impl Component for Tripwire {
+    fn descriptor(&self) -> ComponentDescriptor {
+        ComponentDescriptor::processor(
+            "tripwire",
+            InputSpec::new("in", vec![kinds::RAW_STRING]),
+            vec![kinds::RAW_STRING],
+        )
+    }
+    fn on_input(
+        &mut self,
+        _port: usize,
+        item: DataItem,
+        ctx: &mut ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
+        self.seen += 1;
+        if self.seen - 1 == self.at {
+            return Err(CoreError::ComponentFailure {
+                component: "tripwire".into(),
+                reason: format!("tripped at delivery {}", self.at),
+            });
+        }
+        ctx.emit(item);
+        Ok(())
+    }
+}
+
+/// src -> tripwire -> app, failing on line `at`.
+fn build_tripwired(
+    lines: Arc<Vec<String>>,
+    scripted: bool,
+    at: usize,
+) -> (Middleware, NodeId, ChannelId) {
+    let mut mw = Middleware::new();
+    let mut i = 0usize;
+    let src = mw.add_component(FnSource::new("trace", kinds::RAW_STRING, move |_| {
+        if !scripted {
+            return None;
+        }
+        let line = lines.get(i)?;
+        i += 1;
+        Some(Value::Text(line.clone()))
+    }));
+    let wire = mw.add_boxed_component(Box::new(Tripwire { seen: 0, at }));
+    let app = mw.application_sink();
+    mw.connect(src, wire, 0).unwrap();
+    let port = mw.connect_to_sink(wire, app).unwrap();
+    let channel = mw.channel_into(app, port).unwrap();
+    mw.attach_channel_feature(channel, TreeLog::default())
+        .unwrap();
+    mw.subscribe_channel_history(channel, 256).unwrap();
+    (mw, src, channel)
+}
+
+#[test]
+fn propagated_fault_mid_batch_books_steps_like_the_step_loop() {
+    const AT: usize = 57;
+    let lines = Arc::new(trace_lines(150));
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    for tick in [SimDuration::ZERO, SimDuration::from_micros(50)] {
+        // Reference: the step()/advance_clock loop, stopped at the error,
+        // then resumed for the remaining lines.
+        let (mut reference, _, ref_chan) = build_tripwired(Arc::clone(&lines), true, AT);
+        let mut ref_err = None;
+        for _ in 0..lines.len() {
+            if let Err(e) = reference.step() {
+                ref_err = Some(e);
+                break;
+            }
+            reference.advance_clock(tick);
+        }
+        let ref_err = ref_err.expect("the tripwire fires");
+        assert_eq!(reference.steps_run(), AT as u64 + 1);
+        let ref_at_error = observe(&mut reference, ref_chan);
+        for _ in AT + 1..lines.len() {
+            reference.step().unwrap();
+            reference.advance_clock(tick);
+        }
+        let ref_end = observe(&mut reference, ref_chan);
+
+        // step_batch over the scripted source.
+        let (mut batched, _, chan) = build_tripwired(Arc::clone(&lines), true, AT);
+        assert_eq!(
+            batched.step_batch(lines.len() as u64, tick),
+            Err(ref_err.clone())
+        );
+        assert_eq!(
+            observe(&mut batched, chan),
+            ref_at_error,
+            "step_batch, tick {tick:?}"
+        );
+        batched
+            .step_batch((lines.len() - AT - 1) as u64, tick)
+            .unwrap();
+        assert_eq!(
+            observe(&mut batched, chan),
+            ref_end,
+            "step_batch, tick {tick:?}"
+        );
+
+        // ingest_batch of the same lines.
+        let (mut ingested, src, chan) = build_tripwired(Arc::clone(&lines), false, AT);
+        assert_eq!(
+            ingested.ingest_batch(src, kinds::RAW_STRING, &refs, tick),
+            Err(ref_err)
+        );
+        assert_eq!(
+            observe(&mut ingested, chan),
+            ref_at_error,
+            "ingest_batch, tick {tick:?}"
+        );
+        let rest = ingested
+            .ingest_batch(src, kinds::RAW_STRING, &refs[AT + 1..], tick)
+            .unwrap();
+        assert_eq!(rest, (lines.len() - AT - 1) as u64);
+        assert_eq!(
+            observe(&mut ingested, chan),
+            ref_end,
+            "ingest_batch, tick {tick:?}"
+        );
+    }
 }
