@@ -552,7 +552,6 @@ mod tests {
                 comp("app", "application"),
             ],
             connections: vec![edge("gps0", "p0", 0), edge("p0", "app", 0)],
-            tree_policy: None,
             fleet: None,
         };
         let report = analyze_config(&config, &catalog());
@@ -564,7 +563,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![comp("p0", "parser")],
             connections: vec![edge("p0", "p0", 0)],
-            tree_policy: None,
             fleet: None,
         };
         let report = analyze_config(&config, &catalog());
@@ -587,7 +585,6 @@ mod tests {
                 comp("app", "application"),
             ],
             connections: vec![edge("p0", "app", 0)],
-            tree_policy: None,
             fleet: None,
         };
         let report = analyze_config(&config, &catalog());

@@ -494,7 +494,6 @@ mod tests {
                 edge("b", "c", 1),
                 edge("c", "app", 0),
             ],
-            tree_policy: None,
             fleet: None,
         };
         let g = FlowGraph::from_config(&config, &catalog);
@@ -513,7 +512,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("x", "proc"), instance("y", "proc")],
             connections: vec![edge("x", "y", 0), edge("y", "x", 0)],
-            tree_policy: None,
             fleet: None,
         };
         let g = FlowGraph::from_config(&config, &catalog);
@@ -530,7 +528,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("a", "src"), instance("ghost", "unknown-type")],
             connections: vec![edge("a", "nobody", 0), edge("ghost", "a", 7)],
-            tree_policy: None,
             fleet: None,
         };
         let g = FlowGraph::from_config(&config, &catalog);
@@ -549,7 +546,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("s", "src"), instance("n", "narrow")],
             connections: vec![edge("s", "n", 0)],
-            tree_policy: None,
             fleet: None,
         };
         let g = FlowGraph::from_config(&config, &catalog);

@@ -69,7 +69,6 @@
 //!         effects: None,
 //!     }],
 //!     connections: vec![ConnectionConfig { from: "p".into(), to: "p".into(), port: 0 }],
-//!     tree_policy: None,
 //!     fleet: None,
 //! };
 //! let report = analyze_config(&config, &catalog);

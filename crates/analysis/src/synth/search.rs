@@ -224,7 +224,6 @@ fn materialize(ctx: &Ctx<'_>, plan: &Plan, with_app: bool) -> GraphConfig {
     GraphConfig {
         components,
         connections,
-        tree_policy: None,
         fleet: None,
     }
 }

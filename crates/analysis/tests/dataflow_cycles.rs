@@ -72,7 +72,6 @@ fn cyclic_graph(src_transfer: TransferSpec, relay_transfer: TransferSpec) -> Flo
             edge("m", "r", 0),
             edge("r", "app", 0),
         ],
-        tree_policy: None,
         fleet: None,
     };
     let graph = FlowGraph::from_config(&config, &catalog);

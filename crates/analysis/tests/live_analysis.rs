@@ -310,7 +310,6 @@ fn instantiate_checked_blocks_bad_config_without_touching_middleware() {
             to: "app".into(),
             port: 0,
         }],
-        tree_policy: None,
         fleet: None,
     };
     let mut mw = Middleware::new();
@@ -358,7 +357,6 @@ fn instantiate_checked_blocks_bad_config_without_touching_middleware() {
                 port: 0,
             },
         ],
-        tree_policy: None,
         fleet: None,
     };
     let nodes = good

@@ -5,7 +5,7 @@
 use std::any::Any;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perpos_core::channel::{ChannelFeature, ChannelHost, DataTree, TreePolicy};
+use perpos_core::channel::{ChannelFeature, ChannelHost, ChannelId, DataTree};
 use perpos_core::feature::FeatureDescriptor;
 use perpos_core::prelude::*;
 
@@ -24,6 +24,20 @@ impl ChannelFeature for Consume {
 }
 
 const FEATURE_NAMES: [&str; 4] = ["Consume0", "Consume1", "Consume2", "Consume3"];
+
+/// The cheapest observer: demands every tree and ignores it.
+struct Observer;
+impl ChannelFeature for Observer {
+    fn descriptor(&self) -> FeatureDescriptor {
+        FeatureDescriptor::new("Observer")
+    }
+    fn apply(&mut self, _tree: &DataTree, _h: &mut ChannelHost<'_>) -> Result<(), CoreError> {
+        Ok(())
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
 
 fn setup(depth: usize, features: usize) -> Middleware {
     let mut mw = Middleware::new();
@@ -67,18 +81,24 @@ fn bench_tree_assembly(c: &mut Criterion) {
 }
 
 /// Per-step cost at a fixed depth as the number of attached observing
-/// features grows — 0 features exercises the lazy fast path (bookkeeping
-/// only), 1 measures tree assembly + one dispatch, 4 the dispatch
-/// scaling. Paired with `channel_features_eager`, which pins the same
-/// sweep under [`TreePolicy::Eager`] where 0 features still assembles
-/// every tree.
+/// features grows — 0 features exercises the undemanded fast path
+/// (bookkeeping only), 1 measures tree assembly + one dispatch, 4 the
+/// dispatch scaling. Paired with `channel_features_demanded`, which pins
+/// the same sweep with an [`Observer`] demanding every channel from step
+/// 0, so 0 features still assembles every tree.
 fn bench_feature_counts(c: &mut Criterion) {
-    for policy in [TreePolicy::Lazy, TreePolicy::Eager] {
-        let mut group = c.benchmark_group(format!("channel_features_{policy}"));
+    for demanded in [false, true] {
+        let name = if demanded { "demanded" } else { "undemanded" };
+        let mut group = c.benchmark_group(format!("channel_features_{name}"));
         for features in [0usize, 1, 4] {
             group.bench_with_input(BenchmarkId::from_parameter(features), &features, |b, &f| {
                 let mut mw = setup(8, f);
-                mw.set_tree_policy(policy);
+                if demanded {
+                    let channels: Vec<ChannelId> = mw.channels().iter().map(|c| c.id).collect();
+                    for channel in channels {
+                        mw.attach_channel_feature(channel, Observer).unwrap();
+                    }
+                }
                 b.iter(|| {
                     mw.step().unwrap();
                     mw.advance_clock(SimDuration::from_micros(1));

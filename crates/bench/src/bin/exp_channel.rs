@@ -1,22 +1,25 @@
-//! Experiment "channel" — lazy vs eager data-tree materialization.
+//! Experiment "channel" — undemanded vs demanded data-tree
+//! materialization.
 //!
 //! The channel layer's Fig. 4 machinery historically built a [`DataTree`]
-//! for every channel output whether or not anything observed it. Under
-//! [`TreePolicy::Lazy`] (the default) a channel only materializes trees
-//! while a Channel Feature is attached or a history subscription is
-//! active; the logical-time bookkeeping always runs, so demand can flip
-//! mid-run without perturbing later trees. This sweep measures what the
-//! lazy path saves: items per second through one pipeline of depth D with
-//! F attached features under both policies, driven through the batched
-//! stepping entry (`Middleware::step_batch`).
+//! for every channel output whether or not anything observed it. A
+//! channel now only materializes trees while a Channel Feature is
+//! attached or a history subscription is active; the logical-time
+//! bookkeeping always runs, so demand can flip mid-run without perturbing
+//! later trees. This sweep measures what skipping undemanded trees saves:
+//! items per second through one pipeline of depth D with F attached
+//! features, with every channel either left undemanded (beyond its
+//! features) or demanded from step 0 by a no-op observing feature,
+//! driven through the batched stepping entry (`Middleware::step_batch`).
 //!
 //! Run with: `cargo run -p perpos-bench --bin exp_channel --release`
 //! (pass `--smoke` for the reduced CI sweep, which fails if the
-//! featureless lazy path costs more than 0.8x eager at depth >= 16, or if
-//! the eager path regressed more than 20 % against the committed
-//! `BENCH_channel.json` baseline — both compared as calibrated cost, i.e.
-//! step time divided by the time of a fixed integer kernel measured in
-//! the same process, so the guard tolerates machine-speed drift).
+//! featureless undemanded path costs more than 0.8x demanded at a depth
+//! of 16 or more, or if the demanded path regressed more than 20 %
+//! against the committed `BENCH_channel.json` baseline — both compared
+//! as calibrated cost, i.e. step time divided by the time of a fixed
+//! integer kernel measured in the same process, so the guard tolerates
+//! machine-speed drift).
 //!
 //! The full sweep (re)writes `BENCH_channel.json`; the smoke sweep only
 //! reads it.
@@ -25,7 +28,7 @@
 use std::any::Any;
 use std::time::Instant;
 
-use perpos_core::channel::{ChannelFeature, ChannelHost, DataTree, TreePolicy};
+use perpos_core::channel::{ChannelFeature, ChannelHost, ChannelId, DataTree};
 use perpos_core::feature::FeatureDescriptor;
 use perpos_core::prelude::*;
 use perpos_sensors::codec::scan_block;
@@ -54,7 +57,7 @@ impl Ingest {
 const BLOCK_LINES: usize = 250;
 
 /// Calibrated step cost (us_per_step / calib_us) of the seed data
-/// plane at depth 4, features 0, lazy, item ingest — the committed
+/// plane at depth 4, features 0, undemanded, item ingest — the committed
 /// `BENCH_channel.json` before the arena/block-ingest refactor
 /// (0.8041 µs at calib 2061.142 µs, i.e. 1.24 M items/s). The smoke
 /// guard pins block ingest at >= 2x this throughput forever, in
@@ -78,6 +81,47 @@ impl ChannelFeature for Consume {
 }
 
 const FEATURE_NAMES: [&str; 4] = ["Consume0", "Consume1", "Consume2", "Consume3"];
+
+/// Whether every channel is demanded from step 0, beyond whatever
+/// features are attached.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Demand {
+    Undemanded,
+    Demanded,
+}
+
+impl Demand {
+    fn as_str(self) -> &'static str {
+        match self {
+            Demand::Undemanded => "undemanded",
+            Demand::Demanded => "demanded",
+        }
+    }
+}
+
+/// The cheapest observer: demands every tree and ignores it.
+struct Observer;
+
+impl ChannelFeature for Observer {
+    fn descriptor(&self) -> FeatureDescriptor {
+        FeatureDescriptor::new("Observer")
+    }
+    fn apply(&mut self, _tree: &DataTree, _h: &mut ChannelHost<'_>) -> Result<(), CoreError> {
+        Ok(())
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Demands every channel through the public API by attaching an
+/// [`Observer`] to it.
+fn demand_every_channel(mw: &mut Middleware) {
+    let channels: Vec<ChannelId> = mw.channels().iter().map(|c| c.id).collect();
+    for channel in channels {
+        mw.attach_channel_feature(channel, Observer).unwrap();
+    }
+}
 
 /// One pipeline of `depth` pass-through processors delivering to the
 /// application sink, with `features` observing Channel Features attached
@@ -120,7 +164,7 @@ fn build(depth: usize, features: usize) -> (Middleware, NodeId) {
 struct Sample {
     depth: u64,
     features: u64,
-    policy: String,
+    demand: String,
     ingest: String,
     us_per_step: f64,
     items_per_sec: f64,
@@ -157,7 +201,7 @@ fn calibrate() -> f64 {
 }
 
 /// Calibrated cost (step µs over kernel µs) of the depth-4 featureless
-/// lazy block-ingest guard cell, measured against *bracketing* kernel
+/// undemanded block-ingest guard cell, measured against *bracketing* kernel
 /// passes: each ingest pass is framed by calibration kernels, its ratio
 /// uses the faster of the two frames, and the smallest ratio across
 /// passes wins. The faster frame keeps a transiently slowed kernel from
@@ -169,7 +213,6 @@ fn calibrate() -> f64 {
 fn guard_block_cost() -> f64 {
     let steps = 100_000;
     let (mut mw, src) = build(4, 0);
-    mw.set_tree_policy(TreePolicy::Lazy);
     let tick = SimDuration::from_micros(1);
     let warmup = render_blocks(steps / 10);
     let blocks = render_blocks(steps);
@@ -221,9 +264,11 @@ fn ingest_blocks(mw: &mut Middleware, src: NodeId, blocks: &[String], tick: SimD
     start.elapsed().as_micros() as f64 / total as f64
 }
 
-fn measure(depth: usize, features: usize, policy: TreePolicy, steps: u64, ingest: Ingest) -> Sample {
+fn measure(depth: usize, features: usize, demand: Demand, steps: u64, ingest: Ingest) -> Sample {
     let (mut mw, src) = build(depth, features);
-    mw.set_tree_policy(policy);
+    if demand == Demand::Demanded {
+        demand_every_channel(&mut mw);
+    }
     let tick = SimDuration::from_micros(1);
     // Best-of-3: interference from other processes only ever adds time,
     // so the minimum is the faithful estimate on a noisy machine.
@@ -257,7 +302,7 @@ fn measure(depth: usize, features: usize, policy: TreePolicy, steps: u64, ingest
     Sample {
         depth: depth as u64,
         features: features as u64,
-        policy: policy.as_str().to_string(),
+        demand: demand.as_str().to_string(),
         ingest: ingest.as_str().to_string(),
         us_per_step: us,
         // One item enters the pipeline per step.
@@ -272,11 +317,11 @@ fn find<'a>(
     samples: &'a [Sample],
     depth: u64,
     features: u64,
-    policy: &str,
+    demand: &str,
     ingest: &str,
 ) -> Option<&'a Sample> {
     samples.iter().find(|s| {
-        s.depth == depth && s.features == features && s.policy == policy && s.ingest == ingest
+        s.depth == depth && s.features == features && s.demand == demand && s.ingest == ingest
     })
 }
 
@@ -297,24 +342,24 @@ fn main() {
     let feature_counts: &[usize] = if smoke || quick { &[0] } else { &[0, 1, 4] };
     let calib_us = calibrate();
 
-    println!("=== channel: lazy vs eager tree materialization ({cores} core(s)) ===\n");
+    println!("=== channel: undemanded vs demanded tree materialization ({cores} core(s)) ===\n");
     println!(
-        "{:>6} {:>9} {:>7} {:>7} {:>12} {:>14} {:>13} {:>9}",
-        "depth", "features", "policy", "ingest", "step µs", "items/s", "materialized", "skipped"
+        "{:>6} {:>9} {:>10} {:>7} {:>12} {:>14} {:>13} {:>9}",
+        "depth", "features", "demand", "ingest", "step µs", "items/s", "materialized", "skipped"
     );
-    println!("{}", "-".repeat(84));
+    println!("{}", "-".repeat(87));
 
     let mut samples = Vec::new();
     for &depth in depths {
         for &features in feature_counts {
-            for policy in [TreePolicy::Lazy, TreePolicy::Eager] {
+            for demand in [Demand::Undemanded, Demand::Demanded] {
                 for ingest in [Ingest::Item, Ingest::Block] {
-                    let s = measure(depth, features, policy, steps, ingest);
+                    let s = measure(depth, features, demand, steps, ingest);
                     println!(
-                        "{:>6} {:>9} {:>7} {:>7} {:>12.2} {:>14.0} {:>13} {:>9}",
+                        "{:>6} {:>9} {:>10} {:>7} {:>12.2} {:>14.0} {:>13} {:>9}",
                         s.depth,
                         s.features,
-                        s.policy,
+                        s.demand,
                         s.ingest,
                         s.us_per_step,
                         s.items_per_sec,
@@ -331,16 +376,16 @@ fn main() {
         return;
     }
 
-    // Guard 1: at depth >= 16 with no features the lazy path must be
-    // clearly cheaper than eager — at most 0.8x the step cost.
+    // Guard 1: at depth >= 16 with no features the undemanded path must
+    // be clearly cheaper than demanded — at most 0.8x the step cost.
     let guard_depth = *depths.iter().max().unwrap() as u64;
-    let lazy = find(&samples, guard_depth, 0, "lazy", "item").unwrap();
-    let eager = find(&samples, guard_depth, 0, "eager", "item").unwrap();
-    let ratio = lazy.us_per_step / eager.us_per_step;
+    let undemanded = find(&samples, guard_depth, 0, "undemanded", "item").unwrap();
+    let demanded = find(&samples, guard_depth, 0, "demanded", "item").unwrap();
+    let ratio = undemanded.us_per_step / demanded.us_per_step;
     println!(
-        "\nfeatureless depth-{guard_depth}: lazy/eager step cost = {ratio:.3} (limit 0.80), \
-         lazy speed-up = {:.2}x items/s",
-        eager.us_per_step / lazy.us_per_step
+        "\nfeatureless depth-{guard_depth}: undemanded/demanded step cost = {ratio:.3} \
+         (limit 0.80), undemanded speed-up = {:.2}x items/s",
+        demanded.us_per_step / undemanded.us_per_step
     );
 
     // Guard 3 input: block ingest at depth 4 against the pinned seed
@@ -349,29 +394,29 @@ fn main() {
     // gate on — the guard cell is re-measured with paired calibration.
     let block_speedup = SEED_DEPTH4_COST / guard_block_cost();
     println!(
-        "depth-4 featureless lazy block ingest = {block_speedup:.2}x the seed item baseline \
+        "depth-4 featureless undemanded block ingest = {block_speedup:.2}x the seed item baseline \
          (target >= 2.00x)"
     );
 
     if smoke {
         if ratio > 0.80 {
-            eprintln!("FAIL: lazy materialization no longer pays for itself");
+            eprintln!("FAIL: skipping undemanded trees no longer pays for itself");
             std::process::exit(1);
         }
-        // Guard 2: eager must not regress more than 20 % against the
-        // committed baseline, comparing calibrated cost so the check
-        // survives slower or faster CI machines.
+        // Guard 2: the demanded path must not regress more than 20 %
+        // against the committed baseline, comparing calibrated cost so
+        // the check survives slower or faster CI machines.
         match std::fs::read_to_string("BENCH_channel.json") {
             Ok(text) => {
                 let baseline: Doc = serde_json::from_str(&text).unwrap();
-                let base = find(&baseline.results, guard_depth, 0, "eager", "item")
+                let base = find(&baseline.results, guard_depth, 0, "demanded", "item")
                     .expect("baseline misses the guard configuration");
                 let base_cost = base.us_per_step / baseline.calib_us;
-                let now_cost = eager.us_per_step / calib_us;
+                let now_cost = demanded.us_per_step / calib_us;
                 let drift = now_cost / base_cost;
-                println!("eager calibrated cost vs baseline = {drift:.3} (limit 1.20)");
+                println!("demanded calibrated cost vs baseline = {drift:.3} (limit 1.20)");
                 if drift > 1.20 {
-                    eprintln!("FAIL: eager tree assembly regressed against BENCH_channel.json");
+                    eprintln!("FAIL: demanded tree assembly regressed against BENCH_channel.json");
                     std::process::exit(1);
                 }
             }

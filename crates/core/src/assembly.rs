@@ -187,10 +187,6 @@ pub struct GraphConfig {
     pub components: Vec<ComponentConfig>,
     /// Edges between them.
     pub connections: Vec<ConnectionConfig>,
-    /// Tree materialization policy for the channel layer (`"lazy"` or
-    /// `"eager"`); absent keeps the current (default: lazy) policy. See
-    /// [`crate::channel::TreePolicy`].
-    pub tree_policy: Option<String>,
     /// Fleet deployment for the process; absent means a single
     /// unsupervised instance. See [`FleetSpec`].
     pub fleet: Option<FleetSpec>,
@@ -210,15 +206,6 @@ impl GraphConfig {
         mw: &mut Middleware,
         factories: &BTreeMap<String, Factory>,
     ) -> Result<BTreeMap<String, NodeId>, CoreError> {
-        if let Some(name) = &self.tree_policy {
-            let policy = crate::channel::TreePolicy::from_name(name).ok_or_else(|| {
-                CoreError::ComponentFailure {
-                    component: "tree_policy".into(),
-                    reason: format!("unknown tree policy {name:?}"),
-                }
-            })?;
-            mw.set_tree_policy(policy);
-        }
         let mut nodes = BTreeMap::new();
         for c in &self.components {
             let node = if c.kind == "application" {
@@ -582,7 +569,6 @@ mod tests {
                     port: 0,
                 },
             ],
-            tree_policy: None,
             fleet: None,
         };
         let mut mw = Middleware::new();
@@ -635,7 +621,6 @@ mod tests {
                     port: 0,
                 },
             ],
-            tree_policy: None,
             fleet: Some(FleetSpec {
                 instances: 12,
                 shards: Some(3),
@@ -683,7 +668,6 @@ mod tests {
                 effects: None,
             }],
             connections: vec![],
-            tree_policy: None,
             fleet: Some(FleetSpec {
                 instances: 4,
                 shards: None,
@@ -709,7 +693,6 @@ mod tests {
                 effects: None,
             }],
             connections: vec![],
-            tree_policy: None,
             fleet: None,
         };
         assert!(bad_type.instantiate(&mut mw, &factories).is_err());
@@ -727,7 +710,6 @@ mod tests {
                 to: "app".into(),
                 port: 0,
             }],
-            tree_policy: None,
             fleet: None,
         };
         assert!(bad_edge.instantiate(&mut mw, &factories).is_err());
@@ -750,7 +732,6 @@ mod tests {
                 },
             ],
             connections: vec![],
-            tree_policy: None,
             fleet: None,
         };
         assert!(dup.instantiate(&mut mw, &factories).is_err());
@@ -761,9 +742,23 @@ mod tests {
         // Configs written before the engine became a single loop carry
         // an `"executor"` field; unknown keys are ignored on load.
         let json = r#"{"components": [], "connections": [], "executor": "level-parallel",
-            "tree_policy": null, "fleet": null}"#;
+            "fleet": null}"#;
         let config: GraphConfig = serde_json::from_str(json).unwrap();
         assert_eq!(config, GraphConfig::default());
+    }
+
+    #[test]
+    fn stored_configs_with_a_tree_policy_key_still_load() {
+        // Configs written before trees were built purely on demand carry
+        // a `"tree_policy"` field; unknown keys are ignored on load.
+        for policy in ["null", r#""eager""#, r#""lazy""#] {
+            let json = format!(
+                r#"{{"components": [], "connections": [], "tree_policy": {policy},
+                "fleet": null}}"#
+            );
+            let config: GraphConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(config, GraphConfig::default());
+        }
     }
 
     #[test]

@@ -93,16 +93,6 @@ pub struct DataNode {
 }
 
 impl DataNode {
-    /// Severs arena provenance on this node's item and all children —
-    /// applied when a tree is stored beyond the producing step (history
-    /// rings, snapshots), where slot provenance would be meaningless.
-    fn detach_payloads(&mut self) {
-        self.item.payload.detach_in_place();
-        for c in &mut self.children {
-            c.detach_payloads();
-        }
-    }
-
     fn render(&self, depth: usize, out: &mut String) {
         out.push_str(&"  ".repeat(depth));
         match self.range {
@@ -175,17 +165,6 @@ impl DataTree {
         let mut out = String::new();
         self.root.render(0, &mut out);
         out
-    }
-
-    /// A copy of the tree with every item's arena provenance severed
-    /// (see [`crate::data::Payload::detach`]) — the explicit conversion
-    /// at seams that retain trees past the producing step. Values stay
-    /// behind the same shared `Arc`s; equality and serialization are
-    /// unaffected.
-    pub fn detached(&self) -> DataTree {
-        let mut t = self.clone();
-        t.root.detach_payloads();
-        t
     }
 }
 
@@ -369,50 +348,6 @@ pub trait ChannelFeature: Send {
 /// rates when a configuration will overrun it.
 pub const LEVEL_BUFFER_CAP: usize = 4096;
 
-/// When the channel layer materializes [`DataTree`]s.
-///
-/// Under [`TreePolicy::Lazy`] (the default) a channel builds a tree for
-/// an output only while something can observe it — a Channel Feature is
-/// attached or a history subscription is active. The logical-time
-/// bookkeeping (counters, claimed ranges, pending buffers) always runs,
-/// so flipping to demand mid-run yields trees byte-identical to a channel
-/// that materialized all along. [`TreePolicy::Eager`] forces
-/// materialization on every output regardless of demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreePolicy {
-    /// Materialize trees only while a feature or history subscription
-    /// demands them.
-    #[default]
-    Lazy,
-    /// Materialize a tree for every channel output.
-    Eager,
-}
-
-impl TreePolicy {
-    /// Canonical configuration name of the policy.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TreePolicy::Lazy => "lazy",
-            TreePolicy::Eager => "eager",
-        }
-    }
-
-    /// Parses a configuration name (`"lazy"` / `"eager"`).
-    pub fn from_name(name: &str) -> Option<TreePolicy> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "lazy" | "on-demand" | "on_demand" => Some(TreePolicy::Lazy),
-            "eager" | "always" => Some(TreePolicy::Eager),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for TreePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Per-channel buffer and materialization counters, surfaced over the
 /// reflective `invoke("channel_stats")` surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -421,8 +356,8 @@ pub struct ChannelStats {
     pub outputs: u64,
     /// Outputs for which a [`DataTree`] was materialized.
     pub materialized: u64,
-    /// Outputs whose tree was skipped under [`TreePolicy::Lazy`] with no
-    /// demand. `materialized + skipped == outputs` always holds.
+    /// Outputs whose tree was skipped because nothing demanded it.
+    /// `materialized + skipped == outputs` always holds.
     pub skipped: u64,
     /// Pending entries evicted by [`LEVEL_BUFFER_CAP`] — data loss that
     /// used to be silent: evicted entries are missing from later trees.
@@ -447,7 +382,7 @@ impl ChannelStats {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct LevelState {
     counter: u64,
     /// Highest logical time of this level already claimed by the next.
@@ -477,16 +412,6 @@ impl PendingEntry {
     fn range(&self) -> Option<(u64, u64)> {
         (self.lo <= self.hi).then_some((self.lo, self.hi))
     }
-
-    /// A copy with the item's arena provenance severed (snapshot seam).
-    fn detached(&self) -> PendingEntry {
-        PendingEntry {
-            item: self.item.detached(),
-            logical: self.logical,
-            lo: self.lo,
-            hi: self.hi,
-        }
-    }
 }
 
 /// Bounded ring of the most recent materialized trees — the second
@@ -514,21 +439,11 @@ struct FeatureEntry {
     feature: Box<dyn ChannelFeature>,
 }
 
-/// Captured state of one [`LevelState`] (see
-/// [`ChannelLayer::snapshot`]).
-#[derive(Debug, Clone)]
-struct LevelSnapshot {
-    counter: u64,
-    claimed_upto: u64,
-    pending: Vec<PendingEntry>,
-    dropped: u64,
-}
-
 /// Captured state of one [`ChannelRuntime`].
 #[derive(Debug, Clone)]
 struct ChannelSnapshot {
     id: ChannelId,
-    levels: Vec<LevelSnapshot>,
+    levels: Vec<LevelState>,
     /// History ring `(capacity, trees)` when subscribed.
     history: Option<(usize, Vec<DataTree>)>,
     /// Attached channel-feature names, for restore-time validation.
@@ -545,7 +460,6 @@ struct ChannelSnapshot {
 /// channel-feature state. Opaque outside the crate.
 #[derive(Debug, Clone)]
 pub(crate) struct ChannelLayerSnapshot {
-    policy: TreePolicy,
     channels: Vec<ChannelSnapshot>,
 }
 
@@ -564,8 +478,6 @@ pub(crate) struct ChannelLayer {
     by_id: BTreeMap<ChannelId, usize>,
     /// [`NodeId::index`] -> (runtime index, level) for channel members.
     node_index: Vec<Option<(u32, u32)>>,
-    /// Materialization policy, shared by every channel of the layer.
-    policy: TreePolicy,
 }
 
 impl fmt::Debug for ChannelLayer {
@@ -649,40 +561,18 @@ impl ChannelLayer {
         Ok(&mut self.runtimes[idx])
     }
 
-    /// Sets the materialization policy for every channel of the layer.
-    pub(crate) fn set_policy(&mut self, policy: TreePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active materialization policy.
-    pub(crate) fn policy(&self) -> TreePolicy {
-        self.policy
-    }
-
     /// Captures the layer's full runtime state — per-level logical-time
     /// counters, pending rings, eviction counts, output counters,
     /// history rings and channel-feature state — for a
     /// [`crate::Middleware::snapshot`] checkpoint.
     pub(crate) fn snapshot(&self) -> ChannelLayerSnapshot {
         ChannelLayerSnapshot {
-            policy: self.policy,
             channels: self
                 .runtimes
                 .iter()
                 .map(|r| ChannelSnapshot {
                     id: r.id,
-                    levels: r
-                        .levels
-                        .iter()
-                        .map(|l| LevelSnapshot {
-                            counter: l.counter,
-                            claimed_upto: l.claimed_upto,
-                            // Snapshot seam: captured ring entries carry
-                            // no provenance into the live arena's slots.
-                            pending: l.pending.iter().map(PendingEntry::detached).collect(),
-                            dropped: l.dropped,
-                        })
-                        .collect(),
+                    levels: r.levels.clone(),
                     history: r
                         .history
                         .as_ref()
@@ -746,14 +636,8 @@ impl ChannelLayer {
                 )));
             }
         }
-        self.policy = snap.policy;
         for (s, r) in snap.channels.iter().zip(self.runtimes.iter_mut()) {
-            for (ls, level) in s.levels.iter().zip(r.levels.iter_mut()) {
-                level.counter = ls.counter;
-                level.claimed_upto = ls.claimed_upto;
-                level.pending = ls.pending.iter().cloned().collect();
-                level.dropped = ls.dropped;
-            }
+            r.levels.clone_from(&s.levels);
             r.history = s.history.as_ref().map(|(capacity, trees)| TreeHistory {
                 capacity: *capacity,
                 trees: trees.iter().cloned().collect(),
@@ -773,7 +657,7 @@ impl ChannelLayer {
     /// Records an emission from `node`. Returns the completed data tree
     /// when the node is the channel's last member (a channel output) and
     /// the tree is demanded (a feature is attached, a history
-    /// subscription is active, or the policy is [`TreePolicy::Eager`]).
+    /// subscription is active).
     ///
     /// The logical-time bookkeeping — counters, claimed ranges, pending
     /// buffers, pruning — is identical whether or not a tree is built,
@@ -804,9 +688,7 @@ impl ChannelLayer {
 
         if is_last {
             rt.outputs += 1;
-            let demanded =
-                self.policy == TreePolicy::Eager || !rt.features.is_empty() || rt.history.is_some();
-            let tree = if demanded {
+            let tree = if !rt.features.is_empty() || rt.history.is_some() {
                 rt.materialized += 1;
                 let entry = PendingEntry {
                     item: item.clone(),
@@ -825,9 +707,7 @@ impl ChannelLayer {
                 if h.trees.len() == h.capacity {
                     h.trees.pop_front();
                 }
-                // History outlives the producing step: store the tree
-                // with arena provenance severed.
-                h.trees.push_back(t.detached());
+                h.trees.push_back(t.clone());
             }
             tree
         } else {
@@ -973,7 +853,7 @@ impl ChannelLayer {
 
     /// Starts (or resizes) a history subscription: the channel keeps its
     /// last `capacity` materialized trees, and the subscription itself
-    /// creates demand under [`TreePolicy::Lazy`].
+    /// creates demand.
     pub(crate) fn subscribe_history(
         &mut self,
         id: ChannelId,
@@ -1230,10 +1110,10 @@ mod tests {
         g.connect(parser, interp, 0).unwrap();
         g.connect(interp, app, 0).unwrap();
         let mut layer = ChannelLayer::default();
-        // Most tests below observe trees directly, without attaching a
-        // feature — force materialization.
-        layer.set_policy(TreePolicy::Eager);
         layer.recompute(&g);
+        // Most tests below observe trees directly, without attaching a
+        // feature; a history subscription demands them.
+        layer.subscribe_history(ChannelId(gps), 1).unwrap();
         (g, layer, gps, parser, interp, app)
     }
 
@@ -1486,8 +1366,8 @@ mod tests {
     #[test]
     fn lazy_skips_materialization_until_demand() {
         let (g, mut layer, gps, parser, interp, _app) = gps_pipeline();
-        layer.set_policy(TreePolicy::Lazy);
         let id = ChannelId(gps);
+        layer.unsubscribe_history(id).unwrap();
 
         // No feature, no history: outputs complete without a tree, but
         // all bookkeeping still runs.
@@ -1531,8 +1411,8 @@ mod tests {
     #[test]
     fn history_subscription_demands_and_retains_trees() {
         let (_g, mut layer, gps, parser, interp, _app) = gps_pipeline();
-        layer.set_policy(TreePolicy::Lazy);
         let id = ChannelId(gps);
+        layer.unsubscribe_history(id).unwrap();
         layer.subscribe_history(id, 2).unwrap();
         for v in 1..=3 {
             layer.record(gps, &item(kinds::RAW_STRING, v));

@@ -474,8 +474,8 @@ impl ComponentDescriptor {
 /// then routes the emissions through attached features, channel
 /// bookkeeping and downstream ports.
 ///
-/// On the sequential/batched execution paths the context additionally
-/// carries the engine's [`PayloadArena`], so owned-value emissions
+/// Inside the engine the context additionally carries the shard's
+/// [`PayloadArena`], so owned-value emissions
 /// ([`ComponentCtx::emit_owned`], [`ComponentCtx::emit_with`]) land in
 /// recycled slots instead of fresh allocations. Components never see the
 /// difference: an interned and a plain payload holding the same value
@@ -513,10 +513,14 @@ impl<'a> ComponentCtx<'a> {
     pub(crate) fn with_buffer(
         now: SimTime,
         mut emitted: Vec<DataItem>,
-        arena: Option<&'a mut PayloadArena>,
+        arena: &'a mut PayloadArena,
     ) -> Self {
         emitted.clear();
-        ComponentCtx { now, emitted, arena }
+        ComponentCtx {
+            now,
+            emitted,
+            arena: Some(arena),
+        }
     }
 
     /// The current simulated time.
@@ -541,11 +545,7 @@ impl<'a> ComponentCtx<'a> {
     /// instead of allocating). Equivalent to [`ComponentCtx::emit_value`]
     /// in every observable way.
     pub fn emit_owned(&mut self, kind: DataKind, value: Value) {
-        let payload = match self.arena.as_deref_mut() {
-            Some(arena) => arena.intern(value),
-            None => Payload::new(value),
-        };
-        self.emitted.push(DataItem::new(kind, self.now, payload));
+        self.emit_with(kind, |slot| *slot = value);
     }
 
     /// Emits by writing the payload value in place — the zero-allocation
@@ -564,12 +564,6 @@ impl<'a> ComponentCtx<'a> {
             }
         };
         self.emitted.push(DataItem::new(kind, self.now, payload));
-    }
-
-    /// Whether a payload arena is attached (sequential/batched engine
-    /// paths only; wave workers and bare test contexts run without one).
-    pub fn has_arena(&self) -> bool {
-        self.arena.is_some()
     }
 
     /// Drains everything emitted so far. The engine calls this after
@@ -716,8 +710,7 @@ where
 
     fn on_tick(&mut self, ctx: &mut ComponentCtx<'_>) -> Result<(), CoreError> {
         if let Some(v) = (self.f)(ctx.now()) {
-            // Owned-value emission: lands in the engine's payload arena
-            // when the sequential path provides one.
+            // Owned-value emission: lands in the engine's payload arena.
             ctx.emit_owned(self.kind.clone(), v);
         }
         Ok(())

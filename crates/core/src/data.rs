@@ -22,16 +22,13 @@
 //! structures remove that cost while keeping observable behavior
 //! byte-identical:
 //!
-//! * [`PayloadArena`] — a per-shard slab of recycled `Value` slots keyed
-//!   by logical time. Sources intern hot-path values
-//!   ([`PayloadArena::intern`] / [`PayloadArena::intern_with`]); the slab
-//!   reclaims whole generations at a logical-time watermark with the same
-//!   prefix-claim discipline the channel level rings use
-//!   ([`PayloadArena::advance`]) — no per-item refcount traffic on the hot
-//!   path. A [`Payload`] remembers its arena provenance in a copyable
-//!   [`PayloadRef`]; [`Payload::detach`] severs it at cross-shard seams
-//!   (distribution links, snapshots, history materialization), after
-//!   which the value behaves exactly like a plain shared `Arc`.
+//! * [`PayloadArena`] — a per-shard recycler of `Value` slots: one
+//!   bounded FIFO that rewrites its oldest slot in place once nothing
+//!   else holds it ([`PayloadArena::intern`] /
+//!   [`PayloadArena::intern_with`]). Decisions rest on the slot's own
+//!   reference count, so an interned [`Payload`] is an ordinary shared
+//!   `Arc` everywhere else — across distribution links, in snapshots and
+//!   in history — and needs no conversion at any seam.
 //! * [`Attrs`] — flattened from a string-keyed B-tree into a small sorted
 //!   vec of ([`InternedKey`], [`Value`]) pairs behind one optional `Arc`.
 //!   Attribute names are a tiny closed set at runtime (feature names), so
@@ -331,244 +328,98 @@ impl fmt::Display for Position {
 // Payload arena
 // ---------------------------------------------------------------------
 
-/// Copyable provenance token linking a [`Payload`] to the arena slot it
-/// was interned into: a (generation, slot) pair resolved against the
-/// owning [`PayloadArena`]. [`PayloadRef::DETACHED`] marks payloads with
-/// no arena provenance — plain shared values, or values explicitly
-/// [`Payload::detach`]ed at a cross-shard seam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PayloadRef {
-    generation: u32,
-    slot: u32,
-}
-
-impl PayloadRef {
-    /// The token carried by payloads with no arena provenance.
-    pub const DETACHED: PayloadRef = PayloadRef {
-        generation: u32::MAX,
-        slot: u32::MAX,
-    };
-
-    /// Whether this token marks a detached (non-arena) payload.
-    pub fn is_detached(self) -> bool {
-        self == PayloadRef::DETACHED
-    }
-
-    /// The logical-time generation the slot belongs to (low 32 bits).
-    pub fn generation(self) -> u32 {
-        self.generation
-    }
-
-    /// The slot index within its generation.
-    pub fn slot(self) -> u32 {
-        self.slot
-    }
-}
-
-impl Default for PayloadRef {
-    fn default() -> Self {
-        PayloadRef::DETACHED
-    }
-}
-
 /// Counters describing a [`PayloadArena`]'s slot traffic; see
 /// [`PayloadArena::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Values interned into arena slots since creation.
+    /// Values interned since creation.
     pub interned: u64,
-    /// Slots returned to the free list for reuse.
+    /// Interns that reused a slot instead of allocating one.
     pub recycled: u64,
-    /// Slots abandoned because a holder outlived the cooling window
-    /// (their memory is freed by the holder's final drop — abandoned,
-    /// not leaked).
+    /// Slots dropped from the queue at its cap while still held
+    /// elsewhere (their memory is freed by the holder's final drop —
+    /// abandoned, not leaked).
     pub escaped: u64,
-    /// Slots registered in not-yet-retired generations.
-    pub live: usize,
-    /// Retired slots still referenced, awaiting recycling.
-    pub cooling: usize,
-    /// Recycled slots ready for reuse.
-    pub free: usize,
+    /// Slots currently in the queue.
+    pub held: usize,
 }
 
-/// Watermark distance before a sealed generation is retired: slots from
-/// generation `g` are reclaimed once the watermark passes `g + LAG`,
-/// giving level rings and other same-shard transients time to release
-/// their clones so slots recycle instead of cooling.
-pub const ARENA_RETIRE_LAG: u64 = 4;
+/// Cap on the recycler's queue. It must exceed the deepest same-shard
+/// holders of interned payloads — one full channel level ring plus the
+/// application sink's history ring — so the slots they pin cycle back
+/// instead of escaping.
+const ARENA_CAP: usize = 8192;
 
-/// Upper bound on pooled free slots; beyond this, retired slots drop
-/// their buffers instead of hoarding them.
-const ARENA_FREE_CAP: usize = 512;
+const _: () =
+    assert!(ARENA_CAP > crate::channel::LEVEL_BUFFER_CAP + crate::positioning::SINK_HISTORY_CAP);
 
-/// Upper bound on the cooling queue (retired-but-still-referenced
-/// slots). Sized past the application sink's 1024-item history ring so
-/// sink-retained payloads cycle back instead of escaping.
-const ARENA_COOLING_CAP: usize = 4096;
-
-/// How many cooling slots one [`PayloadArena::advance`] call reinspects.
-const ARENA_SCAN_BUDGET: usize = 32;
-
-/// A per-shard slab of recycled payload slots keyed by logical time.
+/// A per-shard recycler of payload slots: one bounded FIFO of
+/// `Arc<Value>` slots, oldest first.
 ///
-/// The arena's contract mirrors the channel layer's prefix-claim rings:
-/// values interned during logical time `t` join generation `t`; when the
-/// watermark advances past `t + `[`ARENA_RETIRE_LAG`], the whole
-/// generation is retired in one sweep — slots nobody else references go
-/// back to the free list (keeping their `String`/`Vec` capacity for the
-/// next intern), slots still shared move to a bounded cooling queue that
-/// is drained opportunistically. There is no per-item bookkeeping on the
-/// hot path and no unsafety: a slot is only ever rewritten while the
-/// arena holds the sole reference, so stashing an interned payload
-/// anywhere (history, snapshots, application code) is always safe — the
-/// slot simply degrades to plain shared-`Arc` semantics instead of
-/// recycling.
+/// Every intern looks at the oldest slot only. If the recycler holds the
+/// sole reference to it, the slot is rewritten in place (keeping its
+/// `String`/`Vec` capacity); otherwise a fresh slot is allocated. Either
+/// way the slot joins the back of the queue. Holders release payloads in
+/// roughly FIFO order (level rings and the sink history are FIFO), so the
+/// oldest slot is the one most likely to be free. At the cap the oldest
+/// slot is dropped and counted as escaped.
 ///
-/// The arena changes *where bytes live*, never *what they are*: a
-/// pipeline run with and without an arena produces byte-identical trees,
-/// history and snapshots (pinned by `tests/channel_equivalence.rs`).
+/// A slot is only ever rewritten while the recycler holds the sole
+/// reference, so stashing an interned payload anywhere (history,
+/// snapshots, application code) is always safe: the slot simply stays
+/// shared instead of recycling. The recycler changes where bytes live,
+/// never what they are.
 #[derive(Debug, Default)]
 pub struct PayloadArena {
-    /// Uniquely-held slots ready for rewriting.
-    free: Vec<Arc<Value>>,
-    /// Sealed generations awaiting retirement, oldest first, keyed by
-    /// the watermark at seal time (strictly increasing).
-    generations: VecDeque<(u64, Vec<Arc<Value>>)>,
-    /// Slots interned since the last watermark advance.
-    current: Vec<Arc<Value>>,
-    current_gen: u64,
-    /// Retired slots that were still referenced, oldest first. Holders
-    /// release in roughly FIFO order (rings and the sink history are
-    /// FIFO), so draining from the front recovers them in O(1) amortized.
-    cooling: VecDeque<Arc<Value>>,
-    /// Emptied generation buckets kept for reuse, so sealing a
-    /// generation per step costs a pointer swap instead of a heap
-    /// allocation.
-    spare_buckets: Vec<Vec<Arc<Value>>>,
+    /// Interned slots, oldest first.
+    slots: VecDeque<Arc<Value>>,
     interned: u64,
     recycled: u64,
     escaped: u64,
 }
 
 impl PayloadArena {
-    /// Creates an empty arena at watermark 0.
+    /// Creates an empty recycler.
     pub fn new() -> Self {
         PayloadArena::default()
     }
 
     /// Interns `value` into a recycled slot (or a fresh one when the
-    /// free list is dry) and returns the payload carrying its
-    /// [`PayloadRef`].
+    /// oldest slot is still held elsewhere).
     pub fn intern(&mut self, value: Value) -> Payload {
         self.intern_with(|slot| *slot = value)
     }
 
-    /// Interns by writing into the recycled slot in place. The closure
-    /// receives the slot's previous `Value` (arbitrary, typically the
-    /// variant it held last generation) so callers can reuse its heap
-    /// capacity — e.g. `write!` into a retained `Value::Text` buffer
-    /// instead of formatting into a fresh `String`.
+    /// Interns by writing into the slot in place. The closure receives
+    /// the slot's previous `Value` (arbitrary, typically the variant it
+    /// held last time round) so callers can reuse its heap capacity —
+    /// e.g. `write!` into a retained `Value::Text` buffer instead of
+    /// formatting into a fresh `String`.
     pub fn intern_with(&mut self, write: impl FnOnce(&mut Value)) -> Payload {
-        let mut arc = self.free.pop().unwrap_or_else(|| Arc::new(Value::Null));
-        // Free-list slots are uniquely held by construction.
-        write(Arc::get_mut(&mut arc).expect("free arena slot uniquely held"));
-        let origin = PayloadRef {
-            generation: self.current_gen as u32,
-            slot: self.current.len() as u32,
+        let reusable = self.slots.front_mut().and_then(Arc::get_mut).is_some();
+        let mut slot = if reusable {
+            self.recycled += 1;
+            self.slots.pop_front().expect("checked front")
+        } else {
+            if self.slots.len() >= ARENA_CAP {
+                self.slots.pop_front();
+                self.escaped += 1;
+            }
+            Arc::new(Value::Null)
         };
-        self.current.push(arc.clone());
+        write(Arc::get_mut(&mut slot).expect("a recycled or fresh slot is uniquely held"));
+        self.slots.push_back(Arc::clone(&slot));
         self.interned += 1;
-        Payload { value: arc, origin }
+        Payload { value: slot }
     }
 
-    /// Advances the logical-time watermark: seals the current generation,
-    /// retires every generation older than `watermark -`
-    /// [`ARENA_RETIRE_LAG`] in one prefix sweep, and reinspects a bounded
-    /// number of cooling slots.
-    pub fn advance(&mut self, watermark: u64) {
-        if !self.current.is_empty() {
-            let fresh = self.spare_buckets.pop().unwrap_or_default();
-            let bucket = std::mem::replace(&mut self.current, fresh);
-            self.generations.push_back((self.current_gen, bucket));
-        }
-        self.current_gen = watermark;
-        while let Some((sealed_at, _)) = self.generations.front() {
-            if sealed_at.saturating_add(ARENA_RETIRE_LAG) > watermark {
-                break;
-            }
-            let (_, mut bucket) = self.generations.pop_front().expect("checked front");
-            for arc in bucket.drain(..) {
-                if Arc::strong_count(&arc) == 1 {
-                    self.push_free(arc);
-                } else {
-                    self.cooling.push_back(arc);
-                }
-            }
-            // The emptied bucket keeps its capacity for a later seal.
-            if self.spare_buckets.len() < 8 {
-                self.spare_buckets.push(bucket);
-            }
-        }
-        for _ in 0..ARENA_SCAN_BUDGET {
-            match self.cooling.front() {
-                Some(arc) if Arc::strong_count(arc) == 1 => {
-                    let arc = self.cooling.pop_front().expect("checked front");
-                    self.push_free(arc);
-                }
-                Some(_) if self.cooling.len() > ARENA_COOLING_CAP => {
-                    // A holder outlived the cooling window (e.g. a
-                    // component stashed the payload indefinitely); stop
-                    // tracking the slot — its memory is the holder's.
-                    self.cooling.pop_front();
-                    self.escaped += 1;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Drops every generation and the cooling queue, keeping the free
-    /// list. Used when a shard restores from a snapshot: outstanding
-    /// interned payloads stay valid (they own their `Arc`s); the arena
-    /// just stops trying to recycle them.
-    pub fn reset(&mut self) {
-        for (_, bucket) in self.generations.drain(..) {
-            self.escaped += bucket.len() as u64;
-        }
-        self.escaped += (self.current.len() + self.cooling.len()) as u64;
-        self.current.clear();
-        self.cooling.clear();
-        self.current_gen = 0;
-    }
-
-    /// Slot-traffic counters and queue depths.
+    /// Slot-traffic counters and the queue depth.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
             interned: self.interned,
             recycled: self.recycled,
             escaped: self.escaped,
-            live: self.current.len()
-                + self
-                    .generations
-                    .iter()
-                    .map(|(_, b)| b.len())
-                    .sum::<usize>(),
-            cooling: self.cooling.len(),
-            free: self.free.len(),
-        }
-    }
-
-    /// The current logical-time watermark.
-    pub fn watermark(&self) -> u64 {
-        self.current_gen
-    }
-
-    fn push_free(&mut self, arc: Arc<Value>) {
-        if self.free.len() < ARENA_FREE_CAP {
-            self.recycled += 1;
-            self.free.push(arc);
-        } else {
-            self.escaped += 1;
+            held: self.slots.len(),
         }
     }
 }
@@ -580,17 +431,12 @@ impl PayloadArena {
 /// `Payload` dereferences to [`Value`], so all read accessors
 /// (`as_text`, `as_position`, …) work unchanged. It is immutable by
 /// sharing; the rare mutation site goes through [`Payload::make_mut`]
-/// (copy-on-write).
-///
-/// A payload produced by [`PayloadArena::intern`] additionally carries
-/// its [`PayloadRef`] provenance; equality, serialization and display
-/// ignore it (an interned and a detached payload holding the same value
-/// are indistinguishable to observers). [`Payload::detach`] severs the
-/// provenance at seams that move items across shard/process boundaries.
+/// (copy-on-write). A payload interned by a [`PayloadArena`] is an
+/// ordinary shared value; the arena only reuses its slot once every
+/// other holder has dropped it.
 #[derive(Debug, Clone, Default)]
 pub struct Payload {
     value: Arc<Value>,
-    origin: PayloadRef,
 }
 
 impl Payload {
@@ -599,7 +445,6 @@ impl Payload {
     pub fn new(value: Value) -> Self {
         Payload {
             value: Arc::new(value),
-            origin: PayloadRef::DETACHED,
         }
     }
 
@@ -615,10 +460,9 @@ impl Payload {
     }
 
     /// Copy-on-write mutable access: clones the inner value only when
-    /// the payload is currently shared with another item. Detaches the
-    /// arena provenance — the mutated value no longer matches any slot.
+    /// the payload is currently shared with another item (or an arena
+    /// slot).
     pub fn make_mut(&mut self) -> &mut Value {
-        self.origin = PayloadRef::DETACHED;
         Arc::make_mut(&mut self.value)
     }
 
@@ -626,34 +470,6 @@ impl Payload {
     /// fan-out diagnostic; implies equality).
     pub fn shares_with(&self, other: &Payload) -> bool {
         Arc::ptr_eq(&self.value, &other.value)
-    }
-
-    /// The arena provenance token ([`PayloadRef::DETACHED`] for plain
-    /// shared payloads).
-    pub fn origin(&self) -> PayloadRef {
-        self.origin
-    }
-
-    /// Whether the payload still carries arena provenance.
-    pub fn is_interned(&self) -> bool {
-        !self.origin.is_detached()
-    }
-
-    /// A copy of this payload with the arena provenance severed — the
-    /// explicit conversion applied at cross-shard seams (distribution
-    /// links, snapshot capture, history materialization). Cheap: the
-    /// value stays behind the same shared `Arc`; the arena will observe
-    /// the outstanding reference and leave the slot alone.
-    pub fn detach(&self) -> Payload {
-        Payload {
-            value: self.value.clone(),
-            origin: PayloadRef::DETACHED,
-        }
-    }
-
-    /// In-place [`Payload::detach`].
-    pub fn detach_in_place(&mut self) {
-        self.origin = PayloadRef::DETACHED;
     }
 }
 
@@ -1039,18 +855,6 @@ impl DataItem {
         self.attrs.get(key)
     }
 
-    /// A copy of this item with arena provenance severed (see
-    /// [`Payload::detach`]) — applied at distribution, snapshot and
-    /// history seams.
-    pub fn detached(&self) -> DataItem {
-        DataItem {
-            kind: self.kind.clone(),
-            timestamp: self.timestamp,
-            payload: self.payload.detach(),
-            attrs: self.attrs.clone(),
-        }
-    }
-
     /// The payload as a position.
     ///
     /// # Errors
@@ -1166,17 +970,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_recycles_slots_at_watermark() {
+    fn arena_recycles_the_oldest_slot_once_it_is_free() {
         let mut arena = PayloadArena::new();
         let p = arena.intern(Value::Text("hello".into()));
-        assert!(p.is_interned());
         assert_eq!(p.as_text(), Some("hello"));
         drop(p);
-        // Generation 0 retires once the watermark passes the lag.
-        arena.advance(ARENA_RETIRE_LAG);
-        let s = arena.stats();
-        assert_eq!(s.recycled, 1);
-        assert_eq!(s.free, 1);
         // The next intern reuses the slot; the closure sees the retained
         // buffer.
         let p2 = arena.intern_with(|v| {
@@ -1187,33 +985,43 @@ mod tests {
             }
         });
         assert_eq!(p2.as_text(), Some("world"));
-        assert_eq!(arena.stats().free, 0);
+        let s = arena.stats();
+        assert_eq!((s.interned, s.recycled, s.held), (2, 1, 1));
     }
 
     #[test]
-    fn arena_leaves_shared_slots_alone() {
+    fn a_held_payload_keeps_its_value_while_the_ring_wraps() {
         let mut arena = PayloadArena::new();
-        let p = arena.intern(Value::Int(7));
-        arena.advance(ARENA_RETIRE_LAG + 1);
-        // Still held by `p`: the slot cools instead of recycling and the
-        // payload stays readable.
-        assert_eq!(arena.stats().cooling, 1);
-        assert_eq!(p.as_i64(), Some(7));
-        drop(p);
-        arena.advance(ARENA_RETIRE_LAG + 2);
-        assert_eq!(arena.stats().cooling, 0);
-        assert_eq!(arena.stats().free, 1);
+        for i in 0..16 {
+            arena.intern(Value::Int(i));
+        }
+        let kept = arena.intern(Value::from("kept"));
+        for i in 0..(4 * ARENA_CAP as i64) {
+            arena.intern_with(|v| *v = Value::Int(i));
+        }
+        assert_eq!(kept.as_text(), Some("kept"));
+        let s = arena.stats();
+        assert_eq!((s.held, s.escaped), (ARENA_CAP, 1), "{s:?}");
+        assert!(s.recycled > 2 * ARENA_CAP as u64, "the ring wrapped: {s:?}");
     }
 
     #[test]
-    fn detach_severs_provenance_not_value() {
+    fn a_pinned_head_fills_the_queue_to_the_cap_and_escapes() {
         let mut arena = PayloadArena::new();
-        let p = arena.intern(Value::from("x"));
-        let d = p.detach();
-        assert!(p.is_interned());
-        assert!(!d.is_interned());
-        assert!(d.shares_with(&p));
-        assert_eq!(d, p);
+        let pinned = arena.intern(Value::Int(-1));
+        // Every later payload stays held too, so nothing can recycle
+        // until the cap forces the head out.
+        let mut held = Vec::new();
+        for i in 0..ARENA_CAP as i64 {
+            held.push(arena.intern(Value::Int(i)));
+        }
+        let s = arena.stats();
+        assert_eq!((s.held, s.escaped, s.recycled), (ARENA_CAP, 1, 0));
+        assert_eq!(pinned.as_i64(), Some(-1));
+        drop(held);
+        arena.intern(Value::Null);
+        let s = arena.stats();
+        assert_eq!((s.held, s.escaped, s.recycled), (ARENA_CAP, 1, 1));
     }
 
     #[test]

@@ -274,12 +274,8 @@ impl Deployment {
         from: NodeId,
         target: NodeId,
         port: usize,
-        mut item: DataItem,
+        item: DataItem,
     ) {
-        // Distribution seam: the item leaves the producing shard, so its
-        // arena provenance is severed here — the value travels behind
-        // its shared Arc, the slot recycles on the sender.
-        item.payload.detach_in_place();
         let key = (self.host_of(from).clone(), self.host_of(target).clone());
         let model = self.links.get(&key).copied().unwrap_or(self.default_link);
         // Roll the loss dice once per attempt. After losing attempt n the

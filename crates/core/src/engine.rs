@@ -24,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::channel::ChannelLayer;
 use crate::component::ComponentCtx;
-use crate::data::{DataItem, DataKind, Payload, PayloadArena, Value};
+use crate::data::{DataItem, DataKind, PayloadArena, Value};
 use crate::distribution::Deployment;
 use crate::feature::{FeatureAction, FeatureHost};
 use crate::graph::{Node, NodeId, ProcessingGraph};
@@ -42,14 +42,9 @@ pub(crate) struct EngineCtx<'a> {
     /// The current step's time; advanced by the tick after every
     /// completed step.
     pub(crate) now: SimTime,
-    /// The shard's payload arena, when interning is enabled. Output is
-    /// byte-identical either way, since an interned and a plain payload
-    /// holding the same value are indistinguishable.
-    arena: Option<&'a mut PayloadArena>,
-    /// Logical time driving arena reclamation: advanced once per
-    /// completed step ([`EngineCtx::end_step`]), seeded from the
-    /// middleware's step counter.
-    watermark: u64,
+    /// The shard's payload recycler, which owned-value emissions and
+    /// ingested lines are interned into.
+    arena: &'a mut PayloadArena,
     /// One-entry memo for [`ProcessingGraph::kind_id`] resolution,
     /// keyed by the address and length of a `Cow::Borrowed(&'static
     /// str)` kind. Statics are never freed, so pointer identity implies
@@ -59,11 +54,6 @@ pub(crate) struct EngineCtx<'a> {
     /// graph.
     kind_memo: (usize, usize, Option<u16>),
 }
-
-/// How many completed steps between arena reclamation sweeps (a power
-/// of two so the stride check folds to a mask). See
-/// [`EngineCtx::end_step`].
-const ARENA_ADVANCE_STRIDE: u64 = 8;
 
 /// A queue entry: deliver `item` to input `port` of node.
 type Entry = (NodeId, usize, DataItem);
@@ -196,7 +186,7 @@ fn tick_unit(
     now: SimTime,
     out: &mut Vec<DataItem>,
     emit: &mut Vec<DataItem>,
-    arena: Option<&mut PayloadArena>,
+    arena: &mut PayloadArena,
 ) -> Result<(), CoreError> {
     // Featureless nodes — the common case — emit straight into the
     // routing buffer: no per-emission feature pass, no second move.
@@ -233,7 +223,7 @@ fn input_unit(
     now: SimTime,
     out: &mut Vec<DataItem>,
     emit: &mut Vec<DataItem>,
-    arena: Option<&mut PayloadArena>,
+    arena: &mut PayloadArena,
 ) -> Result<(), CoreError> {
     // Featureless fast path, mirroring `tick_unit`: deliver and emit
     // straight into the routing buffer.
@@ -282,8 +272,7 @@ impl EngineCtx<'_> {
         health: &'a mut HealthRegistry,
         deployment: Option<&'a mut Deployment>,
         now: SimTime,
-        arena: Option<&'a mut PayloadArena>,
-        watermark: u64,
+        arena: &'a mut PayloadArena,
     ) -> EngineCtx<'a> {
         EngineCtx {
             graph,
@@ -292,26 +281,7 @@ impl EngineCtx<'_> {
             deployment,
             now,
             arena,
-            watermark,
             kind_memo: (0, 0, None),
-        }
-    }
-
-    /// Marks one step complete: bumps the logical-time watermark and
-    /// periodically lets the arena seal/retire generations against it.
-    /// The loop calls this after every successfully drained step.
-    ///
-    /// Reclamation is amortized over [`ARENA_ADVANCE_STRIDE`] steps:
-    /// sealing less often only delays when slots recycle (the free list
-    /// self-balances by allocating fresh slots in the meantime) — the
-    /// bytes flowing through the graph are untouched either way, since
-    /// the arena changes where values live, never what they are.
-    fn end_step(&mut self) {
-        self.watermark += 1;
-        if self.watermark.is_multiple_of(ARENA_ADVANCE_STRIDE) {
-            if let Some(arena) = self.arena.as_deref_mut() {
-                arena.advance(self.watermark);
-            }
         }
     }
 
@@ -553,7 +523,6 @@ impl EngineCtx<'_> {
                 return (i, Err(e));
             }
             self.now += tick;
-            self.end_step();
         }
         (steps, Ok(()))
     }
@@ -574,7 +543,7 @@ impl EngineCtx<'_> {
                 None => Err(CoreError::UnknownNode(id)),
                 Some(node) => {
                     let now = self.now;
-                    let arena = self.arena.as_deref_mut();
+                    let arena = &mut *self.arena;
                     let Scratch { out, emit } = scratch;
                     let caught =
                         catch_unwind(AssertUnwindSafe(|| tick_unit(node, now, out, emit, arena)));
@@ -587,10 +556,10 @@ impl EngineCtx<'_> {
     }
 
     /// Block ingest's source phase: `source` emits `line` as a
-    /// [`Value::Text`] item of `kind` — interned straight into the arena
-    /// when one is attached — instead of being ticked. A line offered
-    /// while the source is quarantined is consumed and dropped, exactly
-    /// as a quarantined source's tick is skipped.
+    /// [`Value::Text`] item of `kind`, interned straight into the arena,
+    /// instead of being ticked. A line offered while the source is
+    /// quarantined is consumed and dropped, exactly as a quarantined
+    /// source's tick is skipped.
     fn inject(
         &mut self,
         source: NodeId,
@@ -603,17 +572,14 @@ impl EngineCtx<'_> {
             return Ok(());
         }
         // Build the item as if `source` emitted it this tick.
-        let payload = match self.arena.as_deref_mut() {
-            Some(arena) => arena.intern_with(|slot| match slot {
-                // Reuse the recycled slot's String capacity.
-                Value::Text(s) => {
-                    s.clear();
-                    s.push_str(line);
-                }
-                other => *other = Value::Text(line.to_string()),
-            }),
-            None => Payload::new(Value::Text(line.to_string())),
-        };
+        let payload = self.arena.intern_with(|slot| match slot {
+            // Reuse the recycled slot's String capacity.
+            Value::Text(s) => {
+                s.clear();
+                s.push_str(line);
+            }
+            other => *other = Value::Text(line.to_string()),
+        });
         let item = DataItem::new(kind.clone(), self.now, payload);
         // The unit for an injected emission is the produce-feature pass
         // alone (there is no on_tick); panics are contained and
@@ -663,7 +629,7 @@ impl EngineCtx<'_> {
                             self.now,
                             &mut scratch.out,
                             &mut scratch.emit,
-                            self.arena.as_deref_mut(),
+                            &mut *self.arena,
                         ),
                     };
                     self.finish_unit(node, unit, &mut scratch.out, queue)?;

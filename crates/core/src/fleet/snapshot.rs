@@ -30,10 +30,12 @@ use crate::SimTime;
 /// shape changes incompatibly (a field added to the channel ring state,
 /// a different health-registry layout, a field dropped, …). Version 2
 /// dropped the executor mode when the engine became a single loop.
+/// Version 3 dropped the channel layer's tree policy when trees came to
+/// be built purely on demand.
 /// [`Middleware::restore`](crate::Middleware::restore) rejects
 /// snapshots whose version differs from the build's — a fleet never
 /// silently resumes from a checkpoint it may misinterpret.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Structural identity of one node, used to verify that a snapshot is
 /// restored into the graph it was taken from.

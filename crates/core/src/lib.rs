@@ -78,16 +78,14 @@ pub mod prelude {
         Assembler, ComponentConfig, ComponentFactory, ConnectionConfig, GraphConfig,
         SynthesizedConfig,
     };
-    pub use crate::channel::{
-        ChannelFeature, ChannelId, ChannelStats, DataNode, DataTree, TreePolicy,
-    };
+    pub use crate::channel::{ChannelFeature, ChannelId, ChannelStats, DataNode, DataTree};
     pub use crate::component::{
         Component, ComponentCtx, ComponentCtxProbe, ComponentDescriptor, ComponentRole, EffectSpec,
         FnProcessor, FnRelay, FnSource, InputSpec, MethodSpec, OutputSpec, TransferSpec,
     };
     pub use crate::data::{
-        kinds, ArenaStats, Attrs, DataItem, DataKind, InternedKey, Payload, PayloadArena,
-        PayloadRef, Position, Value,
+        kinds, ArenaStats, Attrs, DataItem, DataKind, InternedKey, Payload, PayloadArena, Position,
+        Value,
     };
     pub use crate::feature::{ComponentFeature, FeatureAction, FeatureDescriptor, FeatureHost};
     pub use crate::fleet::{

@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::channel::{
-    ChannelFeature, ChannelId, ChannelInfo, ChannelLayer, ChannelStats, DataTree, TreePolicy,
+    ChannelFeature, ChannelId, ChannelInfo, ChannelLayer, ChannelStats, DataTree,
 };
 use crate::component::{Component, MethodSpec};
 use crate::data::{ArenaStats, DataItem, DataKind, PayloadArena, Value};
@@ -90,15 +90,9 @@ pub struct Middleware {
     /// Failover providers re-resolved against pipeline health after
     /// every step.
     failovers: Vec<Arc<FailoverShared>>,
-    /// Per-shard slab of recycled payload slots, keyed by step count.
-    /// The engine loop interns owned-value emissions here;
-    /// retired generations recycle their slots instead of freeing them.
+    /// Per-shard recycler of payload slots: the engine loop interns
+    /// owned-value emissions and ingested lines here.
     arena: PayloadArena,
-    /// Whether the engine hands the arena to steps. Off, every emission
-    /// allocates fresh (the plain-`Arc` representation); output is
-    /// byte-identical either way — the toggle exists so the equivalence
-    /// suite can run both representations over one trace.
-    arena_enabled: bool,
 }
 
 impl fmt::Debug for Middleware {
@@ -137,7 +131,6 @@ impl Middleware {
             health: HealthRegistry::default(),
             failovers: Vec::new(),
             arena: PayloadArena::new(),
-            arena_enabled: true,
         }
     }
 
@@ -350,30 +343,6 @@ impl Middleware {
                 })?;
             return Ok(dep.dist_stats().to_value());
         }
-        if method == "tree_policy" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            return Ok(Value::from(self.channels.policy().as_str()));
-        }
-        if method == "set_tree_policy" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            let name =
-                args.first()
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| CoreError::BadArguments {
-                        method: "set_tree_policy".into(),
-                        reason: "expected one text argument naming the policy".into(),
-                    })?;
-            let policy = TreePolicy::from_name(name).ok_or_else(|| CoreError::BadArguments {
-                method: "set_tree_policy".into(),
-                reason: format!("unknown tree policy {name:?}"),
-            })?;
-            self.channels.set_policy(policy);
-            return Ok(Value::Null);
-        }
         let now = self.clock.now();
         let (value, emitted) = self.graph.invoke(id, method, args, now)?;
         self.pending.extend(emitted.into_iter().map(|i| (id, i)));
@@ -543,24 +512,9 @@ impl Middleware {
         self.channels.with_feature_mut(id, name, f)
     }
 
-    /// Selects when channels materialize [`DataTree`]s (default:
-    /// [`TreePolicy::Lazy`] — trees are built only for channels with an
-    /// attached Channel Feature or an active history subscription). The
-    /// logical-time bookkeeping always runs, so switching policies or
-    /// attaching a feature mid-run yields trees byte-identical to a
-    /// channel that materialized all along.
-    pub fn set_tree_policy(&mut self, policy: TreePolicy) {
-        self.channels.set_policy(policy);
-    }
-
-    /// The active tree materialization policy.
-    pub fn tree_policy(&self) -> TreePolicy {
-        self.channels.policy()
-    }
-
     /// Subscribes to a channel's tree history: the channel retains its
     /// last `capacity` trees (oldest evicted first), and the subscription
-    /// itself creates materialization demand under [`TreePolicy::Lazy`].
+    /// itself creates materialization demand.
     /// Resubscribing resizes the retained window.
     ///
     /// # Errors
@@ -831,9 +785,7 @@ impl Middleware {
             steps_run: self.steps_run,
             channels: self.channels.snapshot(),
             health: self.health.clone(),
-            // Snapshot seam: captured items must not carry provenance
-            // into arena slots the restored instance will never own.
-            pending: self.pending.iter().map(|(n, i)| (*n, i.detached())).collect(),
+            pending: self.pending.clone(),
             deployment: self.deployment.clone(),
             component_state,
             feature_state,
@@ -872,9 +824,6 @@ impl Middleware {
             });
         }
         self.channels.restore(&snap.channels)?;
-        // Outstanding interned payloads stay valid behind their Arcs;
-        // the arena just stops trying to recycle their slots.
-        self.arena.reset();
         self.clock = SimClock::new();
         self.clock.advance(snap.now.since(SimTime::ZERO));
         self.steps_run = snap.steps_run;
@@ -991,15 +940,13 @@ impl Middleware {
         tick: SimDuration,
     ) -> Result<(), CoreError> {
         let start = self.clock.now();
-        let arena = self.arena_enabled.then_some(&mut self.arena);
         let mut ctx = EngineCtx::new(
             &mut self.graph,
             &mut self.channels,
             &mut self.health,
             self.deployment.as_mut(),
             start,
-            arena,
-            self.steps_run,
+            &mut self.arena,
         );
         let (completed, result) = ctx.run(&mut self.pending, sources, steps, tick);
         let elapsed = ctx.now.since(start);
@@ -1009,23 +956,10 @@ impl Middleware {
     }
 
     /// Slot-traffic counters of the payload arena (interned, recycled,
-    /// escaped, live/cooling/free depths) — the observability surface the
-    /// reclamation tests assert against.
+    /// escaped, held) — the observability surface the reclamation tests
+    /// assert against.
     pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
-    }
-
-    /// Enables or disables payload-arena interning for subsequent steps
-    /// (default: enabled). Disabled, every owned-value emission allocates
-    /// fresh behind a plain `Arc`; all observable output is byte-identical
-    /// either way. The equivalence suite flips this to prove it.
-    pub fn set_arena_enabled(&mut self, enabled: bool) {
-        self.arena_enabled = enabled;
-    }
-
-    /// Whether payload-arena interning is enabled.
-    pub fn arena_enabled(&self) -> bool {
-        self.arena_enabled
     }
 
     /// Advances simulated time by `tick` after each step until `total`

@@ -21,7 +21,7 @@ use crate::data::{DataItem, DataKind, Position, Value};
 use crate::{CoreError, SimDuration, SimTime};
 
 /// How many delivered items a sink retains for pull-style access.
-const SINK_HISTORY_CAP: usize = 1024;
+pub(crate) const SINK_HISTORY_CAP: usize = 1024;
 
 /// Selection criteria for a location provider (paper §2: "applications
 /// can request a location provider which matches a set of criteria").

@@ -163,8 +163,8 @@ proptest! {
         }
     }
 
-    /// The Parser forwards its input's payload: same allocation, same
-    /// arena slot, no attributes.
+    /// The Parser forwards its input's payload: the same interned
+    /// allocation (pointer-equal), no attributes.
     #[test]
     fn parser_forwards_the_input_payload(s in AnySentence) {
         let line = s.to_nmea_string();
@@ -176,7 +176,6 @@ proptest! {
             prop_assert_eq!(out.len(), 1);
             prop_assert_eq!(out[0].kind, kinds::NMEA_SENTENCE);
             prop_assert!(out[0].payload.shares_with(&input));
-            prop_assert_eq!(out[0].payload.origin(), input.origin());
             prop_assert!(out[0].attrs.is_empty());
         } else {
             prop_assert!(out.is_empty());

@@ -1,22 +1,20 @@
-//! Channel-layer equivalence suite: [`TreePolicy::Lazy`] must be a pure
-//! performance knob. Because the lazy path still runs every piece of
-//! logical-time bookkeeping (it only skips tree assembly and history
-//! pushes while nothing demands them), attaching a Channel Feature or a
-//! history subscription *mid-run* must yield byte-identical trees to a
-//! process that ran eagerly from the start — with and without injected
-//! faults in flight. The suite also pins the companion
-//! contracts of this layer: batched stepping equals the manual step
-//! loop, drop counters surface through reflection, and the policy
-//! round-trips through configuration.
+//! Channel-layer equivalence suite: a channel builds a tree only while
+//! something demands it (a Channel Feature or a history subscription),
+//! and that must be a pure performance matter. Because an undemanded
+//! channel still runs every piece of logical-time bookkeeping (it only
+//! skips tree assembly and history pushes), attaching a Channel Feature
+//! or a history subscription *mid-run* must yield byte-identical trees
+//! to a process whose channels were demanded from step 0 — with and
+//! without injected faults in flight. Both runs must also match golden
+//! hashes of the plain-`Arc` data plane, so the payload recycler stays
+//! invisible. The suite also pins the companion contracts of this layer:
+//! batched stepping equals the manual step loop and drop counters
+//! surface through reflection.
 
 #![allow(clippy::unwrap_used)]
 use std::any::Any;
-use std::collections::BTreeMap;
 
-use perpos::core::assembly::GraphConfig;
-use perpos::core::channel::{
-    ChannelFeature, ChannelHost, ChannelId, DataTree, TreePolicy, LEVEL_BUFFER_CAP,
-};
+use perpos::core::channel::{ChannelFeature, ChannelHost, ChannelId, DataTree, LEVEL_BUFFER_CAP};
 use perpos::prelude::*;
 
 /// Records the rendered form of every tree it observes — the byte-level
@@ -61,9 +59,9 @@ fn stage(name: &str, mut f: impl FnMut(i64) -> i64 + Send + 'static) -> impl Com
 }
 
 /// Everything the laziness contract quantifies over. Materialization
-/// counters are deliberately absent: lazy and eager *must* differ there
-/// (that difference is the point); outputs, drops, trees, history and
-/// health must not.
+/// counters are deliberately absent: undemanded and demanded runs *must*
+/// differ there (that difference is the point); outputs, drops, trees,
+/// history and health must not.
 #[derive(Debug, PartialEq)]
 struct Observed {
     trees: Vec<Vec<String>>,
@@ -74,20 +72,14 @@ struct Observed {
     steps: u64,
 }
 
-/// Runs the shared two-branch scenario in two phases: 100 undemanded
-/// steps, then a mid-run [`TreeLog`] attach plus a history subscription,
-/// then 100 demanded steps. Under `TreePolicy::Lazy` phase one skips
+/// Runs the shared two-branch scenario in two phases: 100 steps, then a
+/// mid-run [`TreeLog`] attach plus a history subscription, then 100
+/// more steps. Without `demanded_from_start` phase one skips
 /// materialization entirely; everything observed in phase two must be
-/// byte-identical to an eager run of the same trace.
-fn run_scenario(policy: TreePolicy, faulty: bool) -> Observed {
-    run_scenario_with_arena(policy, faulty, true)
-}
-
-fn run_scenario_with_arena(policy: TreePolicy, faulty: bool, arena: bool) -> Observed {
+/// byte-identical to a run whose every channel was demanded from step 0.
+fn run_scenario(demanded_from_start: bool, faulty: bool) -> Observed {
     let tick = SimDuration::from_millis(100);
     let mut mw = Middleware::new();
-    mw.set_tree_policy(policy);
-    mw.set_arena_enabled(arena);
     let src_a = mw.add_component(source("src-a", 1));
     let pa1 = mw.add_component(stage("pa1", |v| v * 2));
     let pa2 = mw.add_component(stage("pa2", |v| v + 3));
@@ -115,11 +107,17 @@ fn run_scenario_with_arena(policy: TreePolicy, faulty: bool, arena: bool) -> Obs
             .unwrap();
     }
 
-    // Phase 1: no features, no subscriptions — nothing demands trees.
+    let channels: Vec<ChannelId> = mw.channels().iter().map(|c| c.id).collect();
+    if demanded_from_start {
+        for &ch in &channels {
+            mw.subscribe_channel_history(ch, 16).unwrap();
+        }
+    }
+    // Phase 1: unless demanded from the start, no features and no
+    // subscriptions — nothing demands trees.
     mw.step_batch(100, tick).unwrap();
 
     // Phase 2: demand flips mid-run.
-    let channels: Vec<ChannelId> = mw.channels().iter().map(|c| c.id).collect();
     for &ch in &channels {
         mw.attach_channel_feature(ch, TreeLog::default()).unwrap();
     }
@@ -162,8 +160,8 @@ fn run_scenario_with_arena(policy: TreePolicy, faulty: bool, arena: bool) -> Obs
 
 #[test]
 fn mid_run_attach_yields_identical_trees_lazy_vs_eager() {
-    let eager = run_scenario(TreePolicy::Eager, false);
-    let lazy = run_scenario(TreePolicy::Lazy, false);
+    let eager = run_scenario(true, false);
+    let lazy = run_scenario(false, false);
     assert!(
         eager.trees.iter().all(|t| !t.is_empty()),
         "every channel must derive phase-two trees: {eager:?}"
@@ -174,8 +172,8 @@ fn mid_run_attach_yields_identical_trees_lazy_vs_eager() {
 
 #[test]
 fn mid_run_attach_equivalence_holds_under_injected_faults() {
-    let eager = run_scenario(TreePolicy::Eager, true);
-    let lazy = run_scenario(TreePolicy::Lazy, true);
+    let eager = run_scenario(true, true);
+    let lazy = run_scenario(false, true);
     let faults = eager.health.iter().filter(|h| !h.contains("faults: 0"));
     assert!(
         faults.count() >= 2,
@@ -185,19 +183,32 @@ fn mid_run_attach_equivalence_holds_under_injected_faults() {
     assert_eq!(eager, lazy);
 }
 
+/// FNV-1a over a string: a hash that is stable across toolchains.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn arena_interning_is_observationally_invisible() {
-    // The payload arena is a pure allocation strategy: with interning
-    // disabled every emission allocates fresh behind a plain `Arc`, and
-    // every observable — trees, history, stats, health — must come out
-    // byte-identical, under both policies and with faults in flight.
-    for policy in [TreePolicy::Eager, TreePolicy::Lazy] {
-        for faulty in [false, true] {
-            let arena = run_scenario_with_arena(policy, faulty, true);
-            let plain = run_scenario_with_arena(policy, faulty, false);
+    // The payload recycler is a pure allocation strategy: every
+    // observable — trees, history, stats, health — must hash exactly as
+    // the plain-`Arc` data plane did (every emission allocated fresh),
+    // whether or not the channels were demanded from the start, and with
+    // faults in flight. The goldens were recorded from that plain
+    // representation before the recycler replaced it.
+    for (faulty, golden) in [
+        (false, 0x05ec_f509_07a8_d763),
+        (true, 0xc37e_9956_b873_0785),
+    ] {
+        for demanded_from_start in [true, false] {
+            let observed = run_scenario(demanded_from_start, faulty);
             assert_eq!(
-                arena, plain,
-                "arena/plain divergence at {policy:?} faulty={faulty}"
+                fnv(&format!("{observed:?}")),
+                golden,
+                "divergence from the plain-Arc golden at \
+                 demanded_from_start={demanded_from_start} faulty={faulty}"
             );
         }
     }
@@ -208,7 +219,6 @@ fn step_batch_equals_manual_step_loop() {
     let observe = |batched: bool| {
         let tick = SimDuration::from_millis(100);
         let mut mw = Middleware::new();
-        mw.set_tree_policy(TreePolicy::Eager);
         let src = mw.add_component(source("src", 1));
         let p = mw.add_component(stage("p", |v| v * 3));
         let app = mw.application_sink();
@@ -299,43 +309,4 @@ fn history_subscription_creates_demand_under_lazy() {
     let stats = mw.channel_stats(ch).unwrap();
     assert_eq!(stats.materialized, materialized_before);
     assert!(mw.channel_history(ch).unwrap().is_empty());
-}
-
-#[test]
-fn tree_policy_round_trips_through_config_and_reflection() {
-    // Reflection: read and flip the policy through any node.
-    let mut mw = Middleware::new();
-    let src = mw.add_component(source("src", 1));
-    assert_eq!(mw.tree_policy(), TreePolicy::Lazy);
-    assert_eq!(
-        mw.invoke(src, "tree_policy", &[]).unwrap(),
-        Value::from("lazy")
-    );
-    mw.invoke(src, "set_tree_policy", &[Value::from("eager")])
-        .unwrap();
-    assert_eq!(mw.tree_policy(), TreePolicy::Eager);
-    assert!(mw
-        .invoke(src, "set_tree_policy", &[Value::from("nope")])
-        .is_err());
-
-    // Configuration: the declarative form applies the policy.
-    let json = r#"{
-      "components": [
-        { "name": "s", "kind": "counter" },
-        { "name": "app", "kind": "application" }
-      ],
-      "connections": [{ "from": "s", "to": "app", "port": 0 }],
-      "tree_policy": "eager"
-    }"#;
-    let config: GraphConfig = serde_json::from_str(json).unwrap();
-    type Factory = Box<dyn Fn() -> Box<dyn Component> + Send + Sync>;
-    let mut factories: BTreeMap<String, Factory> = BTreeMap::new();
-    factories.insert("counter".into(), Box::new(|| Box::new(source("s", 1))));
-    let mut mw = Middleware::new();
-    config.instantiate(&mut mw, &factories).unwrap();
-    assert_eq!(mw.tree_policy(), TreePolicy::Eager);
-    // And the configured policy survives a JSON round trip.
-    let back: GraphConfig =
-        serde_json::from_str(&serde_json::to_string_pretty(&config).unwrap()).unwrap();
-    assert_eq!(back, config);
 }

@@ -5,13 +5,13 @@
 //! checkpoint contents, the same per-instance channel histories, health
 //! records and clocks, under seeded environmental faults that exercise
 //! the whole escalation ladder (containment, checkpoint-restart,
-//! quarantine), across both tree policies, and
+//! quarantine), with and without tree demand on the channels, and
 //! through mid-soak checkpoint/restore. This is the contract
 //! `perpos_core::fleet::scheduler` states; here it is pinned against a
 //! chaotic fleet rather than argued from the chunk-alignment proof.
 
 #![allow(clippy::unwrap_used)]
-use perpos::core::channel::{ChannelId, TreePolicy};
+use perpos::core::channel::ChannelId;
 use perpos::core::component::{ComponentCtx, ComponentDescriptor};
 use perpos::prelude::*;
 use rand::rngs::StdRng;
@@ -73,12 +73,12 @@ impl Component for FlakySource {
     }
 }
 
-/// Builds one instance: flaky source, pass-through stage, history
-/// subscription on the application channel. Structure is identical for
-/// every index, so the returned node/channel ids hold fleet-wide.
-fn build_instance(policy: TreePolicy, rng: Option<StdRng>) -> (Middleware, NodeId, ChannelId) {
+/// Builds one instance: flaky source, pass-through stage and, when
+/// `demanded`, a history subscription on the application channel (the
+/// only tree demand). Structure is identical for every index, so the
+/// returned node/channel ids hold fleet-wide.
+fn build_instance(demanded: bool, rng: Option<StdRng>) -> (Middleware, NodeId, ChannelId) {
     let mut mw = Middleware::new();
-    mw.set_tree_policy(policy);
     let src = mw.add_boxed_component(Box::new(FlakySource { counter: 0, rng }));
     let stage = mw.add_component(FnProcessor::new(
         "stage",
@@ -90,7 +90,9 @@ fn build_instance(policy: TreePolicy, rng: Option<StdRng>) -> (Middleware, NodeI
     mw.connect(src, stage, 0).unwrap();
     let port = mw.connect_to_sink(stage, app).unwrap();
     let channel = mw.channel_into(app, port).unwrap();
-    mw.subscribe_channel_history(channel, 64).unwrap();
+    if demanded {
+        mw.subscribe_channel_history(channel, 64).unwrap();
+    }
     (mw, src, channel)
 }
 
@@ -99,7 +101,7 @@ fn build_instance(policy: TreePolicy, rng: Option<StdRng>) -> (Middleware, NodeI
 /// `n` of instance `i` is a pure function of `(i, n)` — byte-identical
 /// whatever order a parallel scheduler rebuilds crashed instances in.
 fn chaotic_factory(
-    policy: TreePolicy,
+    demanded: bool,
     capacity: usize,
 ) -> impl Fn(usize) -> Middleware + Send + Sync + 'static {
     let incarnations: Arc<Vec<AtomicU64>> =
@@ -111,7 +113,7 @@ fn chaotic_factory(
                 0xc4a05 ^ (index as u64).wrapping_mul(0x9E37_79B9) ^ n.wrapping_mul(0xC0FF_EE11),
             )
         });
-        build_instance(policy, rng).0
+        build_instance(demanded, rng).0
     }
 }
 
@@ -131,8 +133,8 @@ fn config(scheduler: FleetScheduler) -> FleetConfig {
     }
 }
 
-fn pool(policy: TreePolicy, scheduler: FleetScheduler) -> FleetPool {
-    FleetPool::new(config(scheduler), chaotic_factory(policy, 24))
+fn pool(demanded: bool, scheduler: FleetScheduler) -> FleetPool {
+    FleetPool::new(config(scheduler), chaotic_factory(demanded, 24))
 }
 
 /// Everything the byte-equality contract is stated over: supervision
@@ -171,8 +173,8 @@ fn observe(pool: &FleetPool, src: NodeId, chan: ChannelId) -> Observation {
 
 /// Ids shared by every instance the factory builds (identical
 /// structure), taken from a probe instance.
-fn probe_ids(policy: TreePolicy) -> (NodeId, ChannelId) {
-    let (_, src, chan) = build_instance(policy, None);
+fn probe_ids() -> (NodeId, ChannelId) {
+    let (_, src, chan) = build_instance(true, None);
     (src, chan)
 }
 
@@ -187,19 +189,19 @@ fn assert_chaotic(stats: &FleetStats) {
 
 #[test]
 fn work_stealing_matches_serial_across_policies() {
-    for policy in [TreePolicy::Lazy, TreePolicy::Eager] {
-        let (src, chan) = probe_ids(policy);
-        let mut serial = pool(policy, FleetScheduler::Serial);
+    for demanded in [true, false] {
+        let (src, chan) = probe_ids();
+        let mut serial = pool(demanded, FleetScheduler::Serial);
         serial.run(ROUNDS, tick());
         assert_chaotic(&serial.stats());
         let reference = observe(&serial, src, chan);
         for workers in [1usize, 2, 8] {
-            let mut ws = pool(policy, FleetScheduler::WorkStealing { workers });
+            let mut ws = pool(demanded, FleetScheduler::WorkStealing { workers });
             ws.run(ROUNDS, tick());
             assert_eq!(
                 reference,
                 observe(&ws, src, chan),
-                "work stealing ({workers} workers) diverged from serial ({policy:?})"
+                "work stealing ({workers} workers) diverged from serial (demanded={demanded})"
             );
         }
     }
@@ -215,18 +217,17 @@ fn unaligned_multi_call_splits_agree() {
     // the same bytes, however awkwardly the call ends straddle the
     // cadence. The pool's round cursor keeps the outer chunks of later
     // calls aligned to the cadence mid-stream.
-    let policy = TreePolicy::Lazy;
-    let (src, chan) = probe_ids(policy);
+    let (src, chan) = probe_ids();
 
     let splits: [&[u64]; 3] = [&[37, 59], &[5, 91], &[1, 2, 3, 90]];
     for (w, split) in [(2usize, 0usize), (8, 1), (2, 2)] {
-        let mut serial = pool(policy, FleetScheduler::Serial);
+        let mut serial = pool(true, FleetScheduler::Serial);
         for &rounds in splits[split] {
             serial.run(rounds, tick());
         }
         let reference = observe(&serial, src, chan);
 
-        let mut ws = pool(policy, FleetScheduler::WorkStealing { workers: w });
+        let mut ws = pool(true, FleetScheduler::WorkStealing { workers: w });
         for &rounds in splits[split] {
             ws.run(rounds, tick());
         }
@@ -245,13 +246,12 @@ fn permuted_visitation_matches_serial() {
     // serial execution, shard visitation shuffled per chunk from a
     // seed. Any seed must reproduce the serial bytes — shard order is
     // not allowed to be observable.
-    let policy = TreePolicy::Lazy;
-    let (src, chan) = probe_ids(policy);
-    let mut serial = pool(policy, FleetScheduler::Serial);
+    let (src, chan) = probe_ids();
+    let mut serial = pool(true, FleetScheduler::Serial);
     serial.run(ROUNDS, tick());
     let reference = observe(&serial, src, chan);
     for seed in [0u64, 1, 42, 0xdead_beef] {
-        let mut permuted = pool(policy, FleetScheduler::Permuted { seed });
+        let mut permuted = pool(true, FleetScheduler::Permuted { seed });
         permuted.run(ROUNDS, tick());
         assert_eq!(
             reference,
@@ -266,19 +266,18 @@ fn mid_soak_checkpoints_restore_identically_from_any_scheduler() {
     // The checkpoints a parallel soak captures are the same bytes the
     // serial soak captures — and restoring one into a fresh instance
     // and stepping on produces the same continuation either way.
-    let policy = TreePolicy::Lazy;
-    let (src, chan) = probe_ids(policy);
+    let (src, chan) = probe_ids();
 
-    let mut serial = pool(policy, FleetScheduler::Serial);
+    let mut serial = pool(true, FleetScheduler::Serial);
     serial.run(40, tick());
-    let mut ws = pool(policy, FleetScheduler::WorkStealing { workers: 8 });
+    let mut ws = pool(true, FleetScheduler::WorkStealing { workers: 8 });
     ws.run(40, tick());
 
     let mut restored_pair = Vec::new();
     for p in [&serial, &ws] {
         let snap = p.shards()[1].checkpoint(2).unwrap().clone();
         assert!(snap.steps_run() > 0 && snap.steps_run() % 4 == 0);
-        let (mut fresh, _, _) = build_instance(policy, None);
+        let (mut fresh, _, _) = build_instance(true, None);
         fresh.restore(&snap).unwrap();
         fresh.step_batch(23, tick()).unwrap();
         restored_pair.push((
@@ -307,15 +306,14 @@ fn scheduler_switches_mid_soak_do_not_change_the_trace() {
     // permuted — is purely operational: the trace stays the one the
     // serial scheduler produces for the same call sequence (call ends
     // themselves are observable; see unaligned_multi_call_splits_agree).
-    let policy = TreePolicy::Eager;
-    let (src, chan) = probe_ids(policy);
-    let mut serial = pool(policy, FleetScheduler::Serial);
+    let (src, chan) = probe_ids();
+    let mut serial = pool(true, FleetScheduler::Serial);
     serial.run(30, tick());
     serial.run(33, tick());
     serial.run(33, tick());
     let reference = observe(&serial, src, chan);
 
-    let mut mixed = pool(policy, FleetScheduler::Serial);
+    let mut mixed = pool(true, FleetScheduler::Serial);
     mixed.run(30, tick());
     mixed.set_scheduler(FleetScheduler::WorkStealing { workers: 4 });
     mixed.run(33, tick());

@@ -1,15 +1,16 @@
 //! Checkpoint/restore determinism suite: a [`Middleware`] restored from
 //! a mid-run [`Snapshot`] and stepped to the end must be byte-identical
 //! — trees, channel history, health, clocks — to the same instance
-//! stepped without interruption. Pinned across both tree policies,
-//! with seeded panics in flight and with a Channel
-//! Feature attached mid-run after the restore point. This is the
+//! stepped without interruption. Pinned for a channel demanded from the
+//! start and for one whose demand arrives after the restore point, with
+//! seeded panics in flight and with a Channel Feature attached mid-run
+//! after the restore point. This is the
 //! contract the fleet runtime's restart path relies on.
 
 #![allow(clippy::unwrap_used)]
 use std::any::Any;
 
-use perpos::core::channel::{ChannelFeature, ChannelHost, ChannelId, DataTree, TreePolicy};
+use perpos::core::channel::{ChannelFeature, ChannelHost, ChannelId, DataTree};
 use perpos::core::component::{ComponentCtx, ComponentDescriptor};
 use perpos::prelude::*;
 
@@ -30,7 +31,8 @@ impl Component for CountingSource {
     }
     fn on_tick(&mut self, ctx: &mut ComponentCtx<'_>) -> Result<(), CoreError> {
         self.0 += 1;
-        ctx.emit_value(kinds::RAW_STRING, Value::Int(self.0));
+        // Interned, so snapshots hold payloads that live in the arena.
+        ctx.emit_owned(kinds::RAW_STRING, Value::Int(self.0));
         Ok(())
     }
     fn snapshot_state(&self) -> Option<Value> {
@@ -71,9 +73,8 @@ fn tick() -> SimDuration {
 /// The factory every scenario (and the fleet restart path) uses: a
 /// counting source with a seeded panic-injecting feature, a pass-through
 /// processor, and a history subscription on the application channel.
-fn build(policy: TreePolicy) -> (Middleware, NodeId, ChannelId) {
+fn build() -> (Middleware, NodeId, ChannelId) {
     let mut mw = Middleware::new();
-    mw.set_tree_policy(policy);
     let src = mw.add_boxed_component(Box::new(CountingSource(0)));
     mw.attach_feature(src, FaultInjector::with_seed(0xcafe).with_panic_rate(0.15))
         .unwrap();
@@ -113,56 +114,72 @@ fn observe(mw: &Middleware, src: NodeId, channel: ChannelId) -> (Vec<String>, Va
     )
 }
 
-fn assert_restore_equivalence(policy: TreePolicy) {
-    let (mut reference, ref_src, ref_chan) = build(policy);
-    run(&mut reference, 40);
+/// Snapshots at step 17 and restores; both runs end at step 40. Unless
+/// `demanded_from_start`, the history subscription is dropped at build
+/// and only comes back at step 30, so the channel skips tree assembly
+/// across the restore point.
+fn assert_restore_equivalence(demanded_from_start: bool) {
+    let instance = || {
+        let (mut mw, src, chan) = build();
+        if !demanded_from_start {
+            mw.unsubscribe_channel_history(chan).unwrap();
+        }
+        (mw, src, chan)
+    };
+    // Resubscribing at an unchanged capacity changes nothing.
+    let finish = |mw: &mut Middleware, chan, from: u64| {
+        run(mw, 30 - from);
+        mw.subscribe_channel_history(chan, 64).unwrap();
+        run(mw, 10);
+    };
+    let (mut reference, ref_src, ref_chan) = instance();
+    finish(&mut reference, ref_chan, 0);
 
-    let (mut original, _, _) = build(policy);
+    let (mut original, _, _) = instance();
     run(&mut original, 17);
     let snap = original.snapshot();
     assert_eq!(snap.steps_run(), 17);
 
-    let (mut restored, src, chan) = build(policy);
+    let (mut restored, src, chan) = instance();
     restored.restore(&snap).unwrap();
     assert_eq!(restored.steps_run(), 17);
-    assert_eq!(restored.tree_policy(), policy);
-    run(&mut restored, 23);
+    finish(&mut restored, chan, 17);
 
+    let skipped = restored.channel_stats(chan).unwrap().skipped;
+    assert_eq!(skipped > 0, !demanded_from_start, "{skipped} skipped trees");
     assert_eq!(
         observe(&reference, ref_src, ref_chan),
         observe(&restored, src, chan),
         "restore-then-step must equal the uninterrupted run \
-         ({policy:?})"
+         (demanded_from_start={demanded_from_start})"
     );
 }
 
 #[test]
 fn restore_equivalence_sequential_lazy() {
-    assert_restore_equivalence(TreePolicy::Lazy);
+    assert_restore_equivalence(false);
 }
 
 #[test]
-fn restore_equivalence_sequential_eager() {
-    assert_restore_equivalence(TreePolicy::Eager);
+fn restore_equivalence_sequential_demanded_from_start() {
+    assert_restore_equivalence(true);
 }
 
 #[test]
 fn restored_instance_accepts_mid_run_feature_attach() {
     // Attach a Channel Feature *after* the restore point, at the same
-    // logical step in both runs: the trees it observes must match, even
-    // under the lazy policy where the attachment itself creates the
-    // materialization demand.
-    let (mut reference, _, ref_chan) = build(TreePolicy::Lazy);
+    // logical step in both runs: the trees it observes must match.
+    let (mut reference, _, ref_chan) = build();
     run(&mut reference, 20);
     reference
         .attach_channel_feature(ref_chan, TreeLog::default())
         .unwrap();
     run(&mut reference, 20);
 
-    let (mut original, _, _) = build(TreePolicy::Lazy);
+    let (mut original, _, _) = build();
     run(&mut original, 20);
     let snap = original.snapshot();
-    let (mut restored, _, chan) = build(TreePolicy::Lazy);
+    let (mut restored, _, chan) = build();
     restored.restore(&snap).unwrap();
     restored
         .attach_channel_feature(chan, TreeLog::default())
@@ -185,7 +202,7 @@ fn channel_stats_survive_snapshot_restore() {
     // of the checkpoint contract: a restored instance reports exactly
     // the counters the original had at snapshot time, and continuing it
     // reproduces the uninterrupted run's counters.
-    let (mut original, _, chan) = build(TreePolicy::Lazy);
+    let (mut original, _, chan) = build();
     run(&mut original, 17);
     let at_snapshot = original.channel_stats(chan).unwrap();
     assert!(at_snapshot.outputs > 0, "the pipeline produced outputs");
@@ -195,7 +212,7 @@ fn channel_stats_survive_snapshot_restore() {
     );
     let snap = original.snapshot();
 
-    let (mut restored, _, rchan) = build(TreePolicy::Lazy);
+    let (mut restored, _, rchan) = build();
     restored.restore(&snap).unwrap();
     assert_eq!(
         restored.channel_stats(rchan).unwrap(),
@@ -203,7 +220,7 @@ fn channel_stats_survive_snapshot_restore() {
         "restore carries the channel counters, not just the buffers"
     );
 
-    let (mut reference, _, ref_chan) = build(TreePolicy::Lazy);
+    let (mut reference, _, ref_chan) = build();
     run(&mut reference, 40);
     run(&mut restored, 23);
     assert_eq!(
@@ -219,7 +236,7 @@ fn shard_stats_are_runtime_state_not_snapshot_state() {
     // component counters instead — see above). A rebuilt fleet therefore
     // starts its supervision counters from the build-time baseline:
     // instances owned, one construction checkpoint each, nothing else.
-    let factory = |_: usize| build(TreePolicy::Lazy).0;
+    let factory = |_: usize| build().0;
     let config = FleetConfig {
         shards: 2,
         instances: 6,
@@ -252,26 +269,25 @@ fn shard_stats_are_runtime_state_not_snapshot_state() {
 
 #[test]
 fn snapshots_cross_the_arena_boundary_intact() {
-    // A snapshot captures payloads that live in the donor's arena (the
-    // pending rings and history hold interned slots). The snapshot must
-    // detach them: the donor running on — recycling those very slots —
-    // cannot retroactively corrupt it, and restoring into an instance
-    // whose own arena is mid-flight (or disabled) resets cleanly and
-    // continues byte-identical to the uninterrupted reference.
-    let (mut reference, ref_src, ref_chan) = build(TreePolicy::Lazy);
+    // A snapshot shares payloads with the donor's arena (the pending
+    // rings and history hold interned slots). The arena rewrites a slot
+    // only while it holds the sole reference, so the donor running on —
+    // recycling its other slots — cannot retroactively corrupt the
+    // snapshot, and restoring into an instance whose own arena is
+    // mid-flight continues byte-identical to the uninterrupted reference.
+    let (mut reference, ref_src, ref_chan) = build();
     run(&mut reference, 40);
 
-    let (mut donor, _, _) = build(TreePolicy::Lazy);
+    let (mut donor, _, _) = build();
     run(&mut donor, 17);
     let snap = donor.snapshot();
-    // Donor keeps running long past the retire lag: every slot its
-    // arena held at snapshot time is rewritten many times over. If the
-    // snapshot aliased arena slots instead of detaching, this would
-    // scramble its payload bytes.
+    // Donor keeps running, recycling its arena slots. If the arena
+    // rewrote a slot the snapshot still holds, this would scramble its
+    // payload bytes.
     run(&mut donor, 200);
 
     // Restore into an instance with its own arena traffic in flight.
-    let (mut restored, src, chan) = build(TreePolicy::Lazy);
+    let (mut restored, src, chan) = build();
     run(&mut restored, 31);
     restored.restore(&snap).unwrap();
     assert_eq!(restored.steps_run(), 17);
@@ -281,22 +297,11 @@ fn snapshots_cross_the_arena_boundary_intact() {
         observe(&restored, src, chan),
         "restore across a dirty arena must equal the uninterrupted run"
     );
-
-    // And into an instance that interns nothing at all: arena on or off
-    // is invisible to the restored trace.
-    let (mut plain, psrc, pchan) = build(TreePolicy::Lazy);
-    plain.set_arena_enabled(false);
-    plain.restore(&snap).unwrap();
-    run(&mut plain, 23);
-    assert_eq!(
-        observe(&reference, ref_src, ref_chan),
-        observe(&plain, psrc, pchan)
-    );
 }
 
 #[test]
 fn restore_rejects_structural_mismatch() {
-    let (original, _, _) = build(TreePolicy::Lazy);
+    let (original, _, _) = build();
     let snap = original.snapshot();
     assert_eq!(snap.version(), SNAPSHOT_VERSION);
     assert_eq!(snap.node_count(), 3);
@@ -312,7 +317,7 @@ fn restore_rejects_structural_mismatch() {
     assert_eq!(other.steps_run(), before);
 
     // And so must the same pipeline with an extra feature attached.
-    let (mut drifted, dsrc, _) = build(TreePolicy::Lazy);
+    let (mut drifted, dsrc, _) = build();
     drifted
         .attach_feature(dsrc, perpos::sensors::HdopFeature::new())
         .unwrap();

@@ -1,9 +1,8 @@
 //! Steady-state allocation discipline of the block-ingest hot path:
-//! once the arena's free list, the level rings and the engine scratch
+//! once the arena's slot queue, the level rings and the engine scratch
 //! have warmed up, ingesting a block must not allocate per line — slot
-//! `String`s are recycled with their capacity, generation buckets come
-//! from the spare pool, and the routing queue never touches the heap in
-//! a linear pipeline.
+//! `String`s are recycled with their capacity, and the routing queue
+//! never touches the heap in a linear pipeline.
 //!
 //! This file holds exactly one test: the counting allocator is
 //! process-global, so it gets an integration-test binary of its own and
@@ -57,7 +56,7 @@ fn warmed_ingest_allocates_independent_of_batch_size() {
     let tick = SimDuration::from_micros(1);
     let batch = |n: usize| vec![line; n];
 
-    // Warm-up: fill the arena free list, grow the level rings to their
+    // Warm-up: fill the arena's slot queue, grow the level rings to their
     // steady depth, and settle every engine-side buffer.
     let warm = batch(20_000);
     mw.ingest_batch(src, kinds::RAW_STRING, &warm, tick).unwrap();
