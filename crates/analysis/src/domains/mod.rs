@@ -130,13 +130,12 @@ struct JsonFleetFacts {
     instances: u64,
     shards: u64,
     checkpoint_every: u64,
-    /// Resolved fleet scheduler name (`"serial"`, `"work_stealing"`,
-    /// `"permuted"`).
+    /// Resolved fleet scheduler name (`"serial"` or `"work_stealing"`).
     scheduler: String,
     /// The *requested* worker cap — `0` means machine-sized under
-    /// `work_stealing`, `1` for the serial-execution schedulers. The
-    /// machine-resolved count is deliberately not recorded: the facts
-    /// document must be byte-reproducible across hosts.
+    /// `work_stealing`, `1` under `serial`. The machine-resolved count
+    /// is deliberately not recorded: the facts document must be
+    /// byte-reproducible across hosts.
     workers: u64,
 }
 

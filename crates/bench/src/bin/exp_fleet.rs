@@ -56,9 +56,10 @@ const STEP_FAIL_PROB: f64 = 0.015;
 /// Rounds each availability configuration runs for.
 const ROUNDS: u64 = 96;
 
-/// Rounds each scaling configuration runs for — enough work that the
-/// per-round scheduler overhead (cursor churn, chunk barrier) is
-/// amortized the way a long soak would amortize it.
+/// Rounds each scaling configuration runs for, in one `run` call —
+/// enough work that the per-call scheduler overhead (spawning the
+/// scoped workers, one cursor draw per shard) is amortized the way a
+/// long soak would amortize it.
 const SCALING_ROUNDS: u64 = 48;
 
 /// Instance count of the scaling sweep. Large enough that a shard is a
@@ -256,22 +257,19 @@ fn run_supervised(
     let start = Instant::now();
     pool.run(rounds, tick);
     let secs = start.elapsed().as_secs_f64();
-    let stats = pool.stats();
-    let cold: u64 = stats.shards.iter().map(|s| s.cold_restarts).sum();
-    let warm: u64 = stats.shards.iter().map(|s| s.restarts).sum();
-    let checkpoints: u64 = stats.shards.iter().map(|s| s.checkpoints).sum();
+    let t = pool.totals();
     Supervised {
-        availability: stats.availability(),
-        live_steps: stats.live_steps(),
-        missed_steps: stats.missed_steps(),
-        instance_faults: stats.instance_faults(),
-        restarts: warm,
-        cold_restarts: cold,
-        quarantines: stats.quarantines(),
-        checkpoints,
-        mean_recovery_steps: stats.mean_recovery_steps(),
+        availability: t.availability(),
+        live_steps: t.live_steps,
+        missed_steps: t.missed_steps,
+        instance_faults: t.instance_faults,
+        restarts: t.restarts,
+        cold_restarts: t.cold_restarts,
+        quarantines: t.quarantines,
+        checkpoints: t.checkpoints,
+        mean_recovery_steps: t.mean_recovery_steps(),
         wall_s: secs,
-        items_per_sec: stats.live_steps() as f64 / secs,
+        items_per_sec: t.live_steps as f64 / secs,
     }
 }
 
@@ -478,7 +476,7 @@ const SMOKE: (usize, usize, f64) = (2048, 1, 0.10);
 
 /// Minimum calibrated serial/work-stealing cost ratio the smoke demands
 /// on a host with >= 2 cores. Two honest workers on a share-nothing
-/// fleet should approach 2.0; 1.3 leaves room for barrier overhead and
+/// fleet should approach 2.0; 1.3 leaves room for thread spawns and
 /// a noisy CI neighbour while still catching a scheduler that
 /// serializes (ratio ~1.0) or regresses outright.
 const SMOKE_MIN_SPEEDUP: f64 = 1.3;

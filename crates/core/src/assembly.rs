@@ -118,16 +118,16 @@ pub struct FleetSpec {
     /// Checkpoint cadence in shard rounds; absent uses the
     /// [`crate::fleet::FleetConfig`] default.
     pub checkpoint_every: Option<u64>,
-    /// Fleet scheduler name (`"serial"`, `"work_stealing"` or
-    /// `"permuted"`); absent defaults to serial unless
-    /// [`FleetSpec::workers`] asks for more than one worker, which
-    /// implies work stealing. Unknown names resolve to serial (the
-    /// lint layer flags them; the runtime never guesses at
-    /// parallelism). See [`crate::fleet::FleetScheduler`].
+    /// Fleet scheduler name (`"serial"` or `"work_stealing"`); absent
+    /// defaults to serial unless [`FleetSpec::workers`] asks for more
+    /// than one worker, which implies work stealing.
+    /// [`GraphConfig::fleet_pool`] rejects unknown names; the total
+    /// [`FleetSpec::resolved_scheduler`] reads them as serial. See
+    /// [`crate::fleet::FleetScheduler`].
     pub scheduler: Option<String>,
     /// Worker-thread cap for the work-stealing scheduler; `0` (or
     /// absent under `"work_stealing"`) means machine-sized. Ignored by
-    /// the serial-execution schedulers.
+    /// the serial scheduler.
     pub workers: Option<usize>,
 }
 
@@ -149,18 +149,14 @@ impl FleetSpec {
     /// The [`crate::fleet::FleetScheduler`] this spec requests. An
     /// explicit `scheduler` name wins; with no name, `workers` other
     /// than 1 implies work stealing (that is what asking for workers
-    /// means), and everything else is serial. The `permuted` scheduler
-    /// takes its shuffle seed from the fleet default seed so declarative
-    /// configurations stay reproducible.
+    /// means), and everything else — an unknown name included — is
+    /// serial.
     pub fn resolved_scheduler(&self) -> crate::fleet::FleetScheduler {
         use crate::fleet::FleetScheduler;
         match self.scheduler.as_deref() {
             Some(name) => match FleetScheduler::from_name(name) {
                 Some(FleetScheduler::WorkStealing { .. }) => FleetScheduler::WorkStealing {
                     workers: self.workers.unwrap_or(0),
-                },
-                Some(FleetScheduler::Permuted { .. }) => FleetScheduler::Permuted {
-                    seed: crate::fleet::FleetConfig::default().seed,
                 },
                 Some(FleetScheduler::Serial) | None => FleetScheduler::Serial,
             },
@@ -283,8 +279,9 @@ impl GraphConfig {
     ///
     /// # Errors
     ///
-    /// Returns the same errors as [`GraphConfig::instantiate`], before
-    /// any pool is built.
+    /// Returns [`CoreError::ComponentFailure`] for an unknown
+    /// [`FleetSpec::scheduler`] name and the same errors as
+    /// [`GraphConfig::instantiate`], before any pool is built.
     pub fn fleet_pool(
         &self,
         factories: BTreeMap<String, Factory>,
@@ -296,6 +293,14 @@ impl GraphConfig {
             scheduler: None,
             workers: None,
         });
+        if let Some(name) = &spec.scheduler {
+            if crate::fleet::FleetScheduler::from_name(name).is_none() {
+                return Err(CoreError::ComponentFailure {
+                    component: "fleet".into(),
+                    reason: format!("unknown fleet scheduler {name:?}"),
+                });
+            }
+        }
         let mut probe = Middleware::new();
         self.instantiate(&mut probe, &factories)?;
         let template = self.clone();
@@ -633,8 +638,7 @@ mod tests {
         assert_eq!(pool.instances(), 12);
         assert_eq!(pool.shards().len(), 3);
         pool.run(8, SimDuration::from_millis(100));
-        let stats = pool.stats();
-        assert_eq!(stats.live_steps(), 12 * 8);
+        assert_eq!(pool.totals().live_steps, 12 * 8);
         assert!((pool.availability() - 1.0).abs() < f64::EPSILON);
     }
 
@@ -677,6 +681,40 @@ mod tests {
             }),
         };
         assert!(config.fleet_pool(factories).is_err());
+    }
+
+    #[test]
+    fn fleet_pool_rejects_unknown_scheduler_names() {
+        for name in ["permuted", "work_stealign"] {
+            let config = GraphConfig {
+                components: vec![ComponentConfig {
+                    name: "app".into(),
+                    kind: "application".into(),
+                    fault_policy: None,
+                    transfer: None,
+                    effects: None,
+                }],
+                connections: vec![],
+                fleet: Some(FleetSpec {
+                    instances: 2,
+                    shards: None,
+                    checkpoint_every: None,
+                    scheduler: Some(name.into()),
+                    workers: None,
+                }),
+            };
+            let Err(CoreError::ComponentFailure { reason, .. }) =
+                config.fleet_pool(BTreeMap::new())
+            else {
+                panic!("scheduler {name:?} must be rejected");
+            };
+            assert!(reason.contains(name), "{reason}");
+            // The resolver stays total: analysis reads the name as serial.
+            assert_eq!(
+                config.fleet.unwrap().resolved_scheduler(),
+                crate::fleet::FleetScheduler::Serial
+            );
+        }
     }
 
     #[test]

@@ -416,6 +416,7 @@ impl PendingEntry {
 
 /// Bounded ring of the most recent materialized trees — the second
 /// demand source besides attached features.
+#[derive(Debug, Clone)]
 struct TreeHistory {
     capacity: usize,
     trees: VecDeque<DataTree>,
@@ -444,8 +445,8 @@ struct FeatureEntry {
 struct ChannelSnapshot {
     id: ChannelId,
     levels: Vec<LevelState>,
-    /// History ring `(capacity, trees)` when subscribed.
-    history: Option<(usize, Vec<DataTree>)>,
+    /// History ring when subscribed.
+    history: Option<TreeHistory>,
     /// Attached channel-feature names, for restore-time validation.
     feature_names: Vec<String>,
     /// Per-feature opaque state, aligned with `feature_names`.
@@ -573,10 +574,7 @@ impl ChannelLayer {
                 .map(|r| ChannelSnapshot {
                     id: r.id,
                     levels: r.levels.clone(),
-                    history: r
-                        .history
-                        .as_ref()
-                        .map(|h| (h.capacity, h.trees.iter().cloned().collect())),
+                    history: r.history.clone(),
                     feature_names: r
                         .features
                         .iter()
@@ -638,10 +636,7 @@ impl ChannelLayer {
         }
         for (s, r) in snap.channels.iter().zip(self.runtimes.iter_mut()) {
             r.levels.clone_from(&s.levels);
-            r.history = s.history.as_ref().map(|(capacity, trees)| TreeHistory {
-                capacity: *capacity,
-                trees: trees.iter().cloned().collect(),
-            });
+            r.history.clone_from(&s.history);
             for (entry, state) in r.features.iter_mut().zip(&s.feature_state) {
                 if let Some(state) = state {
                     entry.feature.restore_state(state);

@@ -31,9 +31,10 @@
 //! its shard-local RNG) and counters all live inside one shard, and the
 //! only shared object is the immutable instance factory. That is what
 //! lets [`FleetPool::run`] distribute shards over cores through a
-//! pluggable [`FleetScheduler`] — serial, work-stealing parallel, or
-//! seed-permuted — with *byte-identical* observables under every
-//! scheduler and worker count (`tests/fleet_parallel_determinism.rs`
+//! [`FleetScheduler`] — serial or work-stealing parallel — with
+//! *byte-identical* observables under every scheduler, worker count and
+//! shard visitation order: each shard runs every call as the one
+//! `Shard::run` the serial loop makes (`tests/fleet_parallel_determinism.rs`
 //! proves it under faults, checkpoints and restores).
 //!
 //! [`FaultPolicy`]: crate::supervision::FaultPolicy

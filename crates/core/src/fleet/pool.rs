@@ -1,15 +1,13 @@
 //! The fleet pool: builds the shards, drives them, and aggregates their
-//! supervision counters behind a reflective surface.
+//! supervision counters.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 
-use crate::data::Value;
-use crate::fleet::scheduler::{chunk_plan, shuffled_indices, FleetScheduler};
+use crate::fleet::scheduler::FleetScheduler;
 use crate::fleet::shard::{InstanceFactory, Shard, ShardStats};
 use crate::fleet::watchdog::Watchdog;
-use crate::{CoreError, Middleware, SimDuration};
+use crate::{Middleware, SimDuration};
 
 /// Sizing and supervision knobs of a [`FleetPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +52,8 @@ impl Default for FleetConfig {
     }
 }
 
-/// Aggregated supervision counters of a whole fleet, with the per-shard
-/// breakdown preserved.
+/// Per-shard supervision counters of a whole fleet; [`FleetStats::totals`]
+/// sums them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FleetStats {
     /// Per-shard counters, in shard order.
@@ -63,89 +61,13 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// Total instances across shards.
-    pub fn instances(&self) -> u64 {
-        self.shards.iter().map(|s| s.instances).sum()
-    }
-
-    /// Total instance-steps completed.
-    pub fn live_steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.live_steps).sum()
-    }
-
-    /// Total instance-steps lost to faults or quarantine.
-    pub fn missed_steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.missed_steps).sum()
-    }
-
-    /// Total instance faults that escaped in-instance containment.
-    pub fn instance_faults(&self) -> u64 {
-        self.shards.iter().map(|s| s.instance_faults).sum()
-    }
-
-    /// Total restarts (checkpoint-recovered plus cold).
-    pub fn restarts(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.restarts + s.cold_restarts)
-            .sum()
-    }
-
-    /// Total shard quarantines.
-    pub fn quarantines(&self) -> u64 {
-        self.shards.iter().map(|s| s.quarantines).sum()
-    }
-
-    /// Fraction of attempted instance-steps that completed, across the
-    /// whole fleet (`1.0` for an idle fleet).
-    pub fn availability(&self) -> f64 {
-        let live = self.live_steps();
-        let attempted = live + self.missed_steps();
-        if attempted == 0 {
-            1.0
-        } else {
-            live as f64 / attempted as f64
+    /// The fleet-wide sum of the per-shard counters.
+    pub fn totals(&self) -> FleetTotals {
+        let mut totals = FleetTotals::default();
+        for s in &self.shards {
+            totals.absorb(s);
         }
-    }
-
-    /// Mean steps-to-healthy over all recoveries (`0.0` without any).
-    pub fn mean_recovery_steps(&self) -> f64 {
-        let restarts = self.restarts();
-        if restarts == 0 {
-            0.0
-        } else {
-            let total: u64 = self.shards.iter().map(|s| s.recovery_steps).sum();
-            total as f64 / restarts as f64
-        }
-    }
-
-    /// Renders fleet totals plus the per-shard breakdown as a
-    /// reflective [`Value`] map — the shape `invoke("fleet_stats")`
-    /// serves.
-    pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("instances".into(), Value::Int(self.instances() as i64));
-        map.insert("live_steps".into(), Value::Int(self.live_steps() as i64));
-        map.insert(
-            "missed_steps".into(),
-            Value::Int(self.missed_steps() as i64),
-        );
-        map.insert(
-            "instance_faults".into(),
-            Value::Int(self.instance_faults() as i64),
-        );
-        map.insert("restarts".into(), Value::Int(self.restarts() as i64));
-        map.insert("quarantines".into(), Value::Int(self.quarantines() as i64));
-        map.insert("availability".into(), Value::Float(self.availability()));
-        map.insert(
-            "mean_recovery_steps".into(),
-            Value::Float(self.mean_recovery_steps()),
-        );
-        map.insert(
-            "shards".into(),
-            Value::List(self.shards.iter().map(|s| s.to_value()).collect()),
-        );
-        Value::Map(map)
+        totals
     }
 }
 
@@ -154,8 +76,8 @@ impl FleetStats {
 /// every shard's counters per probe. Refreshed at construction and at
 /// the end of every [`FleetPool::run`] call; after mutating shards
 /// directly (via [`FleetPool::shard_mut`]) call
-/// [`FleetPool::refresh_totals`]. `tests` pin the cache to the value
-/// recomputed from the per-shard breakdown.
+/// [`FleetPool::refresh_totals`]. `tests` pin the cache to
+/// [`FleetStats::totals`] recomputed from the per-shard breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetTotals {
     /// Instances across all shards.
@@ -198,8 +120,7 @@ impl FleetTotals {
     }
 
     /// Fraction of attempted instance-steps that completed (`1.0` for
-    /// an idle fleet) — the same quantity as
-    /// [`FleetStats::availability`], served from the cache.
+    /// an idle fleet).
     pub fn availability(&self) -> f64 {
         let attempted = self.live_steps + self.missed_steps;
         if attempted == 0 {
@@ -228,10 +149,6 @@ pub struct FleetPool {
     config: FleetConfig,
     factory: InstanceFactory,
     shards: Vec<Shard>,
-    /// Rounds run so far — every shard's `steps_run` in lockstep; the
-    /// schedulers use it to align their chunk plans to checkpoint
-    /// boundaries across multiple `run` calls.
-    rounds_run: u64,
     totals: FleetTotals,
 }
 
@@ -270,7 +187,6 @@ impl FleetPool {
             config,
             factory,
             shards,
-            rounds_run: 0,
             totals: FleetTotals::default(),
         };
         pool.refresh_totals();
@@ -310,86 +226,45 @@ impl FleetPool {
     }
 
     /// Steps every shard `rounds` times with `tick` clock advance per
-    /// step, distributing shards over cores per the configured
-    /// [`FleetScheduler`]. `run` is a round barrier: whatever the
-    /// scheduler, every shard has completed all `rounds` when it
-    /// returns, and the per-shard observables ([`ShardStats`],
-    /// checkpoints, watchdog schedules, instance histories) are
-    /// byte-identical across schedulers and worker counts.
+    /// step. Whatever the scheduler, each shard runs the call as one
+    /// `Shard::run(rounds)`, exactly as the serial loop does, so the
+    /// per-shard observables ([`ShardStats`], checkpoints, watchdog
+    /// schedules, instance histories) are byte-identical across
+    /// schedulers and worker counts. With more than one resolved
+    /// worker, scoped threads pull shard indices off one shared atomic
+    /// cursor, so a worker stuck on a heavy shard cannot idle the
+    /// others. `run` returns once every shard has completed `rounds`.
     pub fn run(&mut self, rounds: u64, tick: SimDuration) {
-        match self.config.scheduler {
-            FleetScheduler::Serial => {
-                for shard in &mut self.shards {
-                    shard.run(&self.factory, rounds, tick);
-                }
-            }
-            FleetScheduler::WorkStealing { .. } => self.run_work_stealing(rounds, tick),
-            FleetScheduler::Permuted { seed } => self.run_permuted(seed, rounds, tick),
-        }
-        self.rounds_run += rounds;
-        self.refresh_totals();
-    }
-
-    /// Work-stealing parallel stepping: for each checkpoint-aligned
-    /// round-chunk, scoped workers pull shard indices off a shared
-    /// atomic cursor until the chunk drains, then meet at a barrier
-    /// before the next chunk — so a worker stuck on a heavy shard
-    /// cannot idle the others (they steal the remaining indices), and
-    /// rebalancing happens every chunk without moving shard state. The
-    /// chunk alignment (see [`chunk_plan`]) is what keeps every shard's
-    /// internal fault/checkpoint accounting identical to one serial
-    /// `run(rounds)` call.
-    fn run_work_stealing(&mut self, rounds: u64, tick: SimDuration) {
         let workers = self
             .config
             .scheduler
             .resolved_workers()
-            .clamp(1, self.shards.len().max(1));
+            .min(self.shards.len());
+        let factory = &self.factory;
         if workers <= 1 {
             for shard in &mut self.shards {
-                shard.run(&self.factory, rounds, tick);
+                shard.run(factory, rounds, tick);
             }
-            return;
-        }
-        let plan = chunk_plan(self.rounds_run, rounds, self.config.checkpoint_every);
-        // Each cell is locked exactly once per chunk (the cursor hands
-        // every index to exactly one worker), so the mutexes are
-        // uncontended — they exist to prove disjoint access to the
-        // borrow checker, not to serialize work.
-        let cells: Vec<Mutex<&mut Shard>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let cursors: Vec<AtomicUsize> = plan.iter().map(|_| AtomicUsize::new(0)).collect();
-        let barrier = Barrier::new(workers);
-        let factory = &self.factory;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    for (ci, &chunk) in plan.iter().enumerate() {
-                        loop {
-                            let i = cursors[ci].fetch_add(1, Ordering::Relaxed);
-                            let Some(cell) = cells.get(i) else { break };
-                            let mut shard = cell.lock().unwrap_or_else(|p| p.into_inner());
-                            shard.run(factory, chunk, tick);
+        } else {
+            // Each cell is locked exactly once (the cursor hands every
+            // index to exactly one worker), so the mutexes are
+            // uncontended — they exist to prove disjoint access to the
+            // borrow checker, not to serialize work.
+            let cells: Vec<Mutex<&mut Shard>> = self.shards.iter_mut().map(Mutex::new).collect();
+            let cursor = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| {
+                        while let Some(cell) = cells.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            cell.lock()
+                                .expect("each shard cell is locked exactly once")
+                                .run(factory, rounds, tick);
                         }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-
-    /// The interleaving sanitizer: serial execution, but each
-    /// checkpoint-aligned chunk visits the shards in a seeded permuted
-    /// order. Any cross-shard coupling shows up as a deterministic
-    /// divergence from [`FleetScheduler::Serial`] — no thread timing
-    /// involved.
-    fn run_permuted(&mut self, seed: u64, rounds: u64, tick: SimDuration) {
-        let plan = chunk_plan(self.rounds_run, rounds, self.config.checkpoint_every);
-        let mut state = seed;
-        for &chunk in &plan {
-            for i in shuffled_indices(&mut state, self.shards.len()) {
-                self.shards[i].run(&self.factory, chunk, tick);
-            }
+                    });
+                }
+            });
         }
+        self.refresh_totals();
     }
 
     /// Aggregated supervision counters with per-shard breakdown.
@@ -411,82 +286,12 @@ impl FleetPool {
     /// polled round); call it manually after mutating shards through
     /// [`FleetPool::shard_mut`].
     pub fn refresh_totals(&mut self) {
-        let mut totals = FleetTotals::default();
-        for shard in &self.shards {
-            totals.absorb(&shard.stats());
-        }
-        self.totals = totals;
+        self.totals = self.stats().totals();
     }
 
     /// Fleet-wide availability so far, served from the cached totals.
     pub fn availability(&self) -> f64 {
         self.totals.availability()
-    }
-
-    /// The fleet's reflective surface, mirroring
-    /// [`Middleware::invoke`](crate::Middleware::invoke):
-    /// `"fleet_stats"` answers with [`FleetStats::to_value`],
-    /// `"availability"` with the fleet-wide fraction (from the cached
-    /// totals), `"scheduler"` with the active scheduler's name and
-    /// `"workers"` with the worker count the next `run` will use.
-    /// `"set_scheduler"` takes the scheduler name plus an optional
-    /// integer (worker cap for `"work_stealing"`, where 0 means
-    /// machine-sized; shuffle seed for `"permuted"`) and answers with
-    /// the name it installed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NoSuchMethod`] for unknown methods and
-    /// [`CoreError::BadArguments`] for a malformed `"set_scheduler"`
-    /// call.
-    pub fn invoke(&mut self, method: &str, args: &[Value]) -> Result<Value, CoreError> {
-        match method {
-            "fleet_stats" => Ok(self.stats().to_value()),
-            "availability" => Ok(Value::Float(self.availability())),
-            "scheduler" => Ok(Value::from(self.config.scheduler.as_str())),
-            "workers" => Ok(Value::Int(self.config.scheduler.resolved_workers() as i64)),
-            "set_scheduler" => {
-                let name = args.first().and_then(|v| v.as_text()).ok_or_else(|| {
-                    CoreError::BadArguments {
-                        method: "set_scheduler".into(),
-                        reason: "expected a text argument naming the scheduler".into(),
-                    }
-                })?;
-                let mut scheduler =
-                    FleetScheduler::from_name(name).ok_or_else(|| CoreError::BadArguments {
-                        method: "set_scheduler".into(),
-                        reason: format!("unknown fleet scheduler {name:?}"),
-                    })?;
-                if let Some(n) = args.get(1).and_then(|v| v.as_i64()) {
-                    if n < 0 {
-                        return Err(CoreError::BadArguments {
-                            method: "set_scheduler".into(),
-                            reason: "numeric argument must be non-negative".into(),
-                        });
-                    }
-                    scheduler = match scheduler {
-                        FleetScheduler::WorkStealing { .. } => FleetScheduler::WorkStealing {
-                            workers: n as usize,
-                        },
-                        FleetScheduler::Permuted { .. } => {
-                            FleetScheduler::Permuted { seed: n as u64 }
-                        }
-                        FleetScheduler::Serial => {
-                            return Err(CoreError::BadArguments {
-                                method: "set_scheduler".into(),
-                                reason: "the serial scheduler takes no argument".into(),
-                            })
-                        }
-                    };
-                }
-                self.set_scheduler(scheduler);
-                Ok(Value::from(scheduler.as_str()))
-            }
-            m => Err(CoreError::NoSuchMethod {
-                target: "fleet".into(),
-                method: m.into(),
-            }),
-        }
     }
 }
 
@@ -494,9 +299,10 @@ impl FleetPool {
 mod tests {
     use super::*;
     use crate::component::{ComponentCtx, FnSource};
-    use crate::data::{kinds, DataItem};
+    use crate::data::{kinds, DataItem, Value};
     use crate::prelude::{Component, Criteria};
     use crate::supervision::FaultPolicy;
+    use crate::CoreError;
 
     /// Fails (uncontained) whenever `tick % period == phase`.
     struct PeriodicFault {
@@ -632,12 +438,12 @@ mod tests {
             healthy_factory(),
         );
         pool.run(20, SimDuration::from_millis(10));
-        let stats = pool.stats();
+        let totals = pool.totals();
         assert_eq!(pool.instances(), 10);
-        assert_eq!(stats.live_steps(), 200);
-        assert_eq!(stats.missed_steps(), 0);
-        assert_eq!(stats.availability(), 1.0);
-        assert_eq!(stats.instance_faults(), 0);
+        assert_eq!(totals.live_steps, 200);
+        assert_eq!(totals.missed_steps, 0);
+        assert_eq!(totals.availability(), 1.0);
+        assert_eq!(totals.instance_faults, 0);
         // Every instance actually delivered every step.
         let p = pool.shards()[0]
             .instance(0)
@@ -660,17 +466,17 @@ mod tests {
             flaky_factory(0.05, 21, 4),
         );
         pool.run(40, SimDuration::from_millis(10));
-        let stats = pool.stats();
-        assert!(stats.instance_faults() > 0, "faults were injected");
+        let totals = pool.totals();
+        assert!(totals.instance_faults > 0, "faults were injected");
         assert_eq!(
-            stats.restarts(),
-            stats.instance_faults(),
+            totals.total_restarts(),
+            totals.instance_faults,
             "every fault recovered by a restart"
         );
-        assert_eq!(stats.shards[0].cold_restarts, 0, "checkpoints all valid");
-        assert!(stats.availability() > 0.7, "most steps still completed");
-        assert!(stats.availability() < 1.0, "but faults cost steps");
-        assert!(stats.mean_recovery_steps() >= 1.0);
+        assert_eq!(totals.cold_restarts, 0, "checkpoints all valid");
+        assert!(totals.availability() > 0.7, "most steps still completed");
+        assert!(totals.availability() < 1.0, "but faults cost steps");
+        assert!(totals.mean_recovery_steps() >= 1.0);
     }
 
     #[test]
@@ -701,14 +507,14 @@ mod tests {
             },
         );
         pool.run(64, SimDuration::from_millis(10));
-        let stats = pool.stats();
-        assert!(stats.quarantines() > 0, "storm tripped the watchdog");
+        let totals = pool.totals();
+        assert!(totals.quarantines > 0, "storm tripped the watchdog");
         assert!(
-            stats.missed_steps() > stats.instance_faults(),
+            totals.missed_steps > totals.instance_faults,
             "quarantine skipped whole rounds beyond the faults themselves"
         );
         // The shard is running again at the end (backoffs are finite).
-        assert!(stats.live_steps() > 0);
+        assert!(totals.live_steps > 0);
     }
 
     #[test]
@@ -736,32 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_stats_are_reflective() {
-        let mut pool = FleetPool::new(
-            FleetConfig {
-                shards: 2,
-                instances: 4,
-                ..FleetConfig::default()
-            },
-            healthy_factory(),
-        );
-        pool.run(5, SimDuration::from_millis(10));
-        let Value::Map(m) = pool.invoke("fleet_stats", &[]).unwrap() else {
-            panic!("fleet_stats must be a map");
-        };
-        assert_eq!(m["instances"], Value::Int(4));
-        assert_eq!(m["availability"], Value::Float(1.0));
-        let Value::List(shards) = &m["shards"] else {
-            panic!("per-shard breakdown present");
-        };
-        assert_eq!(shards.len(), 2);
-        assert!(matches!(
-            pool.invoke("nope", &[]),
-            Err(CoreError::NoSuchMethod { .. })
-        ));
-    }
-
-    #[test]
     fn fault_policies_contain_faults_below_the_fleet() {
         // The same flaky component under a DropItem policy never faults
         // the instance, so the fleet sees full availability.
@@ -785,9 +565,9 @@ mod tests {
             },
         );
         pool.run(30, SimDuration::from_millis(10));
-        let stats = pool.stats();
-        assert_eq!(stats.instance_faults(), 0);
-        assert_eq!(stats.availability(), 1.0);
+        let totals = pool.totals();
+        assert_eq!(totals.instance_faults, 0);
+        assert_eq!(totals.availability(), 1.0);
     }
 
     fn chaotic_config(scheduler: FleetScheduler) -> FleetConfig {
@@ -816,13 +596,12 @@ mod tests {
         };
         let serial = run(FleetScheduler::Serial);
         assert!(
-            serial.instance_faults() > 0,
+            serial.totals().instance_faults > 0,
             "chaos must actually fire for the comparison to mean anything"
         );
         for scheduler in [
             FleetScheduler::WorkStealing { workers: 2 },
             FleetScheduler::WorkStealing { workers: 8 },
-            FleetScheduler::Permuted { seed: 0xdead },
         ] {
             assert_eq!(serial, run(scheduler), "{scheduler:?} diverged from serial");
         }
@@ -839,21 +618,15 @@ mod tests {
         pool.run(10, SimDuration::from_millis(10));
         pool.run(3, SimDuration::from_millis(10));
         let totals = pool.totals();
-        let stats = pool.stats();
-        assert_eq!(totals.instances, stats.instances());
-        assert_eq!(totals.live_steps, stats.live_steps());
-        assert_eq!(totals.missed_steps, stats.missed_steps());
-        assert_eq!(totals.instance_faults, stats.instance_faults());
-        assert_eq!(totals.total_restarts(), stats.restarts());
-        assert_eq!(totals.quarantines, stats.quarantines());
-        assert_eq!(totals.availability(), stats.availability());
-        assert_eq!(totals.mean_recovery_steps(), stats.mean_recovery_steps());
+        assert_eq!(totals, pool.stats().totals());
+        assert_eq!(totals.instances, 20);
+        assert!(totals.instance_faults > 0, "chaos fired");
         // And the O(1) availability getter serves the cached value.
         assert_eq!(pool.availability(), totals.availability());
     }
 
     #[test]
-    fn scheduler_is_reflective() {
+    fn scheduler_switches_between_runs() {
         let mut pool = FleetPool::new(
             FleetConfig {
                 shards: 2,
@@ -862,37 +635,17 @@ mod tests {
             },
             healthy_factory(),
         );
-        assert_eq!(
-            pool.invoke("scheduler", &[]).unwrap(),
-            Value::from("serial")
-        );
-        assert_eq!(pool.invoke("workers", &[]).unwrap(), Value::Int(1));
-        let installed = pool
-            .invoke(
-                "set_scheduler",
-                &[Value::from("work_stealing"), Value::Int(2)],
-            )
-            .unwrap();
-        assert_eq!(installed, Value::from("work_stealing"));
+        assert_eq!(pool.scheduler(), FleetScheduler::Serial);
+        assert_eq!(pool.scheduler().resolved_workers(), 1);
+        pool.set_scheduler(FleetScheduler::WorkStealing { workers: 2 });
         assert_eq!(
             pool.scheduler(),
             FleetScheduler::WorkStealing { workers: 2 }
         );
-        assert_eq!(pool.invoke("workers", &[]).unwrap(), Value::Int(2));
+        assert_eq!(pool.scheduler().resolved_workers(), 2);
         // A mid-soak switch is safe and changes nothing observable.
         pool.run(7, SimDuration::from_millis(10));
         assert_eq!(pool.availability(), 1.0);
-        assert!(matches!(
-            pool.invoke("set_scheduler", &[Value::from("threads")]),
-            Err(CoreError::BadArguments { .. })
-        ));
-        assert!(matches!(
-            pool.invoke("set_scheduler", &[Value::from("serial"), Value::Int(3)]),
-            Err(CoreError::BadArguments { .. })
-        ));
-        assert!(matches!(
-            pool.invoke("set_scheduler", &[]),
-            Err(CoreError::BadArguments { .. })
-        ));
+        assert_eq!(pool.totals().live_steps, 4 * 7);
     }
 }

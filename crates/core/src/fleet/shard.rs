@@ -2,9 +2,6 @@
 //! together, with checkpoint-based instance restart and a watchdog
 //! escalating clustered failures to shard quarantine.
 
-use std::collections::BTreeMap;
-
-use crate::data::Value;
 use crate::fleet::snapshot::Snapshot;
 use crate::fleet::watchdog::Watchdog;
 use crate::{Middleware, SimDuration};
@@ -14,10 +11,10 @@ use crate::{Middleware, SimDuration};
 /// restart; it must rebuild the same structure each time (the restart
 /// path restores the instance's checkpoint into the rebuilt graph).
 ///
-/// The factory is the *only* thing shards share, and parallel
-/// schedulers call it from several worker threads at once — hence
-/// `Send + Sync`. For the fleet's byte-equality contract
-/// (`Serial` ≡ `WorkStealing` ≡ `Permuted`, see
+/// The factory is the *only* thing shards share, and the work-stealing
+/// scheduler calls it from several worker threads at once — hence
+/// `Send + Sync`. For the fleet's byte-equality contract (`Serial` ≡
+/// `WorkStealing` at any worker count and shard visitation order, see
 /// [`FleetScheduler`](crate::fleet::FleetScheduler)) the factory must
 /// also be *order-free*: what it builds may depend on the instance
 /// index and on how often that index was rebuilt, but not on how many
@@ -68,45 +65,6 @@ pub struct ShardStats {
     /// Total steps-to-healthy summed over recoveries (mean recovery
     /// latency is `recovery_steps / (restarts + cold_restarts)`).
     pub recovery_steps: u64,
-}
-
-impl ShardStats {
-    /// Fraction of attempted instance-steps that completed (`1.0` for
-    /// an idle shard).
-    pub fn availability(&self) -> f64 {
-        let attempted = self.live_steps + self.missed_steps;
-        if attempted == 0 {
-            1.0
-        } else {
-            self.live_steps as f64 / attempted as f64
-        }
-    }
-
-    /// Renders the counters as a reflective [`Value`] map.
-    pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("instances".into(), Value::Int(self.instances as i64));
-        map.insert("steps".into(), Value::Int(self.steps as i64));
-        map.insert("live_steps".into(), Value::Int(self.live_steps as i64));
-        map.insert("missed_steps".into(), Value::Int(self.missed_steps as i64));
-        map.insert(
-            "instance_faults".into(),
-            Value::Int(self.instance_faults as i64),
-        );
-        map.insert("restarts".into(), Value::Int(self.restarts as i64));
-        map.insert(
-            "cold_restarts".into(),
-            Value::Int(self.cold_restarts as i64),
-        );
-        map.insert("checkpoints".into(), Value::Int(self.checkpoints as i64));
-        map.insert("quarantines".into(), Value::Int(self.quarantines as i64));
-        map.insert(
-            "recovery_steps".into(),
-            Value::Int(self.recovery_steps as i64),
-        );
-        map.insert("availability".into(), Value::Float(self.availability()));
-        Value::Map(map)
-    }
 }
 
 struct Instance {

@@ -35,9 +35,9 @@ impl Watchdog {
     /// owns its own RNG, and jitter draws are a pure function of this
     /// seed and the shard's own fault history. No draw ever depends on
     /// another shard's activity or on shard visitation order — which is
-    /// exactly why backoff schedules stay byte-identical when a
-    /// parallel [`FleetScheduler`](crate::fleet::FleetScheduler) steps
-    /// the shards concurrently or in permuted order.
+    /// exactly why backoff schedules stay byte-identical when the
+    /// work-stealing [`FleetScheduler`](crate::fleet::FleetScheduler)
+    /// steps the shards concurrently and in any order.
     pub fn new(threshold: u32, window: u64, base_backoff: u64, seed: u64) -> Self {
         Watchdog {
             threshold: threshold.max(1),

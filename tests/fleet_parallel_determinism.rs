@@ -8,11 +8,13 @@
 //! quarantine), with and without tree demand on the channels, and
 //! through mid-soak checkpoint/restore. This is the contract
 //! `perpos_core::fleet::scheduler` states; here it is pinned against a
-//! chaotic fleet rather than argued from the chunk-alignment proof.
+//! chaotic fleet, and shard visitation order is shuffled directly.
 
 #![allow(clippy::unwrap_used)]
 use perpos::core::channel::ChannelId;
 use perpos::core::component::{ComponentCtx, ComponentDescriptor};
+use perpos::core::fleet::shard::InstanceFactory;
+use perpos::core::fleet::{Shard, Watchdog};
 use perpos::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,11 +148,11 @@ type Observation = (
     Vec<(Vec<String>, Value, u64, SimTime)>,
 );
 
-fn observe(pool: &FleetPool, src: NodeId, chan: ChannelId) -> Observation {
-    let stats = pool.stats().shards;
+fn observe(shards: &[Shard], src: NodeId, chan: ChannelId) -> Observation {
+    let stats = shards.iter().map(|s| s.stats()).collect();
     let mut checkpoints = Vec::new();
     let mut instances = Vec::new();
-    for shard in pool.shards() {
+    for shard in shards {
         for i in 0..shard.len() {
             checkpoints.push(format!("{:?}", shard.checkpoint(i)));
             let mw = shard.instance(i).unwrap();
@@ -180,11 +182,11 @@ fn probe_ids() -> (NodeId, ChannelId) {
 
 /// Asserts the chaos actually exercised the ladder: containment alone
 /// would make the equality below vacuous.
-fn assert_chaotic(stats: &FleetStats) {
-    assert!(stats.instance_faults() > 0, "faults fired");
-    assert!(stats.restarts() > 0, "checkpoint-restarts fired");
-    assert!(stats.quarantines() > 0, "quarantines fired");
-    assert!(stats.missed_steps() > 0, "backoff skipped rounds");
+fn assert_chaotic(totals: &FleetTotals) {
+    assert!(totals.instance_faults > 0, "faults fired");
+    assert!(totals.restarts > 0, "checkpoint-restarts fired");
+    assert!(totals.quarantines > 0, "quarantines fired");
+    assert!(totals.missed_steps > 0, "backoff skipped rounds");
 }
 
 #[test]
@@ -193,14 +195,14 @@ fn work_stealing_matches_serial_across_policies() {
         let (src, chan) = probe_ids();
         let mut serial = pool(demanded, FleetScheduler::Serial);
         serial.run(ROUNDS, tick());
-        assert_chaotic(&serial.stats());
-        let reference = observe(&serial, src, chan);
+        assert_chaotic(&serial.totals());
+        let reference = observe(serial.shards(), src, chan);
         for workers in [1usize, 2, 8] {
             let mut ws = pool(demanded, FleetScheduler::WorkStealing { workers });
             ws.run(ROUNDS, tick());
             assert_eq!(
                 reference,
-                observe(&ws, src, chan),
+                observe(ws.shards(), src, chan),
                 "work stealing ({workers} workers) diverged from serial (demanded={demanded})"
             );
         }
@@ -215,8 +217,7 @@ fn unaligned_multi_call_splits_agree() {
     // The determinism contract is therefore stated per call sequence:
     // for the SAME sequence of run() calls, every scheduler produces
     // the same bytes, however awkwardly the call ends straddle the
-    // cadence. The pool's round cursor keeps the outer chunks of later
-    // calls aligned to the cadence mid-stream.
+    // cadence: every scheduler hands each shard the serial call.
     let (src, chan) = probe_ids();
 
     let splits: [&[u64]; 3] = [&[37, 59], &[5, 91], &[1, 2, 3, 90]];
@@ -225,7 +226,7 @@ fn unaligned_multi_call_splits_agree() {
         for &rounds in splits[split] {
             serial.run(rounds, tick());
         }
-        let reference = observe(&serial, src, chan);
+        let reference = observe(serial.shards(), src, chan);
 
         let mut ws = pool(true, FleetScheduler::WorkStealing { workers: w });
         for &rounds in splits[split] {
@@ -233,30 +234,79 @@ fn unaligned_multi_call_splits_agree() {
         }
         assert_eq!(
             reference,
-            observe(&ws, src, chan),
+            observe(ws.shards(), src, chan),
             "split {:?} at {w} workers diverged from the same-split serial run",
             splits[split]
         );
     }
 }
 
+/// The shards [`FleetPool::new`] builds for [`config`], built directly
+/// (same partition, watchdog seeds and factory) so a test can step them
+/// in any order.
+fn bare_shards(demanded: bool) -> (InstanceFactory, Vec<Shard>) {
+    let cfg = config(FleetScheduler::Serial);
+    let factory: InstanceFactory = Box::new(chaotic_factory(demanded, cfg.instances));
+    let per = cfg.instances / cfg.shards;
+    let shards = (0..cfg.shards)
+        .map(|s| {
+            let watchdog = Watchdog::new(
+                cfg.shard_fault_threshold,
+                cfg.shard_fault_window,
+                cfg.shard_backoff,
+                cfg.seed.wrapping_add(s as u64),
+            );
+            Shard::new(
+                s,
+                s * per..(s + 1) * per,
+                &factory,
+                cfg.checkpoint_every,
+                watchdog,
+            )
+        })
+        .collect();
+    (factory, shards)
+}
+
+/// Seeded Fisher–Yates permutation of `0..len`.
+fn shuffled(rng: &mut StdRng, len: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..len).collect();
+    for i in (1..len).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    order
+}
+
 #[test]
 fn permuted_visitation_matches_serial() {
-    // The permuted scheduler is the loom-free interleaving sanitizer:
-    // serial execution, shard visitation shuffled per chunk from a
-    // seed. Any seed must reproduce the serial bytes — shard order is
-    // not allowed to be observable.
+    // The loom-free interleaving sanitizer: each call steps the shards
+    // serially, but in a seeded shuffled order. Any seed must reproduce
+    // the serial pool's bytes — shard order is not allowed to be
+    // observable.
+    const CALL: u64 = 4;
     let (src, chan) = probe_ids();
     let mut serial = pool(true, FleetScheduler::Serial);
-    serial.run(ROUNDS, tick());
-    let reference = observe(&serial, src, chan);
+    for _ in 0..ROUNDS / CALL {
+        serial.run(CALL, tick());
+    }
+    assert_chaotic(&serial.totals());
+    let reference = observe(serial.shards(), src, chan);
     for seed in [0u64, 1, 42, 0xdead_beef] {
-        let mut permuted = pool(true, FleetScheduler::Permuted { seed });
-        permuted.run(ROUNDS, tick());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (factory, mut shards) = bare_shards(true);
+        let mut reordered = false;
+        for _ in 0..ROUNDS / CALL {
+            let order = shuffled(&mut rng, shards.len());
+            reordered |= order.windows(2).any(|w| w[0] > w[1]);
+            for i in order {
+                shards[i].run(&factory, CALL, tick());
+            }
+        }
+        assert!(reordered, "seed {seed:#x} never left shard order");
         assert_eq!(
             reference,
-            observe(&permuted, src, chan),
-            "permuted visitation (seed {seed:#x}) diverged from serial"
+            observe(&shards, src, chan),
+            "shuffled visitation (seed {seed:#x}) diverged from serial"
         );
     }
 }
@@ -302,8 +352,8 @@ fn mid_soak_checkpoints_restore_identically_from_any_scheduler() {
 
 #[test]
 fn scheduler_switches_mid_soak_do_not_change_the_trace() {
-    // Flipping the scheduler between run() calls — serial, stealing,
-    // permuted — is purely operational: the trace stays the one the
+    // Flipping the scheduler between run() calls — serial, stealing at
+    // 4 and at 8 workers — is purely operational: the trace stays the one the
     // serial scheduler produces for the same call sequence (call ends
     // themselves are observable; see unaligned_multi_call_splits_agree).
     let (src, chan) = probe_ids();
@@ -311,17 +361,17 @@ fn scheduler_switches_mid_soak_do_not_change_the_trace() {
     serial.run(30, tick());
     serial.run(33, tick());
     serial.run(33, tick());
-    let reference = observe(&serial, src, chan);
+    let reference = observe(serial.shards(), src, chan);
 
     let mut mixed = pool(true, FleetScheduler::Serial);
     mixed.run(30, tick());
     mixed.set_scheduler(FleetScheduler::WorkStealing { workers: 4 });
     mixed.run(33, tick());
-    mixed.set_scheduler(FleetScheduler::Permuted { seed: 7 });
+    mixed.set_scheduler(FleetScheduler::WorkStealing { workers: 8 });
     mixed.run(33, tick());
     assert_eq!(
         reference,
-        observe(&mixed, src, chan),
+        observe(mixed.shards(), src, chan),
         "mid-soak scheduler switches leaked into the trace"
     );
 }

@@ -246,7 +246,7 @@ fn shard_stats_are_runtime_state_not_snapshot_state() {
     let mut pool = FleetPool::new(config, factory);
     pool.run(12, tick());
     let stats = pool.stats();
-    assert!(stats.live_steps() > 0, "the fleet actually ran");
+    assert!(stats.totals().live_steps > 0, "the fleet actually ran");
     assert!(stats.shards.iter().all(|s| s.steps == 12));
     assert!(
         stats.shards.iter().all(|s| s.checkpoints > s.instances),
