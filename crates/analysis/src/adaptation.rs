@@ -20,7 +20,6 @@ use perpos_core::Middleware;
 use crate::dataflow::FlowGraph;
 use crate::diagnostic::{Code, Diagnostic, Report, Severity};
 use crate::domains::{infer_facts, GraphFacts};
-use crate::live::analyze_structure;
 
 /// One structural change in an adaptation plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,10 +83,11 @@ impl AdaptationPlan {
 
 /// Checks a plan against a live middleware without touching it: the
 /// plan is applied to a copy of `mw.structure()` and the resulting
-/// structure is fully analyzed — structural lints plus the semantic
-/// dataflow passes, with *semantic deltas* (how accuracy, rate and taint
-/// observed at the sinks change) reported at Info severity. The plan is
-/// safe when the returned report [has no errors](Report::has_errors).
+/// structure is lowered once and fully analyzed — structural lints plus
+/// the semantic dataflow passes, with *semantic deltas* (how accuracy,
+/// rate and taint observed at the sinks change) reported at Info
+/// severity. The plan is safe when the returned report
+/// [has no errors](Report::has_errors).
 pub fn check_adaptation(mw: &Middleware, plan: &AdaptationPlan) -> Report {
     check_adaptation_with_facts(mw, plan).report
 }
@@ -123,10 +123,9 @@ pub fn check_adaptation_with_facts(mw: &Middleware, plan: &AdaptationPlan) -> Ad
     for d in check_quarantined_targets(mw, &current, plan) {
         report.push(d);
     }
-    report.merge(analyze_structure(&result));
-
-    let after_graph = FlowGraph::from_structure(&result);
-    let after_facts = infer_facts(&after_graph);
+    let after_graph = crate::live::lower(&result, &mut report);
+    crate::lint::structural(&after_graph, &mut report);
+    let after_facts = crate::lint::semantic(&after_graph, &mut report);
     for d in semantic_deltas(&before_graph, &before_facts, &after_graph, &after_facts) {
         report.push(d);
     }

@@ -31,6 +31,13 @@ pub struct PortSpec {
     pub required_features: Vec<String>,
 }
 
+impl PortSpec {
+    /// Whether the port lets items of `kind` through.
+    pub fn accepts_kind(&self, kind: &str) -> bool {
+        self.accepts.is_empty() || self.accepts.iter().any(|k| k == kind)
+    }
+}
+
 /// Static description of one component type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComponentTypeSpec {

@@ -1,71 +1,41 @@
 //! Pre-instantiation analysis of declarative [`GraphConfig`]s.
 //!
-//! Runs the whole-graph lint passes a configuration can be checked
-//! against *before* any component is built: reference validity (P007),
-//! cycles (P005), type flow (P001), dangling inputs (P002), feature
-//! requirements (P003), dead components (P004), missing source fault
-//! policies (P009) and under-provisioned fleet containment (P016). All
-//! passes run even
-//! when earlier ones report errors, so one lint invocation surfaces
-//! everything at once; connections with broken references are simply
-//! skipped by the downstream passes.
+//! A configuration is lowered to the shared [`FlowGraph`] IR before any
+//! component is built, and judged by the same structural lints
+//! (P001–P006), dataflow domains and effect checks as a live structure.
+//! What stays here is what only a configuration can get wrong: broken
+//! references (P007 — duplicate names, unknown kinds, and wires failing
+//! the shared sound-edge rule or doubly driving a port), missing source
+//! fault policies (P009) and under-provisioned fleet containment (P016).
+//! All passes run even when earlier ones report errors, so one lint
+//! invocation surfaces everything at once; instances of an unknown kind
+//! stay in the graph untyped, so paths and cycles through them are still
+//! seen, while the dataflow domains run on the well-typed remainder.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use perpos_core::assembly::{ConnectionConfig, GraphConfig};
+use perpos_core::assembly::GraphConfig;
+use perpos_core::component::ComponentRole;
 
-use crate::catalog::{ComponentTypeSpec, TypeCatalog};
+use crate::catalog::TypeCatalog;
+use crate::dataflow::{FlowGraph, FlowNode};
 use crate::diagnostic::{Code, Diagnostic, Report, Severity};
 
 /// Analyzes a configuration against a catalog of component types,
-/// producing every applicable P001–P005/P007/P009/P016 finding.
+/// producing every applicable P001–P007, P009–P014, P016 and P018–P020
+/// finding.
 pub fn analyze_config(config: &GraphConfig, catalog: &TypeCatalog) -> Report {
     let mut report = Report::new();
-
-    // Instance name -> resolved type (None when the kind is unknown).
-    let mut instances: BTreeMap<&str, Option<ComponentTypeSpec>> = BTreeMap::new();
-    let mut seen = BTreeSet::new();
-    for c in &config.components {
-        if !seen.insert(c.name.as_str()) {
-            report.push(
-                Diagnostic::new(
-                    Code::P007,
-                    Severity::Error,
-                    format!("duplicate instance name {:?}", c.name),
-                    vec![c.name.clone()],
-                )
-                .with_hint("rename one of the instances; names must be unique"),
-            );
-            continue;
-        }
-        let spec = catalog.get(&c.kind);
-        if spec.is_none() {
-            report.push(
-                Diagnostic::new(
-                    Code::P007,
-                    Severity::Error,
-                    format!("unknown component type {:?}", c.kind),
-                    vec![c.name.clone()],
-                )
-                .with_hint(format!(
-                    "register a factory for {:?} or fix the kind; known types: {}",
-                    c.kind,
-                    known_kinds(catalog)
-                )),
-            );
-        }
-        instances.insert(c.name.as_str(), spec);
-    }
+    let graph = lower(config, catalog, &mut report);
+    let role = |name: &str| {
+        let node = graph.nodes.iter().find(|n| n.typed && n.label == name);
+        node.map(|n| n.role)
+    };
 
     // P009: source components left on the default Propagate policy —
     // the engine aborts the whole run on their first fault.
     for c in &config.components {
-        let is_source = instances
-            .get(c.name.as_str())
-            .and_then(|s| s.as_ref())
-            .map(|s| s.role == "source")
-            .unwrap_or(false);
-        if is_source && c.fault_policy.is_none() {
+        if role(&c.name) == Some(ComponentRole::Source) && c.fault_policy.is_none() {
             report.push(
                 Diagnostic::new(
                     Code::P009,
@@ -87,12 +57,7 @@ pub fn analyze_config(config: &GraphConfig, catalog: &TypeCatalog) -> Report {
     // containment and is paid for as a fleet checkpoint restart.
     if let Some(spec) = &config.fleet {
         for c in &config.components {
-            let is_app = instances
-                .get(c.name.as_str())
-                .and_then(|s| s.as_ref())
-                .map(|s| s.role == "sink")
-                .unwrap_or(c.kind == "application");
-            if is_app || c.fault_policy.is_some() {
+            if role(&c.name) == Some(ComponentRole::Sink) || c.fault_policy.is_some() {
                 continue;
             }
             report.push(
@@ -116,71 +81,111 @@ pub fn analyze_config(config: &GraphConfig, catalog: &TypeCatalog) -> Report {
         }
     }
 
-    // Validate each connection's references; collect the sound ones.
-    let mut edges: Vec<&ConnectionConfig> = Vec::new();
-    let mut driven: BTreeMap<(&str, usize), usize> = BTreeMap::new();
-    for conn in &config.connections {
-        let path = || {
-            vec![
-                conn.from.clone(),
-                format!("{}(port {})", conn.to, conn.port),
-            ]
+    crate::lint::structural(&graph, &mut report);
+    crate::lint::semantic(&graph.typed(), &mut report);
+    report
+}
+
+impl FlowGraph {
+    /// Builds the analysis representation of a declarative configuration.
+    ///
+    /// Components whose type the catalog does not know, and connections
+    /// failing the sound-edge rule (unknown instance, sink as producer,
+    /// out-of-range port), are skipped — the reference lints (P007)
+    /// report those; dataflow analysis runs on the well-formed remainder.
+    pub fn from_config(config: &GraphConfig, catalog: &TypeCatalog) -> FlowGraph {
+        lower(config, catalog, &mut Report::new()).typed()
+    }
+}
+
+/// Lowers `config` to the full [`FlowGraph`], instances of unknown kinds
+/// included as untyped nodes, reporting every broken reference (P007).
+fn lower(config: &GraphConfig, catalog: &TypeCatalog, report: &mut Report) -> FlowGraph {
+    let mut nodes = Vec::new();
+    let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+    for c in &config.components {
+        if index.contains_key(c.name.as_str()) {
+            report.push(
+                Diagnostic::new(
+                    Code::P007,
+                    Severity::Error,
+                    format!("duplicate instance name {:?}", c.name),
+                    vec![c.name.clone()],
+                )
+                .with_hint("rename one of the instances; names must be unique"),
+            );
+            continue;
+        }
+        index.insert(c.name.as_str(), nodes.len());
+        let Some(spec) = catalog.get(&c.kind) else {
+            report.push(
+                Diagnostic::new(
+                    Code::P007,
+                    Severity::Error,
+                    format!("unknown component type {:?}", c.kind),
+                    vec![c.name.clone()],
+                )
+                .with_hint(format!(
+                    "register a factory for {:?} or fix the kind; known types: {}",
+                    c.kind,
+                    known_kinds(catalog)
+                )),
+            );
+            nodes.push(FlowNode {
+                label: c.name.clone(),
+                role: ComponentRole::Processor,
+                inputs: Vec::new(),
+                provides: Vec::new(),
+                transfer: Default::default(),
+                anonymizes: false,
+                effects: Default::default(),
+                features: Vec::new(),
+                typed: false,
+            });
+            continue;
         };
-        let mut sound = true;
-        for end in [&conn.from, &conn.to] {
-            if !instances.contains_key(end.as_str()) {
-                report.push(
-                    Diagnostic::new(
-                        Code::P007,
-                        Severity::Error,
-                        format!("connection references unknown instance {end:?}"),
-                        path(),
-                    )
-                    .with_hint("declare the instance in `components` or fix the name"),
-                );
-                sound = false;
-            }
-        }
-        if let Some(Some(from_spec)) = instances.get(conn.from.as_str()) {
-            if !from_spec.has_output() {
-                report.push(
-                    Diagnostic::new(
-                        Code::P007,
-                        Severity::Error,
-                        format!("producer {:?} is a sink and has no output port", conn.from),
-                        path(),
-                    )
-                    .with_hint("sinks only consume; reverse the connection or pick a producer"),
-                );
-                sound = false;
-            }
-        }
-        if let Some(Some(to_spec)) = instances.get(conn.to.as_str()) {
-            if conn.port >= to_spec.inputs.len() {
-                report.push(
-                    Diagnostic::new(
-                        Code::P007,
-                        Severity::Error,
-                        format!(
-                            "port {} is out of range; {:?} declares {} input port(s)",
-                            conn.port,
-                            conn.to,
-                            to_spec.inputs.len()
-                        ),
-                        path(),
-                    )
-                    .with_hint(format!("use a port index below {}", to_spec.inputs.len())),
-                );
-                sound = false;
-            }
-        }
-        if sound {
+        let role = match spec.role.as_str() {
+            "source" => ComponentRole::Source,
+            "merge" => ComponentRole::Merge,
+            "sink" => ComponentRole::Sink,
+            _ => ComponentRole::Processor,
+        };
+        let base = spec.transfer.unwrap_or_default();
+        let transfer = match &c.transfer {
+            Some(over) => base.overlay(over),
+            None => base,
+        };
+        let effects_base = spec.effects.unwrap_or_default();
+        let effects = match &c.effects {
+            Some(over) => effects_base.overlay(over),
+            None => effects_base,
+        };
+        nodes.push(FlowNode {
+            label: c.name.clone(),
+            role,
+            inputs: spec.inputs,
+            provides: spec.provides,
+            anonymizes: transfer.anonymizes == Some(true),
+            transfer,
+            effects,
+            features: Vec::new(),
+            typed: true,
+        });
+    }
+
+    let mut edges = Vec::new();
+    let mut driven: BTreeMap<(&str, usize), usize> = BTreeMap::new();
+    let end = |name: &str| index.get(name).copied();
+    for conn in &config.connections {
+        let from = (conn.from.as_str(), end(&conn.from));
+        let to = (conn.to.as_str(), end(&conn.to));
+        if let Some(edge) = FlowGraph::sound_edge(&nodes, from, to, conn.port, report) {
             *driven.entry((conn.to.as_str(), conn.port)).or_insert(0) += 1;
-            edges.push(conn);
+            edges.push(edge);
         }
     }
-    for ((to, port), count) in &driven {
-        if *count > 1 {
+    for ((to, port), count) in driven {
+        if count > 1 {
             report.push(
                 Diagnostic::new(
                     Code::P007,
@@ -192,24 +197,9 @@ pub fn analyze_config(config: &GraphConfig, catalog: &TypeCatalog) -> Report {
             );
         }
     }
-
-    check_cycles(&instances, &edges, &mut report);
-    check_type_flow(&instances, &edges, &mut report);
-    check_dangling_inputs(config, &instances, &edges, &mut report);
-    check_feature_requirements(&instances, &edges, &mut report);
-    check_dead_components(config, &instances, &edges, &mut report);
-
-    // Semantic dataflow analyses (P010-P014) over the well-referenced
-    // part of the configuration.
-    let flow = crate::dataflow::FlowGraph::from_config(config, catalog);
-    let (_, dataflow_report) = crate::domains::analyze_dataflow(&flow);
-    report.merge(dataflow_report);
-
-    // Effect & determinism checks (P018-P020) against the fleet
-    // deployment the configuration declares.
-    crate::effects::effect_diagnostics(&flow, &mut report);
-
-    report
+    let mut graph = FlowGraph::finish(nodes, edges);
+    graph.fleet = config.fleet.clone();
+    graph
 }
 
 fn known_kinds(catalog: &TypeCatalog) -> String {
@@ -217,271 +207,6 @@ fn known_kinds(catalog: &TypeCatalog) -> String {
     kinds.push(crate::catalog::APPLICATION_KIND);
     kinds.sort_unstable();
     kinds.join(", ")
-}
-
-/// P005: strongly connected components of the instance graph; every SCC
-/// with more than one member — or a self-loop — is one cycle finding.
-fn check_cycles(
-    instances: &BTreeMap<&str, Option<ComponentTypeSpec>>,
-    edges: &[&ConnectionConfig],
-    report: &mut Report,
-) {
-    let names: Vec<&str> = instances.keys().copied().collect();
-    let index: BTreeMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-    for e in edges {
-        if let (Some(&f), Some(&t)) = (index.get(e.from.as_str()), index.get(e.to.as_str())) {
-            succ[f].push(t);
-        }
-    }
-    for scc in strongly_connected(&succ) {
-        let cyclic = scc.len() > 1 || succ[scc[0]].contains(&scc[0]);
-        if cyclic {
-            let mut members: Vec<String> = scc.iter().map(|&i| names[i].to_string()).collect();
-            members.sort_unstable();
-            report.push(
-                Diagnostic::new(
-                    Code::P005,
-                    Severity::Error,
-                    format!("connections form a cycle through {}", members.join(" -> ")),
-                    members.clone(),
-                )
-                .with_hint("positioning processes are DAGs; remove one edge of the cycle"),
-            );
-        }
-    }
-}
-
-/// Iterative Tarjan SCC over an adjacency list.
-fn strongly_connected(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succ.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut sccs = Vec::new();
-    let mut next = 0usize;
-
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        // Explicit DFS frame: (node, next child position).
-        let mut frames = vec![(start, 0usize)];
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child == 0 {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = succ[v].get(*child) {
-                *child += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack invariant");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable();
-                    sccs.push(scc);
-                }
-                frames.pop();
-                if let Some(&mut (u, _)) = frames.last_mut() {
-                    low[u] = low[u].min(low[v]);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// P001: the producer's provided kinds must intersect the consuming
-/// port's accepted kinds (empty accepts = any).
-fn check_type_flow(
-    instances: &BTreeMap<&str, Option<ComponentTypeSpec>>,
-    edges: &[&ConnectionConfig],
-    report: &mut Report,
-) {
-    for e in edges {
-        let (Some(Some(from)), Some(Some(to))) =
-            (instances.get(e.from.as_str()), instances.get(e.to.as_str()))
-        else {
-            continue;
-        };
-        let Some(port) = to.inputs.get(e.port) else {
-            continue;
-        };
-        if port.accepts.is_empty() {
-            continue;
-        }
-        if !from.provides.iter().any(|k| port.accepts.contains(k)) {
-            report.push(
-                Diagnostic::new(
-                    Code::P001,
-                    Severity::Error,
-                    format!(
-                        "{:?} provides [{}] but port {:?} of {:?} accepts [{}]",
-                        e.from,
-                        from.provides.join(", "),
-                        port.name,
-                        e.to,
-                        port.accepts.join(", ")
-                    ),
-                    vec![e.from.clone(), format!("{}(port {})", e.to, e.port)],
-                )
-                .with_hint(
-                    "insert a converting component between the two, or connect a \
-                     producer of a compatible kind",
-                ),
-            );
-        }
-    }
-}
-
-/// P002: declared input ports that no connection drives. Every port of a
-/// processor or merge is required (error); the application sink's 16
-/// any-kind ports are optional, but a sink with *no* input at all is
-/// suspicious (warning).
-fn check_dangling_inputs(
-    config: &GraphConfig,
-    instances: &BTreeMap<&str, Option<ComponentTypeSpec>>,
-    edges: &[&ConnectionConfig],
-    report: &mut Report,
-) {
-    let driven: BTreeSet<(&str, usize)> = edges.iter().map(|e| (e.to.as_str(), e.port)).collect();
-    for c in &config.components {
-        let Some(Some(spec)) = instances.get(c.name.as_str()) else {
-            continue;
-        };
-        if spec.is_sink() {
-            let any = (0..spec.inputs.len()).any(|p| driven.contains(&(c.name.as_str(), p)));
-            if !any {
-                report.push(
-                    Diagnostic::new(
-                        Code::P002,
-                        Severity::Warning,
-                        format!("sink {:?} has no connected input", c.name),
-                        vec![c.name.clone()],
-                    )
-                    .with_hint("connect the end of the positioning process to this sink"),
-                );
-            }
-            continue;
-        }
-        for (i, port) in spec.inputs.iter().enumerate() {
-            if !driven.contains(&(c.name.as_str(), i)) {
-                report.push(
-                    Diagnostic::new(
-                        Code::P002,
-                        Severity::Error,
-                        format!(
-                            "input port {:?} (index {i}) of {:?} is never connected",
-                            port.name, c.name
-                        ),
-                        vec![format!("{}(port {i})", c.name)],
-                    )
-                    .with_hint(if port.accepts.is_empty() {
-                        "connect any producer to this port".to_string()
-                    } else {
-                        format!("connect a producer of [{}]", port.accepts.join(", "))
-                    }),
-                );
-            }
-        }
-    }
-}
-
-/// P003: a port with `required_features` can never be satisfied by plain
-/// configuration instantiation — factories build bare components, and
-/// `connect` validates feature requirements at wiring time, before any
-/// feature could be attached.
-fn check_feature_requirements(
-    instances: &BTreeMap<&str, Option<ComponentTypeSpec>>,
-    edges: &[&ConnectionConfig],
-    report: &mut Report,
-) {
-    for e in edges {
-        let Some(Some(to)) = instances.get(e.to.as_str()) else {
-            continue;
-        };
-        let Some(port) = to.inputs.get(e.port) else {
-            continue;
-        };
-        for feature in &port.required_features {
-            report.push(
-                Diagnostic::new(
-                    Code::P003,
-                    Severity::Error,
-                    format!(
-                        "port {:?} of {:?} requires feature {:?} on the producer, but \
-                         configurations instantiate bare components",
-                        port.name, e.to, feature
-                    ),
-                    vec![e.from.clone(), format!("{}(port {})", e.to, e.port)],
-                )
-                .with_hint(format!(
-                    "build this edge through the graph API after attaching {feature:?} \
-                     to {:?}, or drop the requirement",
-                    e.from
-                )),
-            );
-        }
-    }
-}
-
-/// P004: instances with no directed path to any sink produce data nobody
-/// consumes (orphan sources, dead subgraphs).
-fn check_dead_components(
-    config: &GraphConfig,
-    instances: &BTreeMap<&str, Option<ComponentTypeSpec>>,
-    edges: &[&ConnectionConfig],
-    report: &mut Report,
-) {
-    // Walk backwards from every sink over reversed edges.
-    let mut alive: BTreeSet<&str> = instances
-        .iter()
-        .filter(|(_, s)| s.as_ref().is_some_and(|s| s.is_sink()))
-        .map(|(n, _)| *n)
-        .collect();
-    let mut frontier: Vec<&str> = alive.iter().copied().collect();
-    while let Some(n) = frontier.pop() {
-        for e in edges {
-            if e.to == n && alive.insert(e.from.as_str()) {
-                frontier.push(e.from.as_str());
-            }
-        }
-    }
-    for c in &config.components {
-        let Some(Some(_)) = instances.get(c.name.as_str()) else {
-            continue;
-        };
-        if !alive.contains(c.name.as_str()) {
-            report.push(
-                Diagnostic::new(
-                    Code::P004,
-                    Severity::Warning,
-                    format!(
-                        "{:?} has no path to any sink; its output is never consumed",
-                        c.name
-                    ),
-                    vec![c.name.clone()],
-                )
-                .with_hint("connect it (transitively) to a sink, or remove it"),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -590,5 +315,35 @@ mod tests {
         let report = analyze_config(&config, &catalog());
         assert_eq!(report.with_code(Code::P007).len(), 1);
         assert_eq!(report.with_code(Code::P002).len(), 1);
+    }
+
+    #[test]
+    fn unknown_type_instances_still_carry_paths_and_cycles() {
+        // `s0 → u0`, `u0 → app`, `u0 ⇄ v0`, with u0 and v0 of a kind the
+        // catalog lacks: each is one P007, the u0/v0 loop is still a
+        // cycle, and s0 still reaches the sink through u0 (no P004).
+        let config = GraphConfig {
+            components: vec![
+                supervised_comp("s0", "gps"),
+                comp("u0", "nope"),
+                comp("v0", "nope"),
+                comp("app", "application"),
+            ],
+            connections: vec![
+                edge("s0", "u0", 0),
+                edge("u0", "app", 0),
+                edge("u0", "v0", 0),
+                edge("v0", "u0", 1),
+            ],
+            fleet: None,
+        };
+        let report = analyze_config(&config, &catalog());
+        let text = report.render_human();
+        assert_eq!(report.diagnostics.len(), 3, "{text}");
+        assert_eq!(report.with_code(Code::P007).len(), 2, "{text}");
+        let cycles = report.with_code(Code::P005);
+        assert_eq!(cycles.len(), 1, "{text}");
+        assert_eq!(cycles[0].path, vec!["u0".to_string(), "v0".to_string()]);
+        assert!(cycles[0].message.contains("u0 -> v0"), "{text}");
     }
 }

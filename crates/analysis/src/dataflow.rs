@@ -13,12 +13,15 @@
 //!
 //! - [`FlowGraph`] — a common intermediate representation built either
 //!   [from a declarative configuration](FlowGraph::from_config) (types
-//!   resolved against a [`TypeCatalog`], per-instance
-//!   [`TransferSpec`] overrides applied) or
+//!   resolved against a [`TypeCatalog`](crate::TypeCatalog),
+//!   per-instance [`TransferSpec`] overrides applied) or
 //!   [from the live structure](FlowGraph::from_structure)
-//!   (`Middleware::structure()` output, feature-added kinds included).
-//!   Running the same analyses over both is what makes config-level and
-//!   live-level findings comparable (parity-tested in the suite).
+//!   (`Middleware::structure()` output, attached features included).
+//!   Both lowerings admit a wire only through one sound-edge rule, and
+//!   the structural lints (P001–P006), the dataflow domains and the
+//!   effect checks all run on the result, which is what makes
+//!   config-level and live-level findings agree (parity-tested in the
+//!   suite).
 //! - [`solve`] — a fixpoint solver for any [`Domain`]. Positioning
 //!   processes are DAGs, so the common case is a single pass in
 //!   topological order; structures that already violate the DAG
@@ -26,27 +29,18 @@
 //!   [widening](Domain::widen) and a step cap, so the solver terminates
 //!   on *any* input.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use perpos_core::assembly::{FleetSpec, GraphConfig};
+use perpos_core::assembly::FleetSpec;
 use perpos_core::component::{ComponentRole, EffectSpec, TransferSpec};
-use perpos_core::graph::NodeInfo;
+use perpos_core::feature::FeatureDescriptor;
 
-use crate::catalog::TypeCatalog;
+use crate::diagnostic::{Code, Diagnostic, Report, Severity};
 
-/// One input port of a [`FlowNode`]: the kinds it accepts (empty = any).
-#[derive(Debug, Clone, Default)]
-pub struct FlowPort {
-    /// Accepted data kinds; empty means the port accepts anything.
-    pub accepts: Vec<String>,
-}
-
-impl FlowPort {
-    /// Whether the port lets items of `kind` through.
-    pub fn accepts_kind(&self, kind: &str) -> bool {
-        self.accepts.is_empty() || self.accepts.iter().any(|k| k == kind)
-    }
-}
+/// One input port of a [`FlowNode`]: the catalog's port declaration
+/// (name, accepted kinds, required features), which live ports lower
+/// into as well.
+pub type FlowPort = crate::catalog::PortSpec;
 
 /// One component instance in the analysis representation.
 #[derive(Debug, Clone)]
@@ -70,6 +64,16 @@ pub struct FlowNode {
     /// Effective effect metadata (type-level spec overlaid with any
     /// per-instance override).
     pub effects: EffectSpec,
+    /// Descriptors of the attached Component Features; always empty for
+    /// configuration nodes, since factories build bare components.
+    pub features: Vec<FeatureDescriptor>,
+    /// Whether the node's type is known. Only the configuration lowering
+    /// inside [`crate::analyze_config`] produces untyped nodes (instances
+    /// of a kind the catalog lacks): they carry wires, so paths and
+    /// cycles through them stay visible, but no ports, kinds or
+    /// semantics. Graphs handed out by the public constructors are fully
+    /// typed.
+    pub(crate) typed: bool,
 }
 
 /// One wire: output of `from` into input `port` of `to`.
@@ -114,129 +118,86 @@ impl FlowGraph {
         }
     }
 
-    /// Builds the analysis representation of a declarative configuration.
-    ///
-    /// Components whose type the catalog does not know, and connections
-    /// referencing unknown instances or out-of-range ports, are skipped —
-    /// the reference lints (P007) report those; dataflow analysis runs on
-    /// the well-formed remainder.
-    pub fn from_config(config: &GraphConfig, catalog: &TypeCatalog) -> FlowGraph {
-        let mut nodes = Vec::new();
-        let mut index: BTreeMap<&str, usize> = BTreeMap::new();
-        for c in &config.components {
-            let Some(spec) = catalog.get(&c.kind) else {
-                continue;
-            };
-            if index.contains_key(c.name.as_str()) {
-                continue; // duplicate instance name; P007 reports it
+    /// The one sound-edge rule both lowerings share: the wire from
+    /// `from` into input `port` of `to` — each end given as its label
+    /// and, when known, its node index — enters the graph only when both
+    /// ends are known, the producer has an output and a typed consumer
+    /// declares the port. Each broken condition is one P007, and an
+    /// unsound wire is dropped, so no pass ever indexes a missing port.
+    pub(crate) fn sound_edge(
+        nodes: &[FlowNode],
+        from: (&str, Option<usize>),
+        to: (&str, Option<usize>),
+        port: usize,
+        report: &mut Report,
+    ) -> Option<FlowEdge> {
+        let typed = |index: Option<usize>| index.map(|i| &nodes[i]).filter(|n| n.typed);
+        let mut faults: Vec<(String, String)> = Vec::new();
+        for (label, index) in [from, to] {
+            if index.is_none() {
+                faults.push((
+                    format!("connection references unknown instance {label:?}"),
+                    "declare the instance or fix the reference".into(),
+                ));
             }
-            let role = match spec.role.as_str() {
-                "source" => ComponentRole::Source,
-                "merge" => ComponentRole::Merge,
-                "sink" => ComponentRole::Sink,
-                _ => ComponentRole::Processor,
-            };
-            let base = spec.transfer.clone().unwrap_or_default();
-            let transfer = match &c.transfer {
-                Some(over) => base.overlay(over),
-                None => base,
-            };
-            let effects_base = spec.effects.clone().unwrap_or_default();
-            let effects = match &c.effects {
-                Some(over) => effects_base.overlay(over),
-                None => effects_base,
-            };
-            let anonymizes = transfer.anonymizes == Some(true);
-            index.insert(c.name.as_str(), nodes.len());
-            nodes.push(FlowNode {
-                label: c.name.clone(),
-                role,
-                inputs: spec
-                    .inputs
-                    .iter()
-                    .map(|p| FlowPort {
-                        accepts: p.accepts.clone(),
-                    })
-                    .collect(),
-                provides: spec.provides.clone(),
-                transfer,
-                anonymizes,
-                effects,
-            });
         }
-        let mut edges = Vec::new();
-        for conn in &config.connections {
-            let (Some(&from), Some(&to)) =
-                (index.get(conn.from.as_str()), index.get(conn.to.as_str()))
-            else {
-                continue;
-            };
-            if conn.port >= nodes[to].inputs.len() {
-                continue;
-            }
-            edges.push(FlowEdge {
-                from,
-                to,
-                port: conn.port,
-            });
+        if typed(from.1).is_some_and(|n| n.role == ComponentRole::Sink) {
+            faults.push((
+                format!("producer {:?} is a sink and has no output port", from.0),
+                "sinks only consume; reverse the connection or pick a producer".into(),
+            ));
         }
-        let mut graph = FlowGraph::finish(nodes, edges);
-        graph.fleet = config.fleet.clone();
-        graph
+        if let Some(consumer) = typed(to.1).filter(|n| port >= n.inputs.len()) {
+            let declared = consumer.inputs.len();
+            faults.push((
+                format!(
+                    "port {port} is out of range; {:?} declares {declared} input port(s)",
+                    to.0
+                ),
+                format!("use a port index below {declared}"),
+            ));
+        }
+        let path = vec![from.0.to_string(), format!("{}(port {port})", to.0)];
+        let sound = faults.is_empty();
+        for (message, hint) in faults {
+            report.push(
+                Diagnostic::new(Code::P007, Severity::Error, message, path.clone()).with_hint(hint),
+            );
+        }
+        let edge = FlowEdge {
+            from: from.1?,
+            to: to.1?,
+            port,
+        };
+        sound.then_some(edge)
     }
 
-    /// Builds the analysis representation of a live (or simulated)
-    /// structure, as returned by `Middleware::structure()`.
-    pub fn from_structure(structure: &[NodeInfo]) -> FlowGraph {
-        let index: BTreeMap<_, _> = structure
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
+    /// The well-typed remainder the dataflow domains run on: untyped
+    /// nodes and every wire touching one dropped, the rest renumbered in
+    /// order.
+    pub(crate) fn typed(self) -> FlowGraph {
+        let mut renumber = vec![None; self.nodes.len()];
         let mut nodes = Vec::new();
-        let mut edges = Vec::new();
-        for (i, n) in structure.iter().enumerate() {
-            let mut provides: Vec<String> = n
-                .descriptor
-                .output
-                .as_ref()
-                .map(|o| o.provides.iter().map(|k| k.as_str().to_string()).collect())
-                .unwrap_or_default();
-            for f in &n.features {
-                for k in &f.adds_kinds {
-                    let s = k.as_str().to_string();
-                    if !provides.contains(&s) {
-                        provides.push(s);
-                    }
-                }
-            }
-            let anonymizes = n.descriptor.transfer.anonymizes == Some(true)
-                || n.features.iter().any(|f| f.anonymizes);
-            nodes.push(FlowNode {
-                label: format!("{} ({})", n.descriptor.name, n.id),
-                role: n.descriptor.role,
-                inputs: n
-                    .descriptor
-                    .inputs
-                    .iter()
-                    .map(|p| FlowPort {
-                        accepts: p.accepts.iter().map(|k| k.as_str().to_string()).collect(),
-                    })
-                    .collect(),
-                provides,
-                transfer: n.descriptor.transfer.clone(),
-                anonymizes,
-                effects: n.descriptor.effects.clone(),
-            });
-            for (port, producer) in n.inputs.iter().enumerate() {
-                let Some(pid) = producer else { continue };
-                let Some(&from) = index.get(pid) else {
-                    continue;
-                };
-                edges.push(FlowEdge { from, to: i, port });
+        for (i, n) in self.nodes.into_iter().enumerate() {
+            if n.typed {
+                renumber[i] = Some(nodes.len());
+                nodes.push(n);
             }
         }
-        FlowGraph::finish(nodes, edges)
+        let edges = self
+            .edges
+            .iter()
+            .filter_map(|e| {
+                Some(FlowEdge {
+                    from: renumber[e.from]?,
+                    to: renumber[e.to]?,
+                    port: e.port,
+                })
+            })
+            .collect();
+        let mut graph = FlowGraph::finish(nodes, edges);
+        graph.fleet = self.fleet;
+        graph
     }
 
     /// Edge indices entering `node` (wires driving its input ports).
@@ -416,8 +377,8 @@ pub fn solve<D: Domain>(graph: &FlowGraph, domain: &D) -> Solution<D::Fact> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{ComponentTypeSpec, PortSpec};
-    use perpos_core::assembly::{ComponentConfig, ConnectionConfig};
+    use crate::catalog::{ComponentTypeSpec, PortSpec, TypeCatalog};
+    use perpos_core::assembly::{ComponentConfig, ConnectionConfig, GraphConfig};
 
     fn spec(kind: &str, role: &str, inputs: usize, provides: &[&str]) -> ComponentTypeSpec {
         ComponentTypeSpec {

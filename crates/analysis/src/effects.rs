@@ -184,6 +184,8 @@ mod tests {
             transfer: TransferSpec::default(),
             anonymizes: false,
             effects,
+            features: Vec::new(),
+            typed: true,
         }
     }
 

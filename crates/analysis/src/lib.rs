@@ -23,15 +23,19 @@
 //! - **Runtime probing** ([`MonotonicityProbe`]): a Channel Feature
 //!   asserting logical-time monotonicity on every delivery (P008).
 //!
+//! Configurations, live structures and plans all lower to one graph IR,
+//! [`FlowGraph`], through one sound-edge rule, and the structural lints
+//! P001–P006 are written once over it, so a process is judged the same
+//! way whether it is declared or reflected.
+//!
 //! Beyond the structural lints, a forward-dataflow framework
 //! ([`dataflow`], [`domains`]) infers whole-graph *semantic* facts —
 //! coordinate frames, achievable accuracy, privacy taint and item rates
 //! — as lattice fixpoints of per-component transfer functions, and
 //! reports frame conflicts (P010), unreachable accuracy claims (P011),
 //! identifiable data leaking to the application (P012) and statically
-//! overloaded components (P013, with P014 predicting when the overload will hit the channel ring cap). The same analyses run on configurations
-//! and live structures, so config-time and adaptation-time findings
-//! agree.
+//! overloaded components (P013, with P014 predicting when the overload
+//! will hit the channel ring cap) over the same IR.
 //!
 //! An effect layer ([`effects`]) checks declared
 //! [`EffectSpec`](perpos_core::component::EffectSpec) metadata against
@@ -83,6 +87,7 @@ pub mod diagnostic;
 pub mod domains;
 pub mod effects;
 pub mod gate;
+mod lint;
 pub mod live;
 pub mod probe;
 pub mod synth;

@@ -3,19 +3,22 @@
 //! deltas, quarantined plan targets and privacy regressions caused by
 //! feature detachment.
 //!
-//! Each parity test builds a live middleware graph that mirrors one of
-//! the JSON fixtures and asserts that [`analyze_structure`] and
-//! [`analyze_config`] report the same diagnostic codes: the translucent
-//! promise is that declared configurations and reflected structures are
-//! judged by one analysis, not two.
+//! Each parity test builds a live middleware graph (or a structure
+//! simulated from one, for shapes the live graph refuses to build) that
+//! mirrors one of the JSON fixtures and asserts that
+//! [`analyze_structure`] and [`analyze_config`] report the same
+//! (code, severity) multiset: the translucent promise is that declared
+//! configurations and reflected structures are judged by one analysis,
+//! not two.
 
 #![allow(clippy::unwrap_used)]
 
 use perpos_analysis::adaptation::{
-    check_adaptation, check_adaptation_with_facts, AdaptationOp, AdaptationPlan,
+    check_adaptation, check_adaptation_with_facts, simulate, AdaptationOp, AdaptationPlan,
 };
 use perpos_analysis::{analyze_config, analyze_structure, Code, Report, Severity, TypeCatalog};
 use perpos_core::assembly::GraphConfig;
+use perpos_core::graph::NodeInfo;
 use perpos_core::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -123,26 +126,32 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
 }
 
-fn lint_fixture(name: &str) -> Report {
-    let catalog: TypeCatalog = serde_json::from_str(&fixture("catalog.json")).unwrap();
-    let config: GraphConfig = serde_json::from_str(&fixture(name)).unwrap();
-    analyze_config(&config, &catalog)
+fn catalog() -> TypeCatalog {
+    serde_json::from_str(&fixture("catalog.json")).unwrap()
 }
 
-fn codes(report: &Report) -> Vec<&'static str> {
-    let mut v: Vec<&'static str> = report.diagnostics.iter().map(|d| d.code.as_str()).collect();
+fn fixture_config(name: &str) -> GraphConfig {
+    serde_json::from_str(&fixture(name)).unwrap()
+}
+
+fn findings(report: &Report) -> Vec<(&'static str, Severity)> {
+    let mut v: Vec<_> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.code.as_str(), d.severity))
+        .collect();
     v.sort_unstable();
     v
 }
 
-/// Asserts the live structure and the config fixture report the same
-/// diagnostic codes, and that `expected` is among them.
-fn assert_parity(mw: &Middleware, fixture_name: &str, expected: Code) {
-    let live = analyze_structure(&mw.structure());
-    let config = lint_fixture(fixture_name);
+/// Asserts the structure and the configuration report the same
+/// (code, severity) multiset, and that `expected` is among them.
+fn assert_parity(structure: &[NodeInfo], config: &GraphConfig, expected: Code) {
+    let live = analyze_structure(structure);
+    let config = analyze_config(config, &catalog());
     assert_eq!(
-        codes(&live),
-        codes(&config),
+        findings(&live),
+        findings(&config),
         "live:\n{}\nconfig:\n{}",
         live.render_human(),
         config.render_human()
@@ -152,6 +161,18 @@ fn assert_parity(mw: &Middleware, fixture_name: &str, expected: Code) {
         "{}",
         live.render_human()
     );
+}
+
+/// Applies `plan` to the middleware's structure; the plan itself must
+/// apply cleanly (the shape it builds is what the parity test checks).
+fn simulated(mw: &Middleware, plan: AdaptationPlan) -> Vec<NodeInfo> {
+    let (nodes, ops) = simulate(mw.structure(), &plan);
+    assert!(ops.is_clean(), "{}", ops.render_human());
+    nodes
+}
+
+fn connect(from: NodeId, to: NodeId, port: usize) -> AdaptationPlan {
+    AdaptationPlan::new().then(AdaptationOp::Connect { from, to, port })
 }
 
 #[test]
@@ -168,7 +189,11 @@ fn p010_frame_conflict_config_and_live_agree() {
     mw.connect(decode, fuse, 0).unwrap();
     mw.connect(beacon, fuse, 1).unwrap();
     mw.connect(fuse, app, 0).unwrap();
-    assert_parity(&mw, "p010_frame_conflict.json", Code::P010);
+    assert_parity(
+        &mw.structure(),
+        &fixture_config("p010_frame_conflict.json"),
+        Code::P010,
+    );
 }
 
 #[test]
@@ -183,7 +208,11 @@ fn p011_unreachable_accuracy_config_and_live_agree() {
     mw.connect(parse, decode, 0).unwrap();
     mw.connect(decode, predict, 0).unwrap();
     mw.connect(predict, app, 0).unwrap();
-    assert_parity(&mw, "p011_unreachable_accuracy.json", Code::P011);
+    assert_parity(
+        &mw.structure(),
+        &fixture_config("p011_unreachable_accuracy.json"),
+        Code::P011,
+    );
 }
 
 #[test]
@@ -192,7 +221,11 @@ fn p012_raw_to_sink_config_and_live_agree() {
     let gps = mw.add_boxed_component(stub(gps_desc("gps0")));
     let app = mw.application_sink();
     mw.connect(gps, app, 0).unwrap();
-    assert_parity(&mw, "p012_raw_to_sink.json", Code::P012);
+    assert_parity(
+        &mw.structure(),
+        &fixture_config("p012_raw_to_sink.json"),
+        Code::P012,
+    );
 }
 
 #[test]
@@ -207,7 +240,161 @@ fn p013_rate_overrun_config_and_live_agree() {
     mw.connect(parse, slow, 0).unwrap();
     mw.connect(slow, decode, 0).unwrap();
     mw.connect(decode, app, 0).unwrap();
-    assert_parity(&mw, "p013_rate_overrun.json", Code::P013);
+    assert_parity(
+        &mw.structure(),
+        &fixture_config("p013_rate_overrun.json"),
+        Code::P013,
+    );
+}
+
+fn projector_desc(name: &str) -> ComponentDescriptor {
+    ComponentDescriptor::processor(
+        name,
+        InputSpec::new("in", vec![kinds::POSITION_WGS84]),
+        vec![kinds::POSITION_WGS84],
+    )
+    .with_transfer(TransferSpec::new().transforms_frames())
+}
+
+fn confidence_desc(name: &str) -> ComponentDescriptor {
+    ComponentDescriptor::processor(
+        name,
+        InputSpec::new("in", vec![kinds::POSITION_WGS84]).requiring_feature("Hdop"),
+        vec![kinds::POSITION_WGS84],
+    )
+}
+
+fn echo_desc(name: &str) -> ComponentDescriptor {
+    ComponentDescriptor::processor(
+        name,
+        InputSpec::new("in", vec![]),
+        vec![kinds::NMEA_SENTENCE],
+    )
+}
+
+// Structural findings (P001-P005): the live graph refuses to build
+// mismatched, feature-less or cyclic wires, so those shapes come from
+// simulating the one offending connect.
+
+#[test]
+fn p001_kind_mismatch_config_and_live_agree() {
+    let mut mw = Middleware::new();
+    let gps = mw.add_boxed_component(stub(gps_desc("gps0")));
+    let decode = mw.add_boxed_component(stub(decoder_desc("decode0")));
+    let app = mw.application_sink();
+    mw.connect(decode, app, 0).unwrap();
+    let structure = simulated(&mw, connect(gps, decode, 0));
+    assert_parity(
+        &structure,
+        &fixture_config("p001_kind_mismatch.json"),
+        Code::P001,
+    );
+}
+
+#[test]
+fn p002_dangling_input_config_and_live_agree() {
+    let mut mw = Middleware::new();
+    let parse = mw.add_boxed_component(stub(parser_desc("parse0")));
+    let app = mw.application_sink();
+    mw.connect(parse, app, 0).unwrap();
+    assert_parity(
+        &mw.structure(),
+        &fixture_config("p002_dangling_input.json"),
+        Code::P002,
+    );
+}
+
+#[test]
+fn p003_missing_feature_config_and_live_agree() {
+    let mut mw = Middleware::new();
+    let gps = mw.add_boxed_component(stub(gps_desc("gps0")));
+    let parse = mw.add_boxed_component(stub(parser_desc("parse0")));
+    let decode = mw.add_boxed_component(stub(decoder_desc("decode0")));
+    let conf = mw.add_boxed_component(stub(confidence_desc("conf0")));
+    let app = mw.application_sink();
+    mw.connect(gps, parse, 0).unwrap();
+    mw.connect(parse, decode, 0).unwrap();
+    mw.connect(conf, app, 0).unwrap();
+    let structure = simulated(&mw, connect(decode, conf, 0));
+    assert_parity(
+        &structure,
+        &fixture_config("p003_missing_feature.json"),
+        Code::P003,
+    );
+}
+
+#[test]
+fn p004_dead_component_config_and_live_agree() {
+    let mut mw = Middleware::new();
+    let gps = mw.add_boxed_component(stub(gps_desc("gps0")));
+    let parse = mw.add_boxed_component(stub(parser_desc("parse0")));
+    mw.add_boxed_component(stub(gps_desc("gps_spare")));
+    let app = mw.application_sink();
+    mw.connect(gps, parse, 0).unwrap();
+    mw.connect(parse, app, 0).unwrap();
+    assert_parity(
+        &mw.structure(),
+        &fixture_config("p004_dead_component.json"),
+        Code::P004,
+    );
+}
+
+#[test]
+fn p005_cycle_config_and_live_agree() {
+    let mut mw = Middleware::new();
+    let echo1 = mw.add_boxed_component(stub(echo_desc("echo1")));
+    let echo2 = mw.add_boxed_component(stub(echo_desc("echo2")));
+    let app = mw.application_sink();
+    mw.connect(echo1, echo2, 0).unwrap();
+    mw.connect(echo2, app, 0).unwrap();
+    let structure = simulated(&mw, connect(echo2, echo1, 0));
+    assert_parity(&structure, &fixture_config("p005_cycle.json"), Code::P005);
+}
+
+#[test]
+fn two_cycles_through_one_merge_are_one_p005_on_both_sides() {
+    // m0 ⇄ b0 and m0 ⇄ c0: two cycles, one strongly connected component
+    // {b0, c0, m0}, so one finding whichever surface declares it.
+    let config: GraphConfig = serde_json::from_str(
+        r#"{
+            "components": [
+                {"name": "m0", "kind": "fusion"},
+                {"name": "b0", "kind": "projector"},
+                {"name": "c0", "kind": "projector"},
+                {"name": "app", "kind": "application"}
+            ],
+            "connections": [
+                {"from": "m0", "to": "b0", "port": 0},
+                {"from": "m0", "to": "c0", "port": 0},
+                {"from": "m0", "to": "app", "port": 0},
+                {"from": "b0", "to": "m0", "port": 0},
+                {"from": "c0", "to": "m0", "port": 1}
+            ]
+        }"#,
+    )
+    .unwrap();
+    let mut mw = Middleware::new();
+    let m0 = mw.add_boxed_component(stub(fusion_desc("m0")));
+    let b0 = mw.add_boxed_component(stub(projector_desc("b0")));
+    let c0 = mw.add_boxed_component(stub(projector_desc("c0")));
+    let app = mw.application_sink();
+    mw.connect(m0, b0, 0).unwrap();
+    mw.connect(m0, c0, 0).unwrap();
+    mw.connect(m0, app, 0).unwrap();
+    let plan = connect(b0, m0, 0).then(AdaptationOp::Connect {
+        from: c0,
+        to: m0,
+        port: 1,
+    });
+    let structure = simulated(&mw, plan);
+    assert_parity(&structure, &config, Code::P005);
+    let live = analyze_structure(&structure);
+    assert_eq!(
+        live.with_code(Code::P005).len(),
+        1,
+        "{}",
+        live.render_human()
+    );
 }
 
 // ---------------------------------------------------------------------
