@@ -151,7 +151,7 @@ pub fn diagnostics(graph: &FlowGraph, facts: &[Option<(f64, f64)>], report: &mut
                     .with_hint(
                         "resolve the P013 rate overload so the buffer drains as fast \
                          as it fills; runtime evictions are counted in \
-                         invoke(\"channel_stats\").dropped",
+                         Middleware::channel_stats(..).dropped",
                     ),
                 );
             }

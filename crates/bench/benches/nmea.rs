@@ -1,9 +1,8 @@
-//! Criterion bench: NMEA parsing/encoding throughput and the stream
-//! splitter.
+//! Criterion bench: NMEA parsing/encoding throughput.
 
 #![allow(clippy::unwrap_used)]
 use criterion::{criterion_group, criterion_main, Criterion};
-use perpos_nmea::{parse_sentence, Sentence, SentenceSplitter};
+use perpos_nmea::{parse_sentence, Sentence};
 
 const GGA: &str = "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47";
 const RMC: &str = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A";
@@ -35,16 +34,5 @@ fn bench_encode(c: &mut Criterion) {
     });
 }
 
-fn bench_splitter(c: &mut Criterion) {
-    let stream: Vec<u8> = format!("{GGA}\r\n{RMC}\r\n{GSV}\r\n").into_bytes();
-    c.bench_function("splitter_3_sentences", |b| {
-        b.iter(|| {
-            let mut s = SentenceSplitter::new();
-            s.push(&stream);
-            s.drain()
-        })
-    });
-}
-
-criterion_group!(benches, bench_parse, bench_encode, bench_splitter);
+criterion_group!(benches, bench_parse, bench_encode);
 criterion_main!(benches);

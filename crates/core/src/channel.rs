@@ -25,6 +25,7 @@ use crate::component::ComponentRole;
 use crate::data::{DataItem, DataKind, Value};
 use crate::feature::FeatureDescriptor;
 use crate::graph::{NodeId, ProcessingGraph};
+use crate::supervision::HealthRegistry;
 use crate::{CoreError, SimTime};
 
 /// Identifier of a channel. Channels are identified by their head node
@@ -66,8 +67,7 @@ pub struct ChannelInfo {
     pub endpoint: Option<(NodeId, usize)>,
     /// Names of attached Channel Features.
     pub features: Vec<String>,
-    /// Worst member health (filled in by the middleware facade; a bare
-    /// [`ChannelLayer`] reports every channel healthy).
+    /// Worst member health, read from the middleware's supervisor.
     pub health: crate::supervision::HealthStatus,
 }
 
@@ -348,8 +348,8 @@ pub trait ChannelFeature: Send {
 /// rates when a configuration will overrun it.
 pub const LEVEL_BUFFER_CAP: usize = 4096;
 
-/// Per-channel buffer and materialization counters, surfaced over the
-/// reflective `invoke("channel_stats")` surface.
+/// Per-channel buffer and materialization counters, read through
+/// [`crate::Middleware::channel_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Channel outputs recorded (emissions of the last member).
@@ -364,22 +364,6 @@ pub struct ChannelStats {
     pub dropped: u64,
     /// Entries currently buffered across all levels awaiting a claim.
     pub buffered: u64,
-}
-
-impl ChannelStats {
-    /// Renders the counters as a reflective [`Value`] map.
-    pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("outputs".to_string(), Value::Int(self.outputs as i64));
-        map.insert(
-            "materialized".to_string(),
-            Value::Int(self.materialized as i64),
-        );
-        map.insert("skipped".to_string(), Value::Int(self.skipped as i64));
-        map.insert("dropped".to_string(), Value::Int(self.dropped as i64));
-        map.insert("buffered".to_string(), Value::Int(self.buffered as i64));
-        Value::Map(map)
-    }
 }
 
 #[derive(Debug, Default, Clone)]
@@ -902,15 +886,7 @@ impl ChannelLayer {
         })
     }
 
-    /// The channel a node belongs to, with its counters — backs the
-    /// reflective `invoke(node, "channel_stats")` surface.
-    pub(crate) fn stats_for_member(&self, node: NodeId) -> Option<(ChannelId, ChannelStats)> {
-        let (slot, _) = (*self.node_index.get(node.index())?)?;
-        let cid = self.runtimes[slot as usize].id;
-        self.stats(cid).ok().map(|s| (cid, s))
-    }
-
-    /// Read-only channel descriptions.
+    /// Read-only channel descriptions, every channel reported healthy.
     pub(crate) fn infos(&self) -> Vec<ChannelInfo> {
         self.runtimes
             .iter()
@@ -927,6 +903,22 @@ impl ChannelLayer {
                 health: crate::supervision::HealthStatus::Healthy,
             })
             .collect()
+    }
+
+    /// [`ChannelLayer::infos`] with each channel's worst member health
+    /// from `health` — what [`crate::Middleware::channels`] reports and
+    /// what failover providers resolve against.
+    pub(crate) fn infos_with_health(&self, health: &HealthRegistry) -> Vec<ChannelInfo> {
+        let mut infos = self.infos();
+        for info in &mut infos {
+            info.health = info
+                .members
+                .iter()
+                .map(|m| health.status(*m))
+                .max()
+                .unwrap_or_default();
+        }
+        infos
     }
 
     /// The channel that delivers into `(node, port)`, if any.

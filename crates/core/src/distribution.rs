@@ -11,7 +11,9 @@
 //! assigned to named [`Host`]s through a [`Deployment`]; items crossing a
 //! host boundary travel over a [`LinkModel`] with latency and loss, and
 //! the engine delivers them when due. Link traffic is counted so
-//! energy/cost models can observe it.
+//! energy/cost models can observe it: per host pair through
+//! [`Deployment::stats`], summed through [`Deployment::dist_stats`], both
+//! reached through [`crate::Middleware::deployment`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::data::{DataItem, Value};
+use crate::data::DataItem;
 use crate::graph::NodeId;
 use crate::{SimDuration, SimTime};
 
@@ -102,7 +104,8 @@ pub struct LinkStats {
     pub gave_up: u64,
 }
 
-/// Traffic counters aggregated over every host pair of a deployment.
+/// Traffic counters aggregated over every host pair of a deployment,
+/// returned by [`Deployment::dist_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistStats {
     /// Messages handed to any link.
@@ -115,24 +118,6 @@ pub struct DistStats {
     pub retransmitted: u64,
     /// Messages abandoned for good across all links.
     pub gave_up: u64,
-}
-
-impl DistStats {
-    /// Renders the counters as a reflective [`Value`] map — the shape
-    /// served by `invoke("dist_stats")` on any node of a deployed
-    /// middleware.
-    pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("sent".to_string(), Value::Int(self.sent as i64));
-        map.insert("delivered".to_string(), Value::Int(self.delivered as i64));
-        map.insert("lost".to_string(), Value::Int(self.lost as i64));
-        map.insert(
-            "retransmitted".to_string(),
-            Value::Int(self.retransmitted as i64),
-        );
-        map.insert("gave_up".to_string(), Value::Int(self.gave_up as i64));
-        Value::Map(map)
-    }
 }
 
 #[derive(Debug, Clone)]

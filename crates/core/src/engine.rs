@@ -11,7 +11,9 @@
 //!    block ingest — emit the step's line at the ingest source;
 //! 3. one strictly FIFO drain of the run queue, one node at a time,
 //!    under a single panic fence;
-//! 4. advance `now` by the tick and mark the step complete.
+//! 4. mark the step complete, re-resolve every failover provider
+//!    against pipeline health at the step's time, and advance `now` by
+//!    the tick.
 //!
 //! Per-node processing order and routing order are therefore fixed by
 //! the trace alone. A process graph is small (the paper's largest has
@@ -21,6 +23,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use crate::channel::ChannelLayer;
 use crate::component::ComponentCtx;
@@ -28,6 +31,7 @@ use crate::data::{DataItem, DataKind, PayloadArena, Value};
 use crate::distribution::Deployment;
 use crate::feature::{FeatureAction, FeatureHost};
 use crate::graph::{Node, NodeId, ProcessingGraph};
+use crate::positioning::FailoverShared;
 use crate::supervision::{FaultAction, HealthRegistry};
 use crate::{CoreError, SimDuration, SimTime};
 
@@ -39,6 +43,8 @@ pub(crate) struct EngineCtx<'a> {
     channels: &'a mut ChannelLayer,
     health: &'a mut HealthRegistry,
     deployment: Option<&'a mut Deployment>,
+    /// Failover providers, re-resolved after every completed step.
+    failovers: &'a [Arc<FailoverShared>],
     /// The current step's time; advanced by the tick after every
     /// completed step.
     pub(crate) now: SimTime,
@@ -271,6 +277,7 @@ impl EngineCtx<'_> {
         channels: &'a mut ChannelLayer,
         health: &'a mut HealthRegistry,
         deployment: Option<&'a mut Deployment>,
+        failovers: &'a [Arc<FailoverShared>],
         now: SimTime,
         arena: &'a mut PayloadArena,
     ) -> EngineCtx<'a> {
@@ -279,6 +286,7 @@ impl EngineCtx<'_> {
             channels,
             health,
             deployment,
+            failovers,
             now,
             arena,
             kind_memo: (0, 0, None),
@@ -480,9 +488,11 @@ impl EngineCtx<'_> {
         }
     }
 
-    /// The engine loop: runs up to `steps` steps back to back, advancing
-    /// `now` by `tick` after every completed one. `pending` is delivered
-    /// on the first step only and left untouched when `steps` is 0.
+    /// The engine loop: runs up to `steps` steps back to back. After
+    /// every completed step it re-resolves the failover providers at
+    /// that step's time, then advances `now` by `tick`. `pending` is
+    /// delivered on the first step only and left untouched when `steps`
+    /// is 0.
     ///
     /// Returns how many steps completed, and the error that stopped the
     /// loop, if any. A failed step leaves `now` at its own time.
@@ -521,6 +531,12 @@ impl EngineCtx<'_> {
                 .and_then(|()| self.drain(&mut queue, &mut scratch));
             if let Err(e) = step {
                 return (i, Err(e));
+            }
+            if !self.failovers.is_empty() {
+                let channels = self.channels.infos_with_health(self.health);
+                for failover in self.failovers {
+                    failover.resolve(&channels, self.now);
+                }
             }
             self.now += tick;
         }

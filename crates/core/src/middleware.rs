@@ -28,10 +28,9 @@ use crate::feature::ComponentFeature;
 use crate::fleet::snapshot::{structure_signature, Snapshot, SNAPSHOT_VERSION};
 use crate::graph::{NodeId, NodeInfo, ProcessingGraph};
 use crate::positioning::{
-    ApplicationSink, Criteria, FailoverInner, FailoverProvider, FailoverShared, LocationProvider,
-    SinkShared,
+    ApplicationSink, Criteria, FailoverProvider, FailoverShared, LocationProvider, SinkShared,
 };
-use crate::supervision::{FaultPolicy, HealthRegistry, HealthStatus, NodeHealth};
+use crate::supervision::{FaultPolicy, HealthRegistry, NodeHealth};
 use crate::{CoreError, SimClock, SimDuration, SimTime};
 
 /// A named tracked target: an application end-point of its own, to which
@@ -87,8 +86,8 @@ pub struct Middleware {
     deployment: Option<Deployment>,
     /// Per-node fault policies and health (supervision subsystem).
     health: HealthRegistry,
-    /// Failover providers re-resolved against pipeline health after
-    /// every step.
+    /// Failover providers, re-resolved against pipeline health by the
+    /// engine loop after every completed step.
     failovers: Vec<Arc<FailoverShared>>,
     /// Per-shard recycler of payload slots: the engine loop interns
     /// owned-value emissions and ingested lines here.
@@ -172,7 +171,8 @@ impl Middleware {
         id
     }
 
-    /// Removes a component, returning it.
+    /// Removes a component, returning it. Removing a target's sink node
+    /// also drops the target from [`Middleware::targets`].
     ///
     /// # Errors
     ///
@@ -180,6 +180,7 @@ impl Middleware {
     pub fn remove_component(&mut self, id: NodeId) -> Result<Box<dyn Component>, CoreError> {
         let c = self.graph.remove(id)?;
         self.health.forget(id);
+        self.targets.retain(|t| t.node != id);
         self.channels.recompute(&self.graph);
         Ok(c)
     }
@@ -299,50 +300,18 @@ impl Middleware {
     }
 
     /// Reflectively invokes a method on a node (component first, then its
-    /// features). The supervisor answers `"health"` for every node with
-    /// the node's [`NodeHealth`] as a map — fault handling is translucent
-    /// through the same reflection surface as everything else.
+    /// features) — the same dispatch a Channel Feature reaches through
+    /// [`crate::channel::ChannelHost::invoke_node`]. Items the call emits
+    /// are routed at the start of the next step. Runtime state is read
+    /// through the typed getters instead: [`Middleware::node_health`],
+    /// [`Middleware::channels`], [`Middleware::channel_stats`] and
+    /// [`Deployment::dist_stats`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NoSuchMethod`] when nothing handles it.
+    /// Returns [`CoreError::UnknownNode`] for unknown nodes and
+    /// [`CoreError::NoSuchMethod`] when nothing handles the method.
     pub fn invoke(&mut self, id: NodeId, method: &str, args: &[Value]) -> Result<Value, CoreError> {
-        if method == "health" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            return Ok(self.health.health(id).to_value());
-        }
-        if method == "channel_stats" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            let (cid, stats) =
-                self.channels
-                    .stats_for_member(id)
-                    .ok_or_else(|| CoreError::BadArguments {
-                        method: "channel_stats".into(),
-                        reason: format!("node {id} is not a member of any channel"),
-                    })?;
-            let Value::Map(mut map) = stats.to_value() else {
-                unreachable!("ChannelStats::to_value returns a map")
-            };
-            map.insert("channel".to_string(), Value::from(cid.to_string()));
-            return Ok(Value::Map(map));
-        }
-        if method == "dist_stats" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            let dep = self
-                .deployment
-                .as_ref()
-                .ok_or_else(|| CoreError::BadArguments {
-                    method: "dist_stats".into(),
-                    reason: "the graph is not distributed (no deployment set)".into(),
-                })?;
-            return Ok(dep.dist_stats().to_value());
-        }
         let now = self.clock.now();
         let (value, emitted) = self.graph.invoke(id, method, args, now)?;
         self.pending.extend(emitted.into_iter().map(|i| (id, i)));
@@ -421,8 +390,7 @@ impl Middleware {
         self.health.policy(id)
     }
 
-    /// The supervisor's health record for `id`. Also available via
-    /// reflection as `invoke(id, "health", &[])`.
+    /// The supervisor's health record for `id`.
     pub fn node_health(&self, id: NodeId) -> NodeHealth {
         self.health.health(id)
     }
@@ -435,16 +403,7 @@ impl Middleware {
     /// health status among its member components so Channel Features and
     /// the Positioning Layer can reason over pipeline health.
     pub fn channels(&self) -> Vec<ChannelInfo> {
-        let mut infos = self.channels.infos();
-        for info in &mut infos {
-            info.health = info
-                .members
-                .iter()
-                .map(|m| self.health.status(*m))
-                .max()
-                .unwrap_or_default();
-        }
-        infos
+        self.channels.infos_with_health(&self.health)
     }
 
     /// The channel delivering into `(node, port)`, if any.
@@ -547,9 +506,7 @@ impl Middleware {
         self.channels.history(id)
     }
 
-    /// Buffer, drop and materialization counters of one channel. Also
-    /// available through reflection as `invoke(member, "channel_stats")`
-    /// on any member node.
+    /// Buffer, drop and materialization counters of one channel.
     ///
     /// # Errors
     ///
@@ -619,8 +576,9 @@ impl Middleware {
     /// Requests a provider with failover: an ordered list of criteria
     /// preferences over the default application sink, of which the
     /// highest-ranked one still fed by healthy (non-quarantined)
-    /// pipelines is active. The engine re-resolves after every step;
-    /// transitions surface as [`crate::positioning::ProviderEvent`]s.
+    /// pipelines is active. The engine loop re-resolves it after every
+    /// completed step, at that step's time, whichever entry point ran the
+    /// step; transitions surface as [`crate::positioning::ProviderEvent`]s.
     ///
     /// # Errors
     ///
@@ -635,60 +593,9 @@ impl Middleware {
                 reason: "at least one criteria preference required".into(),
             });
         }
-        let available = self.pref_availability(&preferences);
-        let shared = Arc::new(FailoverShared {
-            prefs: preferences,
-            inner: parking_lot::Mutex::new(FailoverInner {
-                active: available.iter().position(|a| *a),
-                available,
-                events: Vec::new(),
-            }),
-        });
+        let shared = Arc::new(FailoverShared::new(preferences, &self.channels()));
         self.failovers.push(Arc::clone(&shared));
         Ok(FailoverProvider::new(Arc::clone(&self.app_shared), shared))
-    }
-
-    /// Computes which preferences currently have a healthy pipeline: a
-    /// preference naming a source technology is available while some
-    /// channel has a member whose name starts with that technology name
-    /// (case-insensitively) and no quarantined member; a preference
-    /// without a source is available while any fully-healthy channel
-    /// exists.
-    fn pref_availability(&self, prefs: &[Criteria]) -> Vec<bool> {
-        let channels = self.channels();
-        prefs
-            .iter()
-            .map(|pref| {
-                channels.iter().any(|c| {
-                    if c.health == HealthStatus::Quarantined {
-                        return false;
-                    }
-                    match pref.source_name() {
-                        Some(src) => {
-                            let src = src.to_lowercase();
-                            c.member_names
-                                .iter()
-                                .any(|n| n.to_lowercase().starts_with(&src))
-                        }
-                        None => true,
-                    }
-                })
-            })
-            .collect()
-    }
-
-    /// Re-resolves every failover provider against current pipeline
-    /// health, firing degraded/recovered events on transitions.
-    fn update_failovers(&mut self, now: SimTime) {
-        if self.failovers.is_empty() {
-            return;
-        }
-        let shareds = std::mem::take(&mut self.failovers);
-        for shared in &shareds {
-            let available = self.pref_availability(&shared.prefs);
-            shared.apply_availability(available, now);
-        }
-        self.failovers = shareds;
     }
 
     /// Creates a named tracked target with its own sink node; connect
@@ -865,10 +772,7 @@ impl Middleware {
     /// [`FaultPolicy::Propagate`] (the default) and surfaces it; faults
     /// of nodes under any other policy are contained.
     pub fn step(&mut self) -> Result<(), CoreError> {
-        let now = self.clock.now();
-        self.run_engine(Sources::Tick, 1, SimDuration::ZERO)?;
-        self.update_failovers(now);
-        Ok(())
+        self.run_engine(Sources::Tick, 1, SimDuration::ZERO)
     }
 
     /// Runs `steps` engine steps back to back, advancing the clock by
@@ -876,8 +780,6 @@ impl Middleware {
     /// [`Middleware::step`]/[`Middleware::advance_clock`] loop, but the
     /// whole batch runs as one engine loop, hoisting per-step setup
     /// (source list, queue, routing scratch) out of the inner loop.
-    /// Failover providers force the step-by-step path, since they
-    /// re-resolve against pipeline health after every step.
     ///
     /// # Errors
     ///
@@ -885,13 +787,6 @@ impl Middleware {
     /// failing one are reflected in [`Middleware::steps_run`] and the
     /// clock, exactly as the equivalent loop would leave them.
     pub fn step_batch(&mut self, steps: u64, tick: SimDuration) -> Result<(), CoreError> {
-        if !self.failovers.is_empty() {
-            for _ in 0..steps {
-                self.step()?;
-                self.clock.advance(tick);
-            }
-            return Ok(());
-        }
         self.run_engine(Sources::Tick, steps, tick)
     }
 
@@ -899,11 +794,12 @@ impl Middleware {
     /// line runs as one engine step in which the source emits the line
     /// as a [`Value::Text`] item of `kind` instead of being ticked. The
     /// engine machinery is exactly [`Middleware::step_batch`]'s — produce
-    /// features, routing, channel bookkeeping, supervision — with the
-    /// line text interned straight into the payload arena, so the
-    /// per-line path allocates nothing in steady state. Failover
-    /// providers are re-resolved once, after the block. Returns the
-    /// number of lines ingested (= steps run).
+    /// features, routing, channel bookkeeping, supervision, failover
+    /// re-resolution after every line — with the line text interned
+    /// straight into the payload arena, so the per-line path allocates
+    /// nothing in steady state. One block therefore fires the same
+    /// failover events, at the same times, as the same lines ingested
+    /// one per call. Returns the number of lines ingested (= steps run).
     ///
     /// Pair with a block lexer (e.g. `perpos-sensors`' `scan_block`)
     /// that validates raw chunks and strips malformed lines first.
@@ -924,9 +820,8 @@ impl Middleware {
             kind: &kind,
             lines,
         };
-        let result = self.run_engine(sources, lines.len() as u64, tick);
-        self.update_failovers(self.clock.now());
-        result.map(|()| lines.len() as u64)
+        self.run_engine(sources, lines.len() as u64, tick)
+            .map(|()| lines.len() as u64)
     }
 
     /// The one place the engine loop is entered: builds the
@@ -945,6 +840,7 @@ impl Middleware {
             &mut self.channels,
             &mut self.health,
             self.deployment.as_mut(),
+            &self.failovers,
             start,
             &mut self.arena,
         );
@@ -1318,6 +1214,25 @@ mod tests {
     }
 
     #[test]
+    fn removing_a_target_node_drops_the_target() {
+        let mut mw = Middleware::new();
+        let alice = mw.add_target("alice");
+        let bob = mw.add_target("bob");
+        let s1 = position_source(&mut mw, "gps-alice", 10.0, 10.0);
+        let s2 = position_source(&mut mw, "gps-bob", 20.0, 20.0);
+        mw.connect(s1, alice.node(), 0).unwrap();
+        mw.connect(s2, bob.node(), 0).unwrap();
+        mw.step().unwrap();
+        mw.remove_component(alice.node()).unwrap();
+        assert!(mw.structure().iter().all(|n| n.id != alice.node()));
+        let names: Vec<&str> = mw.targets().iter().map(Target::name).collect();
+        assert_eq!(names, ["bob"]);
+        let nearest = mw.k_nearest_targets(&wgs(10.0, 10.0), 5);
+        assert_eq!(nearest.len(), 1);
+        assert_eq!(nearest[0].0, "bob");
+    }
+
+    #[test]
     fn merge_component_heads_its_own_channel() {
         // Two sources into a merge, merge into the app: the PCL must
         // derive three channels — one per source ending at the merge, and
@@ -1604,20 +1519,72 @@ mod tests {
     }
 
     #[test]
-    fn health_is_reflective() {
+    fn invoke_dispatches_like_a_channel_feature_sees_it() {
+        // A component with its own `health` method: the facade answers
+        // it exactly as `ChannelHost::invoke_node` does — no name is
+        // shadowed by supervisor state.
+        struct OwnHealth;
+        impl Component for OwnHealth {
+            fn descriptor(&self) -> crate::component::ComponentDescriptor {
+                crate::component::ComponentDescriptor::source("own", vec![kinds::RAW_STRING])
+            }
+            fn on_input(
+                &mut self,
+                _p: usize,
+                _i: DataItem,
+                _c: &mut ComponentCtx<'_>,
+            ) -> Result<(), CoreError> {
+                Ok(())
+            }
+            fn on_tick(&mut self, ctx: &mut ComponentCtx<'_>) -> Result<(), CoreError> {
+                ctx.emit_value(kinds::RAW_STRING, Value::from("x"));
+                Ok(())
+            }
+            fn invoke(&mut self, method: &str, _args: &[Value]) -> Result<Value, CoreError> {
+                match method {
+                    "health" => Ok(Value::from("own health")),
+                    m => Err(CoreError::NoSuchMethod {
+                        target: "own".into(),
+                        method: m.into(),
+                    }),
+                }
+            }
+        }
+        struct Asker(NodeId, Option<Value>);
+        impl ChannelFeature for Asker {
+            fn descriptor(&self) -> FeatureDescriptor {
+                FeatureDescriptor::new("Asker")
+            }
+            fn apply(
+                &mut self,
+                _tree: &crate::channel::DataTree,
+                host: &mut crate::channel::ChannelHost<'_>,
+            ) -> Result<(), CoreError> {
+                self.1 = Some(host.invoke_node(self.0, "health", &[])?);
+                Ok(())
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
         let mut mw = Middleware::new();
-        let flaky = mw.add_component(Flaky::new(|_| true));
-        mw.set_fault_policy(flaky, FaultPolicy::DropItem).unwrap();
+        let own = mw.add_component(OwnHealth);
+        let app = mw.application_sink();
+        mw.connect(own, app, 0).unwrap();
+        let channel = mw.channel_into(app, 0).unwrap();
+        mw.attach_channel_feature(channel, Asker(own, None))
+            .unwrap();
         mw.step().unwrap();
-        let Value::Map(m) = mw.invoke(flaky, "health", &[]).unwrap() else {
-            panic!("health must be a map");
-        };
-        assert_eq!(m["status"], Value::from("degraded"));
-        assert_eq!(m["faults"], Value::Int(1));
+        let seen = mw
+            .with_channel_feature_mut::<Asker, _>(channel, "Asker", |a| a.1.clone())
+            .unwrap();
+        let answered = mw.invoke(own, "health", &[]).unwrap();
+        assert_eq!(answered, Value::from("own health"));
+        assert_eq!(seen, Some(answered));
         // Unknown nodes still error.
-        mw.remove_component(flaky).unwrap();
+        mw.remove_component(own).unwrap();
         assert!(matches!(
-            mw.invoke(flaky, "health", &[]),
+            mw.invoke(own, "health", &[]),
             Err(CoreError::UnknownNode(_))
         ));
     }

@@ -16,8 +16,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::channel::ChannelInfo;
 use crate::component::{Component, ComponentCtx, ComponentDescriptor, InputSpec};
 use crate::data::{DataItem, DataKind, Position, Value};
+use crate::supervision::HealthStatus;
 use crate::{CoreError, SimDuration, SimTime};
 
 /// How many delivered items a sink retains for pull-style access.
@@ -383,17 +385,17 @@ pub enum ProviderEvent {
     },
 }
 
-pub(crate) struct FailoverInner {
-    pub(crate) active: Option<usize>,
-    pub(crate) available: Vec<bool>,
-    pub(crate) events: Vec<Sender<ProviderEvent>>,
+struct FailoverInner {
+    active: Option<usize>,
+    available: Vec<bool>,
+    events: Vec<Sender<ProviderEvent>>,
 }
 
-/// State shared between the middleware engine (which re-resolves after
-/// every step) and the [`FailoverProvider`] handles observing it.
+/// State shared between the engine loop (which re-resolves after every
+/// completed step) and the [`FailoverProvider`] handles observing it.
 pub(crate) struct FailoverShared {
-    pub(crate) prefs: Vec<Criteria>,
-    pub(crate) inner: Mutex<FailoverInner>,
+    prefs: Vec<Criteria>,
+    inner: Mutex<FailoverInner>,
 }
 
 /// A location provider with criteria re-resolution over pipeline health:
@@ -485,9 +487,25 @@ impl FailoverProvider {
 }
 
 impl FailoverShared {
-    /// Applies a freshly computed availability vector, updating the
-    /// active preference and notifying subscribers of transitions.
-    pub(crate) fn apply_availability(&self, available: Vec<bool>, now: SimTime) {
+    /// Failover state over `prefs`, resolved against `channels` without
+    /// firing an event.
+    pub(crate) fn new(prefs: Vec<Criteria>, channels: &[ChannelInfo]) -> Self {
+        let available = availability(&prefs, channels);
+        FailoverShared {
+            prefs,
+            inner: Mutex::new(FailoverInner {
+                active: available.iter().position(|a| *a),
+                available,
+                events: Vec::new(),
+            }),
+        }
+    }
+
+    /// Re-resolves the preferences against `channels`, updating the
+    /// active preference and notifying subscribers of a transition
+    /// stamped `now`.
+    pub(crate) fn resolve(&self, channels: &[ChannelInfo], now: SimTime) {
+        let available = availability(&self.prefs, channels);
         let mut inner = self.inner.lock();
         let new_active = available.iter().position(|a| *a);
         let old_active = inner.active;
@@ -512,6 +530,29 @@ impl FailoverShared {
         };
         inner.events.retain(|tx| tx.send(event.clone()).is_ok());
     }
+}
+
+/// Which preferences have a healthy pipeline among `channels` (each
+/// annotated with its worst member health): a preference naming a source
+/// technology is available while some channel has a member whose name
+/// starts with that technology name (case-insensitively) and no
+/// quarantined member; a preference without a source is available while
+/// any channel has no quarantined member.
+fn availability(prefs: &[Criteria], channels: &[ChannelInfo]) -> Vec<bool> {
+    prefs
+        .iter()
+        .map(|pref| {
+            channels.iter().any(|c| {
+                c.health != HealthStatus::Quarantined
+                    && pref.source_name().is_none_or(|src| {
+                        let src = src.to_lowercase();
+                        c.member_names
+                            .iter()
+                            .any(|n| n.to_lowercase().starts_with(&src))
+                    })
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! work (§6); this module supplies the reliability half in the PerPos
 //! spirit — fault handling is *translucent*. Policies are set per node
 //! through the same facade that manipulates the process structure, health
-//! is readable through component reflection (`invoke("health", …)`), and
-//! the Process Channel Layer aggregates member health per channel so
-//! Channel Features and the Positioning Layer can reason over it (see
+//! is read through the typed [`crate::Middleware::node_health`], and the
+//! Process Channel Layer aggregates member health per channel so Channel
+//! Features and the Positioning Layer can reason over it (see
 //! [`crate::channel::ChannelInfo::health`] and provider failover in
 //! [`crate::positioning`]).
 //!
@@ -17,7 +17,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::data::Value;
 use crate::graph::NodeId;
 use crate::{SimDuration, SimTime};
 
@@ -101,17 +100,6 @@ pub enum HealthStatus {
     Quarantined,
 }
 
-impl HealthStatus {
-    /// The status name as exposed through reflection.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            HealthStatus::Healthy => "healthy",
-            HealthStatus::Degraded => "degraded",
-            HealthStatus::Quarantined => "quarantined",
-        }
-    }
-}
-
 /// Per-node health record: status, counters and the last error seen.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeHealth {
@@ -127,30 +115,6 @@ pub struct NodeHealth {
     pub last_error: Option<String>,
     /// When the current quarantine expires, if open.
     pub quarantined_until: Option<SimTime>,
-}
-
-impl NodeHealth {
-    /// The record as a reflection value (`invoke("health", …)`): a map
-    /// with `status`, `faults`, `restarts`, `quarantines` and
-    /// `last_error` entries.
-    pub fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("status".to_string(), Value::from(self.status.as_str()));
-        map.insert("faults".to_string(), Value::Int(self.faults as i64));
-        map.insert("restarts".to_string(), Value::Int(self.restarts as i64));
-        map.insert(
-            "quarantines".to_string(),
-            Value::Int(self.quarantines as i64),
-        );
-        map.insert(
-            "last_error".to_string(),
-            match &self.last_error {
-                Some(e) => Value::from(e.as_str()),
-                None => Value::Null,
-            },
-        );
-        Value::Map(map)
-    }
 }
 
 /// The action the engine must take for a handled fault, decided by
@@ -572,24 +536,6 @@ mod tests {
             Some(FaultPolicy::quarantine_default())
         );
         assert_eq!(FaultPolicy::from_name("nope"), None);
-    }
-
-    #[test]
-    fn health_value_shape() {
-        let h = NodeHealth {
-            status: HealthStatus::Degraded,
-            faults: 3,
-            restarts: 1,
-            quarantines: 0,
-            last_error: Some("x".into()),
-            quarantined_until: None,
-        };
-        let Value::Map(m) = h.to_value() else {
-            panic!("expected map");
-        };
-        assert_eq!(m["status"], Value::from("degraded"));
-        assert_eq!(m["faults"], Value::Int(3));
-        assert_eq!(m["last_error"], Value::from("x"));
     }
 
     #[test]

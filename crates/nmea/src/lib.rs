@@ -10,10 +10,12 @@
 //!
 //! * the sentence data model ([`Sentence`], [`Gga`], [`Rmc`], …),
 //! * a validating parser ([`parse_sentence`]) and encoder
-//!   ([`Sentence::to_nmea_string`]) that round-trip, and a no-parse type
-//!   peek ([`sentence_type`]) the parser itself dispatches on,
-//! * a streaming [`SentenceSplitter`] that re-frames arbitrary byte chunks
-//!   into complete sentences, as delivered by a serial port.
+//!   ([`Sentence::to_nmea_string`]) that round-trip, and
+//! * a no-parse type peek ([`sentence_type`]) the parser itself
+//!   dispatches on.
+//!
+//! Framing raw serial bytes into lines is the sensor layer's job
+//! (`perpos-sensors`' `scan_block`), not this crate's.
 //!
 //! # Examples
 //!
@@ -38,11 +40,9 @@ mod encode;
 mod error;
 mod parser;
 mod sentence;
-mod splitter;
 
 pub use error::NmeaError;
 pub use parser::{checksum, parse_sentence, sentence_type, verify_checksum};
 pub use sentence::{
     FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
 };
-pub use splitter::SentenceSplitter;

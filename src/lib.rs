@@ -10,14 +10,14 @@
 //! |---|---|---|
 //! | [`core`] | `perpos-core` | the middleware: processing graph (PSL), channels & data trees (PCL), positioning layer, features, engine |
 //! | [`geo`] | `perpos-geo` | WGS-84 / ECEF / ENU coordinates and planar geometry |
-//! | [`nmea`] | `perpos-nmea` | NMEA-0183 parsing, generation and stream splitting |
+//! | [`nmea`] | `perpos-nmea` | NMEA-0183 parsing and generation |
 //! | [`model`] | `perpos-model` | buildings, rooms, walls, room graphs (the location model service) |
 //! | [`registry`] | `perpos-registry` | OSGi-like dynamic service registry |
 //! | [`sensors`] | `perpos-sensors` | GPS/WiFi/motion simulators, Fig. 1 pipeline components, trace emulator |
 //! | [`fusion`] | `perpos-fusion` | particle filter, Likelihood channel feature, Kalman/centroid baselines |
 //! | [`energy`] | `perpos-energy` | power models and the EnTracked strategy |
 //! | [`baselines`] | `perpos-baselines` | Location-Stack- and PoSIM-style comparison middlewares |
-//! | [`analysis`] | `perpos-analysis` | whole-graph static analysis (P001–P019), adaptation safety, `perpos-lint` |
+//! | [`analysis`] | `perpos-analysis` | whole-graph static analysis (P001–P020), adaptation safety, `perpos-lint` |
 //!
 //! See `examples/` for runnable scenarios (start with
 //! `cargo run --example quickstart`) and `DESIGN.md` / `EXPERIMENTS.md`

@@ -264,17 +264,17 @@ fn dropped_entries_surface_through_member_reflection() {
     let steps = LEVEL_BUFFER_CAP as u64 + 500;
     mw.step_batch(steps, SimDuration::from_micros(1)).unwrap();
 
-    let Value::Map(stats) = mw.invoke(src, "channel_stats", &[]).unwrap() else {
-        panic!("channel_stats must return a map");
-    };
-    assert_eq!(stats["buffered"], Value::Int(LEVEL_BUFFER_CAP as i64));
-    assert_eq!(stats["dropped"], Value::Int(500));
-    assert!(stats.contains_key("channel"));
-    // The same numbers via the typed API.
-    let ch = mw.channel_into(app, 0).unwrap();
-    let typed = mw.channel_stats(ch).unwrap();
-    assert_eq!(typed.dropped, 500);
-    assert_eq!(typed.buffered, LEVEL_BUFFER_CAP as u64);
+    // The member's channel, found through the typed channel view.
+    let ch = mw
+        .channels()
+        .into_iter()
+        .find(|c| c.members.contains(&src))
+        .unwrap()
+        .id;
+    assert_eq!(mw.channel_into(app, 0), Some(ch));
+    let stats = mw.channel_stats(ch).unwrap();
+    assert_eq!(stats.dropped, 500);
+    assert_eq!(stats.buffered, LEVEL_BUFFER_CAP as u64);
 }
 
 #[test]

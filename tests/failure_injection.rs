@@ -351,9 +351,14 @@ fn injected_panics_are_contained_and_reported() {
         "{:?}",
         h.last_error
     );
-    // The health model is reachable reflectively, like any other method.
-    let v = mw.invoke(gps, "health", &[]).unwrap();
-    assert!(matches!(v, Value::Map(_)));
+    // The source's channel carries the fault as its worst member health.
+    let channel = mw
+        .channels()
+        .into_iter()
+        .find(|c| c.members.contains(&gps))
+        .unwrap();
+    assert_eq!(channel.health, h.status);
+    assert_eq!(h.status, HealthStatus::Degraded);
 }
 
 #[test]

@@ -145,7 +145,7 @@ fn pool(demanded: bool, scheduler: FleetScheduler) -> FleetPool {
 type Observation = (
     Vec<ShardStats>,
     Vec<String>,
-    Vec<(Vec<String>, Value, u64, SimTime)>,
+    Vec<(Vec<String>, NodeHealth, u64, SimTime)>,
 );
 
 fn observe(shards: &[Shard], src: NodeId, chan: ChannelId) -> Observation {
@@ -162,12 +162,7 @@ fn observe(shards: &[Shard], src: NodeId, chan: ChannelId) -> Observation {
                 .iter()
                 .map(|t| t.render())
                 .collect();
-            instances.push((
-                trees,
-                mw.node_health(src).to_value(),
-                mw.steps_run(),
-                mw.now(),
-            ));
+            instances.push((trees, mw.node_health(src), mw.steps_run(), mw.now()));
         }
     }
     (stats, checkpoints, instances)
@@ -338,7 +333,7 @@ fn mid_soak_checkpoints_restore_identically_from_any_scheduler() {
                 .iter()
                 .map(|t| t.render())
                 .collect::<Vec<_>>(),
-            fresh.node_health(src).to_value(),
+            fresh.node_health(src),
             fresh.steps_run(),
             fresh.now(),
         ));

@@ -99,19 +99,18 @@ fn run(mw: &mut Middleware, steps: u64) {
 
 /// Everything the contract is stated over: rendered history trees, the
 /// source's health record, logical clocks and step counters.
-fn observe(mw: &Middleware, src: NodeId, channel: ChannelId) -> (Vec<String>, Value, u64, SimTime) {
+fn observe(
+    mw: &Middleware,
+    src: NodeId,
+    channel: ChannelId,
+) -> (Vec<String>, NodeHealth, u64, SimTime) {
     let trees = mw
         .channel_history(channel)
         .unwrap()
         .iter()
         .map(|t| t.render())
         .collect();
-    (
-        trees,
-        mw.node_health(src).to_value(),
-        mw.steps_run(),
-        mw.now(),
-    )
+    (trees, mw.node_health(src), mw.steps_run(), mw.now())
 }
 
 /// Snapshots at step 17 and restores; both runs end at step 40. Unless

@@ -330,3 +330,196 @@ fn propagated_fault_mid_batch_books_steps_like_the_step_loop() {
         );
     }
 }
+
+/// A relay that fails every line containing `BAD`.
+struct Gate;
+
+impl Component for Gate {
+    fn descriptor(&self) -> ComponentDescriptor {
+        ComponentDescriptor::processor(
+            "gate",
+            InputSpec::new("in", vec![kinds::RAW_STRING]),
+            vec![kinds::RAW_STRING],
+        )
+    }
+    fn on_input(
+        &mut self,
+        _port: usize,
+        item: DataItem,
+        ctx: &mut ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
+        if item.payload.as_text().is_some_and(|t| t.contains("BAD")) {
+            return Err(CoreError::ComponentFailure {
+                component: "gate".into(),
+                reason: "bad line".into(),
+            });
+        }
+        ctx.emit(item);
+        Ok(())
+    }
+}
+
+/// gps (ingest source) -> gate -> app, the gate quarantined for 2 s by
+/// its first fault, plus an idle but healthy wifi channel; a failover
+/// provider prefers the gps pipeline over the wifi one.
+fn build_failover() -> (Middleware, NodeId, FailoverProvider) {
+    let mut mw = Middleware::new();
+    let gps = mw.add_component(FnSource::new("gps", kinds::RAW_STRING, |_| None));
+    let gate = mw.add_boxed_component(Box::new(Gate));
+    let wifi = mw.add_component(FnSource::new("wifi", kinds::RAW_STRING, |_| None));
+    let app = mw.application_sink();
+    mw.connect(gps, gate, 0).unwrap();
+    mw.connect_to_sink(gate, app).unwrap();
+    mw.connect_to_sink(wifi, app).unwrap();
+    mw.set_fault_policy(
+        gate,
+        FaultPolicy::Quarantine {
+            max_faults: 1,
+            window: SimDuration::from_secs(10),
+            backoff: SimDuration::from_secs(2),
+        },
+    )
+    .unwrap();
+    let provider = mw
+        .failover_provider(vec![
+            Criteria::new().source("gps"),
+            Criteria::new().source("wifi"),
+        ])
+        .unwrap();
+    (mw, gps, provider)
+}
+
+#[test]
+fn block_ingest_fires_the_failover_events_of_per_line_ingest() {
+    let lines = ["$GP,0", "$GP,1,BAD", "$GP,2", "$GP,3", "$GP,4", "$GP,5"];
+    let tick = SimDuration::from_secs(1);
+
+    let (mut per_line, src, provider) = build_failover();
+    let per_line_events = provider.events();
+    for line in lines {
+        per_line
+            .ingest_batch(src, kinds::RAW_STRING, &[line], tick)
+            .unwrap();
+    }
+    let (mut block, src, provider) = build_failover();
+    let block_events = provider.events();
+    block
+        .ingest_batch(src, kinds::RAW_STRING, &lines, tick)
+        .unwrap();
+
+    let per_line_events: Vec<ProviderEvent> = per_line_events.try_iter().collect();
+    let block_events: Vec<ProviderEvent> = block_events.try_iter().collect();
+    assert_eq!(block_events, per_line_events);
+    // The gate faults on line 1 and is probed back in on line 3; each
+    // transition is stamped with the time of the step that caused it.
+    assert_eq!(
+        per_line_events,
+        [
+            ProviderEvent::Degraded {
+                from: 0,
+                to: Some(1),
+                at: SimTime::from_secs_f64(1.0),
+            },
+            ProviderEvent::Recovered {
+                from: Some(1),
+                to: 0,
+                at: SimTime::from_secs_f64(3.0),
+            },
+        ]
+    );
+    assert_eq!(block.now(), per_line.now());
+    assert_eq!(block.steps_run(), per_line.steps_run());
+}
+
+/// A position source that fails its calls `3..=5` (1-based).
+struct Blinking {
+    calls: u64,
+}
+
+impl Component for Blinking {
+    fn descriptor(&self) -> ComponentDescriptor {
+        ComponentDescriptor::source("gps", vec![kinds::RAW_STRING])
+    }
+    fn on_input(
+        &mut self,
+        _port: usize,
+        _item: DataItem,
+        _ctx: &mut ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
+        Ok(())
+    }
+    fn on_tick(&mut self, ctx: &mut ComponentCtx<'_>) -> Result<(), CoreError> {
+        self.calls += 1;
+        if (3..=5).contains(&self.calls) {
+            return Err(CoreError::ComponentFailure {
+                component: "gps".into(),
+                reason: "no fix".into(),
+            });
+        }
+        ctx.emit_value(
+            kinds::RAW_STRING,
+            Value::from(format!("gps {}", self.calls)),
+        );
+        Ok(())
+    }
+}
+
+#[test]
+fn step_batch_with_a_failover_provider_equals_the_step_loop() {
+    let observe = |batched: bool| {
+        let mut mw = Middleware::new();
+        let gps = mw.add_boxed_component(Box::new(Blinking { calls: 0 }));
+        let mut n = 0;
+        let wifi = mw.add_component(FnSource::new("wifi", kinds::RAW_STRING, move |_| {
+            n += 1;
+            Some(Value::from(format!("wifi {n}")))
+        }));
+        let app = mw.application_sink();
+        mw.connect_to_sink(gps, app).unwrap();
+        mw.connect_to_sink(wifi, app).unwrap();
+        mw.set_fault_policy(
+            gps,
+            FaultPolicy::Quarantine {
+                max_faults: 1,
+                window: SimDuration::from_secs(10),
+                backoff: SimDuration::from_secs(1),
+            },
+        )
+        .unwrap();
+        let provider = mw
+            .failover_provider(vec![
+                Criteria::new().source("gps"),
+                Criteria::new().source("wifi"),
+            ])
+            .unwrap();
+        let events = provider.events();
+        let tick = SimDuration::from_secs(1);
+        if batched {
+            mw.step_batch(12, tick).unwrap();
+        } else {
+            for _ in 0..12 {
+                mw.step().unwrap();
+                mw.advance_clock(tick);
+            }
+        }
+        let delivered: Vec<String> = mw
+            .location_provider(Criteria::new())
+            .unwrap()
+            .history()
+            .iter()
+            .map(|i| format!("{i:?}"))
+            .collect();
+        (
+            events.try_iter().collect::<Vec<_>>(),
+            provider.active(),
+            provider.availability(),
+            delivered,
+            mw.node_health(gps),
+            mw.steps_run(),
+            mw.now(),
+        )
+    };
+    let looped = observe(false);
+    assert!(looped.0.len() >= 2, "the provider failed over and back");
+    assert_eq!(observe(true), looped);
+}
