@@ -257,9 +257,7 @@ fn ingest_blocks(mw: &mut Middleware, src: NodeId, blocks: &[String], tick: SimD
     for block in blocks {
         let report = scan_block(block, &mut buf);
         assert_eq!(report.skipped, 0, "bench blocks are clean by construction");
-        total += mw
-            .ingest_batch(src, kinds::RAW_STRING, &buf, tick)
-            .unwrap();
+        total += mw.ingest_batch(src, kinds::RAW_STRING, &buf, tick).unwrap();
     }
     start.elapsed().as_micros() as f64 / total as f64
 }

@@ -58,7 +58,10 @@ impl Component for PosSource {
         Ok(())
     }
 
-    fn on_tick(&mut self, ctx: &mut perpos_core::component::ComponentCtx<'_>) -> Result<(), CoreError> {
+    fn on_tick(
+        &mut self,
+        ctx: &mut perpos_core::component::ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
         let coord = Wgs84::new(self.lat, 10.0, 0.0).unwrap();
         let item = DataItem::new(
             kinds::POSITION_WGS84,

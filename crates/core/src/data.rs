@@ -789,8 +789,7 @@ impl<'a> IntoIterator for &'a Attrs {
 
 impl PartialEq for Attrs {
     fn eq(&self, other: &Self) -> bool {
-        self.shares_with(other)
-            || (self.len() == other.len() && self.iter().eq(other.iter()))
+        self.shares_with(other) || (self.len() == other.len() && self.iter().eq(other.iter()))
     }
 }
 

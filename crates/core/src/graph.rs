@@ -528,12 +528,7 @@ impl ProcessingGraph {
     /// Whether `target` declares an input at `port` accepting the kind
     /// with dense id `kind_id` — the routing-hot-path equivalent of the
     /// string-comparing `InputSpec::accepts_kind`.
-    pub(crate) fn accepts_by_id(
-        &self,
-        target: NodeId,
-        port: usize,
-        kind_id: Option<u16>,
-    ) -> bool {
+    pub(crate) fn accepts_by_id(&self, target: NodeId, port: usize, kind_id: Option<u16>) -> bool {
         match self.nodes.get(&target).and_then(|n| n.accept_ids.get(port)) {
             Some(None) => true,
             Some(Some(ids)) => kind_id.is_some_and(|k| ids.contains(&k)),

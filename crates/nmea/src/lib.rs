@@ -10,9 +10,20 @@
 //!
 //! * the sentence data model ([`Sentence`], [`Gga`], [`Rmc`], …),
 //! * a validating parser ([`parse_sentence`]) and encoder
-//!   ([`Sentence::to_nmea_string`]) that round-trip, and
+//!   ([`Sentence::to_nmea_string`]) that round-trip,
+//! * a validate-only check ([`is_valid_sentence`]) whose accept set is
+//!   exactly the parser's, for consumers that forward a line without
+//!   using its fields, and
 //! * a no-parse type peek ([`sentence_type`]) the parser itself
 //!   dispatches on.
+//!
+//! The parser and the check share one field scanner, which finds a
+//! sentence's commas eight bytes at a time. The parser decodes a plain
+//! decimal field of at most 15 digits as one exact division, integer ÷
+//! 10^k, which gives the same bits as `str::parse::<f64>`; other float
+//! text goes to `str::parse`. The check reads each field's grammar
+//! instead of decoding it and allocates nothing. It hands the rare
+//! field outside the plain grammar (`1e3`, `+5`) to the parser.
 //!
 //! Framing raw serial bytes into lines is the sensor layer's job
 //! (`perpos-sensors`' `scan_block`), not this crate's.
@@ -42,7 +53,7 @@ mod parser;
 mod sentence;
 
 pub use error::NmeaError;
-pub use parser::{checksum, parse_sentence, sentence_type, verify_checksum};
+pub use parser::{checksum, is_valid_sentence, parse_sentence, sentence_type, verify_checksum};
 pub use sentence::{
     FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
 };

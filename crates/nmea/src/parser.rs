@@ -1,3 +1,6 @@
+use std::num::ParseFloatError;
+use std::str::FromStr;
+
 use crate::sentence::{
     FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
 };
@@ -16,6 +19,41 @@ pub fn checksum(body: &str) -> u8 {
     body.bytes().fold(0, |acc, b| acc ^ b)
 }
 
+/// A framing or checksum defect, borrowed from the line so that
+/// [`is_valid_sentence`] can reject a line without allocating.
+enum Unframed<'a> {
+    TooLong(usize),
+    NoStart,
+    NoChecksum,
+    MalformedChecksum(&'a str),
+    Mismatch { computed: u8, transmitted: u8 },
+}
+
+/// The body (between `$` and `*`) of a correctly framed line.
+fn frame(sentence: &str) -> Result<&str, Unframed<'_>> {
+    let s = sentence.trim_end_matches(['\r', '\n']);
+    if s.len() > MAX_SENTENCE_LEN {
+        return Err(Unframed::TooLong(s.len()));
+    }
+    let body_and_sum = s.strip_prefix('$').ok_or(Unframed::NoStart)?;
+    let star = body_and_sum.rfind('*').ok_or(Unframed::NoChecksum)?;
+    let (body, sum_text) = body_and_sum.split_at(star);
+    let sum_text = &sum_text[1..];
+    if sum_text.len() != 2 {
+        return Err(Unframed::MalformedChecksum(sum_text));
+    }
+    let transmitted =
+        u8::from_str_radix(sum_text, 16).map_err(|_| Unframed::MalformedChecksum(sum_text))?;
+    let computed = checksum(body);
+    if computed != transmitted {
+        return Err(Unframed::Mismatch {
+            computed,
+            transmitted,
+        });
+    }
+    Ok(body)
+}
+
 /// Verifies the `*hh` checksum of a complete sentence.
 ///
 /// # Errors
@@ -23,29 +61,19 @@ pub fn checksum(body: &str) -> u8 {
 /// Returns an error when the framing or checksum is invalid. On success the
 /// sentence body (between `$` and `*`) is returned.
 pub fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
-    let s = sentence.trim_end_matches(['\r', '\n']);
-    if s.len() > MAX_SENTENCE_LEN {
-        return Err(NmeaError::SentenceTooLong(s.len()));
-    }
-    let body_and_sum = s
-        .strip_prefix('$')
-        .ok_or(NmeaError::MissingStartDelimiter)?;
-    let star = body_and_sum.rfind('*').ok_or(NmeaError::MissingChecksum)?;
-    let (body, sum_text) = body_and_sum.split_at(star);
-    let sum_text = &sum_text[1..];
-    if sum_text.len() != 2 {
-        return Err(NmeaError::MalformedChecksum(sum_text.to_string()));
-    }
-    let transmitted = u8::from_str_radix(sum_text, 16)
-        .map_err(|_| NmeaError::MalformedChecksum(sum_text.to_string()))?;
-    let computed = checksum(body);
-    if computed != transmitted {
-        return Err(NmeaError::ChecksumMismatch {
+    frame(sentence).map_err(|defect| match defect {
+        Unframed::TooLong(len) => NmeaError::SentenceTooLong(len),
+        Unframed::NoStart => NmeaError::MissingStartDelimiter,
+        Unframed::NoChecksum => NmeaError::MissingChecksum,
+        Unframed::MalformedChecksum(text) => NmeaError::MalformedChecksum(text.to_string()),
+        Unframed::Mismatch {
             computed,
             transmitted,
-        });
-    }
-    Ok(body)
+        } => NmeaError::ChecksumMismatch {
+            computed,
+            transmitted,
+        },
+    })
 }
 
 /// The three-letter type of an NMEA line or bare address field, read
@@ -72,11 +100,124 @@ pub fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
 /// ```
 pub fn sentence_type(line: &str) -> Option<&str> {
     let s = line.strip_prefix('$').unwrap_or(line);
-    let address = &s[..s.find([',', '*']).unwrap_or(s.len())];
+    let end = s.bytes().position(|b| b == b',' || b == b'*');
+    let address = &s[..end.unwrap_or(s.len())];
     if address.len() >= 5 {
         address.get(2..5)
     } else {
         Some(address)
+    }
+}
+
+/// The comma-separated fields of a framed sentence body, located in one
+/// pass over its bytes.
+///
+/// `ends[0]` is the offset of the comma that closes the address and
+/// `ends[i + 1]` the offset of the comma (or the body end) that closes
+/// data field `i`. A framed body is at most 78 bytes, so every offset
+/// fits a `u8` and the array has a slot for every comma.
+struct Fields<'a> {
+    body: &'a str,
+    ends: [u8; MAX_SENTENCE_LEN],
+    /// Data fields after the address.
+    len: usize,
+}
+
+impl<'a> Fields<'a> {
+    fn scan(body: &'a str) -> Self {
+        debug_assert!(body.len() < MAX_SENTENCE_LEN, "scan a framed body only");
+        let mut ends = [0; MAX_SENTENCE_LEN];
+        let mut len = 0;
+        // Eight bytes at a time: a word's commas become the high bits of
+        // its lanes (exact per byte, no carries across lanes), and each
+        // set bit is one comma. The last word is zero-padded.
+        const LOW7: u64 = u64::from_ne_bytes([0x7f; 8]);
+        const COMMAS: u64 = u64::from_ne_bytes([b','; 8]);
+        let bytes = body.as_bytes();
+        for at in (0..bytes.len()).step_by(8) {
+            let mut lanes = [0; 8];
+            match bytes.get(at..at + 8) {
+                Some(word) => lanes.copy_from_slice(word),
+                None => lanes[..bytes.len() - at].copy_from_slice(&bytes[at..]),
+            }
+            let x = u64::from_le_bytes(lanes) ^ COMMAS;
+            let mut mask = !(((x & LOW7) + LOW7) | x | LOW7);
+            while mask != 0 {
+                ends[len] = (at + mask.trailing_zeros() as usize / 8) as u8;
+                len += 1;
+                mask &= mask - 1;
+            }
+        }
+        ends[len] = body.len() as u8;
+        Fields { body, ends, len }
+    }
+
+    fn address(&self) -> &'a str {
+        &self.body[..usize::from(self.ends[0])]
+    }
+
+    /// Data field `i`, 0-based after the address; `i < self.len`.
+    fn at(&self, i: usize) -> &'a str {
+        &self.body[usize::from(self.ends[i]) + 1..usize::from(self.ends[i + 1])]
+    }
+}
+
+/// A field in the plain decimal grammar `-?d*(.d*)?` with at least one
+/// digit. Every such field is a valid `f64` literal.
+struct Decimal {
+    negative: bool,
+    /// The digits as an integer; exact while `digits` is at most 19.
+    mantissa: u64,
+    digits: u32,
+    /// Digits after the point.
+    scale: u32,
+}
+
+fn lex_decimal(text: &str) -> Option<Decimal> {
+    let (negative, bytes) = match text.as_bytes() {
+        [b'-', rest @ ..] => (true, rest),
+        bytes => (false, bytes),
+    };
+    let (mut mantissa, mut digits, mut point) = (0u64, 0u32, None);
+    for &b in bytes {
+        match b {
+            b'0'..=b'9' => {
+                mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                digits += 1;
+            }
+            b'.' if point.is_none() => point = Some(digits),
+            _ => return None,
+        }
+    }
+    (digits > 0).then(|| Decimal {
+        negative,
+        mantissa,
+        digits,
+        scale: point.map_or(0, |p| digits - p),
+    })
+}
+
+/// Most digits the exact path decodes: their integer stays below 2^53,
+/// so it and every power of ten it is divided by are exact `f64`s.
+const EXACT_DIGITS: u32 = 15;
+
+const POW10: [f64; EXACT_DIGITS as usize + 1] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// Decodes a float field exactly as `str::parse::<f64>` does, bit for bit.
+///
+/// A plain decimal of at most 15 digits is one correctly rounded
+/// division of two exact `f64`s, integer ÷ 10^scale (Clinger's fast
+/// path), which is the correctly rounded value `str::parse` returns.
+/// Every other text goes to `str::parse`.
+fn parse_decimal(text: &str) -> Result<f64, ParseFloatError> {
+    match lex_decimal(text) {
+        Some(d) if d.digits <= EXACT_DIGITS => {
+            let magnitude = d.mantissa as f64 / POW10[d.scale as usize];
+            Ok(if d.negative { -magnitude } else { magnitude })
+        }
+        _ => text.parse(),
     }
 }
 
@@ -91,40 +232,86 @@ pub fn sentence_type(line: &str) -> Option<&str> {
 /// invalid.
 pub fn parse_sentence(sentence: &str) -> Result<Sentence, NmeaError> {
     let body = verify_checksum(sentence)?;
-    let mut fields = body.split(',');
-    let address = fields.next().unwrap_or_default();
-    // The checked length bounds the field count, so the fields are
-    // sliced on the stack instead of collected into a growing `Vec`.
-    let mut slots = [""; MAX_SENTENCE_LEN];
-    let mut n = 0;
-    for (slot, field) in slots.iter_mut().zip(fields) {
-        *slot = field;
-        n += 1;
-    }
-    let rest = &slots[..n];
+    let f = Fields::scan(body);
     match sentence_type(body) {
-        Some("GGA") => parse_gga(rest).map(Sentence::Gga),
-        Some("RMC") => parse_rmc(rest).map(Sentence::Rmc),
-        Some("GSA") => parse_gsa(rest).map(Sentence::Gsa),
-        Some("GSV") => parse_gsv(rest).map(Sentence::Gsv),
-        Some("VTG") => parse_vtg(rest).map(Sentence::Vtg),
+        Some("GGA") => parse_gga(&f).map(Sentence::Gga),
+        Some("RMC") => parse_rmc(&f).map(Sentence::Rmc),
+        Some("GSA") => parse_gsa(&f).map(Sentence::Gsa),
+        Some("GSV") => parse_gsv(&f).map(Sentence::Gsv),
+        Some("VTG") => parse_vtg(&f).map(Sentence::Vtg),
         _ => Ok(Sentence::Unknown {
-            talker_and_type: address.to_string(),
-            fields: rest.iter().map(|s| s.to_string()).collect(),
+            talker_and_type: f.address().to_string(),
+            fields: (0..f.len).map(|i| f.at(i).to_string()).collect(),
         }),
     }
 }
 
-fn need(fields: &[&str], n: usize, sentence: &'static str) -> Result<(), NmeaError> {
-    if fields.len() < n {
+/// Whether [`parse_sentence`] accepts `line`, decided without decoding a
+/// float or allocating.
+///
+/// The accept set is exactly `parse_sentence(line).is_ok()`: the framing
+/// and checksum, each modelled type's field count, and every field the
+/// parser decodes, checked against its grammar. Sentence types the crate
+/// does not model are valid once the checksum passes. The rare field
+/// outside the plain grammar (a float written `1e3` or `+5`, a
+/// coordinate with a sign or more than 15 digits) is left to
+/// [`parse_sentence`].
+///
+/// ```
+/// use perpos_nmea::is_valid_sentence;
+///
+/// assert!(is_valid_sentence("$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47"));
+/// // 61 minutes is not a latitude.
+/// assert!(!is_valid_sentence("$GPGGA,123519,4861.000,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*4C"));
+/// ```
+pub fn is_valid_sentence(line: &str) -> bool {
+    let Ok(body) = frame(line) else {
+        return false;
+    };
+    let f = Fields::scan(body);
+    let verdict = match sentence_type(body) {
+        Some("GGA") => check_gga(&f),
+        Some("RMC") => check_rmc(&f),
+        Some("GSA") => check_gsa(&f),
+        Some("GSV") => check_gsv(&f),
+        Some("VTG") => check_vtg(&f),
+        _ => Ok(()),
+    };
+    match verdict {
+        Ok(()) => true,
+        Err(Stop::Invalid) => false,
+        Err(Stop::Undecided) => parse_sentence(line).is_ok(),
+    }
+}
+
+fn need(f: &Fields<'_>, n: usize, sentence: &'static str) -> Result<(), NmeaError> {
+    if f.len < n {
         Err(NmeaError::TooFewFields {
             sentence,
-            got: fields.len(),
+            got: f.len,
             need: n,
         })
     } else {
         Ok(())
     }
+}
+
+/// Hour, minute and second of a non-empty `hhmmss[.sss]` time field, in
+/// range.
+fn clock(text: &str) -> Option<(u8, u8, u8)> {
+    if text.len() < 6 {
+        return None;
+    }
+    // `get` rather than indexing: a non-ASCII byte must be a field
+    // error, not a slice on a non-`char` boundary.
+    let two = |at: usize| -> Option<u8> { text.get(at..at + 2)?.parse().ok() };
+    let (hour, minute, second) = (two(0)?, two(2)?, two(4)?);
+    (hour <= 23 && minute <= 59 && second <= 60).then_some((hour, minute, second))
+}
+
+/// The `.sss` fraction of a time field, if it has one.
+fn fraction(text: &str) -> Option<&str> {
+    text.get(6..).filter(|f| f.starts_with('.'))
 }
 
 fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
@@ -135,25 +322,13 @@ fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
         field: "time",
         value: text.to_string(),
     };
-    if text.len() < 6 {
-        return Err(bad());
-    }
-    // `get` rather than indexing: a non-ASCII byte must be a field
-    // error, not a slice on a non-`char` boundary.
-    let two = |at: usize| -> Result<u8, NmeaError> {
-        text.get(at..at + 2)
-            .and_then(|d| d.parse().ok())
-            .ok_or_else(bad)
-    };
-    let (hour, minute, second) = (two(0)?, two(2)?, two(4)?);
-    if hour > 23 || minute > 59 || second > 60 {
-        return Err(bad());
-    }
-    let millis = if let Some(frac) = text.get(6..).filter(|f| f.starts_with('.')) {
-        let frac_val: f64 = frac.parse().map_err(|_| bad())?;
-        (frac_val * 1000.0).round() as u16
-    } else {
-        0
+    let (hour, minute, second) = clock(text).ok_or_else(bad)?;
+    let millis = match fraction(text) {
+        Some(frac) => {
+            let frac_val = parse_decimal(frac).map_err(|_| bad())?;
+            (frac_val * 1000.0).round() as u16
+        }
+        None => 0,
     };
     Ok(NmeaTime::new(hour, minute, second, millis))
 }
@@ -172,8 +347,8 @@ fn parse_coord(value: &str, hemi: &str, field: &'static str) -> Result<Option<f6
         return Err(bad());
     }
     let (deg_text, min_text) = value.split_at_checked(dot - 2).ok_or_else(bad)?;
-    let degrees: f64 = deg_text.parse().map_err(|_| bad())?;
-    let minutes: f64 = min_text.parse().map_err(|_| bad())?;
+    let degrees = parse_decimal(deg_text).map_err(|_| bad())?;
+    let minutes = parse_decimal(min_text).map_err(|_| bad())?;
     if minutes >= 60.0 {
         return Err(bad());
     }
@@ -190,13 +365,13 @@ fn parse_f64_or(text: &str, default: f64, field: &'static str) -> Result<f64, Nm
     if text.is_empty() {
         return Ok(default);
     }
-    text.parse().map_err(|_| NmeaError::InvalidField {
+    parse_decimal(text).map_err(|_| NmeaError::InvalidField {
         field,
         value: text.to_string(),
     })
 }
 
-fn parse_u8_or(text: &str, default: u8, field: &'static str) -> Result<u8, NmeaError> {
+fn parse_int_or<T: FromStr>(text: &str, default: T, field: &'static str) -> Result<T, NmeaError> {
     if text.is_empty() {
         return Ok(default);
     }
@@ -206,105 +381,207 @@ fn parse_u8_or(text: &str, default: u8, field: &'static str) -> Result<u8, NmeaE
     })
 }
 
-fn parse_gga(f: &[&str]) -> Result<Gga, NmeaError> {
+fn parse_gga(f: &Fields<'_>) -> Result<Gga, NmeaError> {
     need(f, 14, "GGA")?;
     Ok(Gga {
-        time: parse_time(f[0])?,
-        lat_deg: parse_coord(f[1], f[2], "latitude")?,
-        lon_deg: parse_coord(f[3], f[4], "longitude")?,
-        quality: FixQuality::from_u8(parse_u8_or(f[5], 0, "quality")?),
-        num_satellites: parse_u8_or(f[6], 0, "satellites")?,
-        hdop: parse_f64_or(f[7], 99.9, "hdop")?,
-        altitude_m: parse_f64_or(f[8], 0.0, "altitude")?,
-        geoid_separation_m: parse_f64_or(f[10], 0.0, "geoid separation")?,
+        time: parse_time(f.at(0))?,
+        lat_deg: parse_coord(f.at(1), f.at(2), "latitude")?,
+        lon_deg: parse_coord(f.at(3), f.at(4), "longitude")?,
+        quality: FixQuality::from_u8(parse_int_or(f.at(5), 0, "quality")?),
+        num_satellites: parse_int_or(f.at(6), 0, "satellites")?,
+        hdop: parse_f64_or(f.at(7), 99.9, "hdop")?,
+        altitude_m: parse_f64_or(f.at(8), 0.0, "altitude")?,
+        geoid_separation_m: parse_f64_or(f.at(10), 0.0, "geoid separation")?,
     })
 }
 
-fn parse_rmc(f: &[&str]) -> Result<Rmc, NmeaError> {
+fn parse_rmc(f: &Fields<'_>) -> Result<Rmc, NmeaError> {
     need(f, 9, "RMC")?;
     Ok(Rmc {
-        time: parse_time(f[0])?,
-        valid: f[1] == "A",
-        lat_deg: parse_coord(f[2], f[3], "latitude")?,
-        lon_deg: parse_coord(f[4], f[5], "longitude")?,
-        speed_knots: parse_f64_or(f[6], 0.0, "speed")?,
-        course_deg: parse_f64_or(f[7], 0.0, "course")?,
-        date: f[8].to_string(),
+        time: parse_time(f.at(0))?,
+        valid: f.at(1) == "A",
+        lat_deg: parse_coord(f.at(2), f.at(3), "latitude")?,
+        lon_deg: parse_coord(f.at(4), f.at(5), "longitude")?,
+        speed_knots: parse_f64_or(f.at(6), 0.0, "speed")?,
+        course_deg: parse_f64_or(f.at(7), 0.0, "course")?,
+        date: f.at(8).to_string(),
     })
 }
 
-fn parse_gsa(f: &[&str]) -> Result<Gsa, NmeaError> {
+fn parse_gsa(f: &Fields<'_>) -> Result<Gsa, NmeaError> {
     need(f, 17, "GSA")?;
-    let fix_type = match f[1] {
+    let fix_type = match f.at(1) {
         "2" => GsaFixType::Fix2d,
         "3" => GsaFixType::Fix3d,
         _ => GsaFixType::NoFix,
     };
-    let prn_fields = &f[2..14];
-    let mut prns = Vec::with_capacity(prn_fields.iter().filter(|p| !p.is_empty()).count());
-    for field in prn_fields {
-        if !field.is_empty() {
-            prns.push(parse_u8_or(field, 0, "prn")?);
-        }
-    }
+    let prns = (2..14)
+        .map(|i| f.at(i))
+        .filter(|p| !p.is_empty())
+        .map(|p| parse_int_or(p, 0, "prn"))
+        .collect::<Result<_, _>>()?;
     Ok(Gsa {
-        auto_selection: f[0] == "A",
+        auto_selection: f.at(0) == "A",
         fix_type,
         prns,
-        pdop: parse_f64_or(f[14], 99.9, "pdop")?,
-        hdop: parse_f64_or(f[15], 99.9, "hdop")?,
-        vdop: parse_f64_or(f[16], 99.9, "vdop")?,
+        pdop: parse_f64_or(f.at(14), 99.9, "pdop")?,
+        hdop: parse_f64_or(f.at(15), 99.9, "hdop")?,
+        vdop: parse_f64_or(f.at(16), 99.9, "vdop")?,
     })
 }
 
-fn parse_gsv(f: &[&str]) -> Result<Gsv, NmeaError> {
+/// The satellite groups of a GSV sentence: four fields each from field
+/// 3, up to the first group with an empty PRN. A last group cut to three
+/// fields has no SNR.
+fn gsv_groups<'a>(f: &'a Fields<'a>) -> impl Iterator<Item = [&'a str; 4]> + 'a {
+    (3..)
+        .step_by(4)
+        .take_while(|&i| i + 3 <= f.len && !f.at(i).is_empty())
+        .map(|i| {
+            let snr = if i + 3 < f.len { f.at(i + 3) } else { "" };
+            [f.at(i), f.at(i + 1), f.at(i + 2), snr]
+        })
+}
+
+fn parse_gsv(f: &Fields<'_>) -> Result<Gsv, NmeaError> {
     need(f, 3, "GSV")?;
-    let mut satellites = Vec::new();
-    let mut i = 3;
-    while i + 3 < f.len() + 1 && i + 3 <= f.len() {
-        let chunk = &f[i..i + 4];
-        if chunk[0].is_empty() {
-            break;
-        }
-        satellites.push(SatelliteInfo {
-            prn: parse_u8_or(chunk[0], 0, "prn")?,
-            elevation_deg: parse_u8_or(chunk[1], 0, "elevation")?,
-            azimuth_deg: if chunk[2].is_empty() {
-                0
-            } else {
-                chunk[2].parse().map_err(|_| NmeaError::InvalidField {
-                    field: "azimuth",
-                    value: chunk[2].to_string(),
-                })?
-            },
-            snr_db: if chunk[3].is_empty() {
-                None
-            } else {
-                Some(parse_u8_or(chunk[3], 0, "snr")?)
-            },
-        });
-        i += 4;
-    }
+    let satellites = gsv_groups(f)
+        .map(|[prn, elevation, azimuth, snr]| {
+            Ok(SatelliteInfo {
+                prn: parse_int_or(prn, 0, "prn")?,
+                elevation_deg: parse_int_or(elevation, 0, "elevation")?,
+                azimuth_deg: parse_int_or(azimuth, 0, "azimuth")?,
+                snr_db: if snr.is_empty() {
+                    None
+                } else {
+                    Some(parse_int_or(snr, 0, "snr")?)
+                },
+            })
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Gsv {
-        total_messages: parse_u8_or(f[0], 1, "total messages")?,
-        message_number: parse_u8_or(f[1], 1, "message number")?,
-        satellites_in_view: parse_u8_or(f[2], 0, "satellites in view")?,
+        total_messages: parse_int_or(f.at(0), 1, "total messages")?,
+        message_number: parse_int_or(f.at(1), 1, "message number")?,
+        satellites_in_view: parse_int_or(f.at(2), 0, "satellites in view")?,
         satellites,
     })
 }
 
-fn parse_vtg(f: &[&str]) -> Result<Vtg, NmeaError> {
+fn parse_vtg(f: &Fields<'_>) -> Result<Vtg, NmeaError> {
     need(f, 7, "VTG")?;
     Ok(Vtg {
-        course_true_deg: parse_f64_or(f[0], 0.0, "course")?,
-        speed_knots: parse_f64_or(f[4], 0.0, "speed knots")?,
-        speed_kmh: parse_f64_or(f[6], 0.0, "speed kmh")?,
+        course_true_deg: parse_f64_or(f.at(0), 0.0, "course")?,
+        speed_knots: parse_f64_or(f.at(4), 0.0, "speed knots")?,
+        speed_kmh: parse_f64_or(f.at(6), 0.0, "speed kmh")?,
     })
+}
+
+/// Why a field check stopped short of accepting.
+enum Stop {
+    /// [`parse_sentence`] rejects the field.
+    Invalid,
+    /// The field is outside the plain grammar; only a full parse can tell.
+    Undecided,
+}
+
+type Check = Result<(), Stop>;
+
+fn valid_if(ok: bool) -> Check {
+    if ok {
+        Ok(())
+    } else {
+        Err(Stop::Invalid)
+    }
+}
+
+fn check_time(text: &str) -> Check {
+    if text.is_empty() {
+        return Ok(());
+    }
+    clock(text).ok_or(Stop::Invalid)?;
+    fraction(text).map_or(Ok(()), check_float)
+}
+
+/// A plain unsigned coordinate of at most 15 digits has parseable degrees
+/// and minutes, and its minutes are below 60 exactly when their first
+/// digit is below 6: 15 digits cannot round up to 60.
+fn check_coord(value: &str, hemi: &str) -> Check {
+    if value.is_empty() || hemi.is_empty() {
+        return Ok(());
+    }
+    let dot = match lex_decimal(value) {
+        Some(d) if !d.negative && d.digits <= EXACT_DIGITS => (d.digits - d.scale) as usize,
+        _ => return Err(Stop::Undecided),
+    };
+    let minutes_below_60 = dot >= 3 && value.as_bytes()[dot - 2] <= b'5';
+    valid_if(minutes_below_60 && matches!(hemi, "N" | "E" | "S" | "W"))
+}
+
+fn check_float(text: &str) -> Check {
+    if text.is_empty() || lex_decimal(text).is_some() {
+        Ok(())
+    } else {
+        Err(Stop::Undecided)
+    }
+}
+
+fn check_int<T: FromStr>(text: &str) -> Check {
+    valid_if(text.is_empty() || text.parse::<T>().is_ok())
+}
+
+fn check_gga(f: &Fields<'_>) -> Check {
+    valid_if(f.len >= 14)?;
+    check_time(f.at(0))?;
+    check_coord(f.at(1), f.at(2))?;
+    check_coord(f.at(3), f.at(4))?;
+    check_int::<u8>(f.at(5))?;
+    check_int::<u8>(f.at(6))?;
+    check_float(f.at(7))?;
+    check_float(f.at(8))?;
+    check_float(f.at(10))
+}
+
+fn check_rmc(f: &Fields<'_>) -> Check {
+    valid_if(f.len >= 9)?;
+    check_time(f.at(0))?;
+    check_coord(f.at(2), f.at(3))?;
+    check_coord(f.at(4), f.at(5))?;
+    check_float(f.at(6))?;
+    check_float(f.at(7))
+}
+
+fn check_gsa(f: &Fields<'_>) -> Check {
+    valid_if(f.len >= 17)?;
+    for i in 2..14 {
+        check_int::<u8>(f.at(i))?;
+    }
+    check_float(f.at(14))?;
+    check_float(f.at(15))?;
+    check_float(f.at(16))
+}
+
+fn check_gsv(f: &Fields<'_>) -> Check {
+    valid_if(f.len >= 3)?;
+    for [prn, elevation, azimuth, snr] in gsv_groups(f) {
+        check_int::<u8>(prn)?;
+        check_int::<u8>(elevation)?;
+        check_int::<u16>(azimuth)?;
+        check_int::<u8>(snr)?;
+    }
+    (0..3).try_for_each(|i| check_int::<u8>(f.at(i)))
+}
+
+fn check_vtg(f: &Fields<'_>) -> Check {
+    valid_if(f.len >= 7)?;
+    check_float(f.at(0))?;
+    check_float(f.at(4))?;
+    check_float(f.at(6))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const GGA: &str = "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47";
     const RMC: &str = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A";
@@ -543,8 +820,680 @@ mod tests {
         );
     }
 
+    #[test]
+    fn gsv_group_cut_to_three_fields_has_no_snr() {
+        let line = "$GPGSV,1,1,04,01,40,083*6F";
+        assert_eq!(line, framed("GPGSV,1,1,04,01,40,083"));
+        assert_eq!(
+            parse_sentence(line),
+            Ok(Sentence::Gsv(Gsv {
+                total_messages: 1,
+                message_number: 1,
+                satellites_in_view: 4,
+                satellites: vec![SatelliteInfo {
+                    prn: 1,
+                    elevation_deg: 40,
+                    azimuth_deg: 83,
+                    snr_db: None,
+                }],
+            }))
+        );
+        assert!(is_valid_sentence(line));
+        // The cut group's fields are still decoded.
+        assert!(!is_valid_sentence(&framed("GPGSV,1,1,04,01,40,360000")));
+    }
+
+    #[test]
+    fn validator_accepts_what_the_parser_accepts() {
+        for line in [GGA, RMC, GSA, GSV, VTG] {
+            assert!(is_valid_sentence(line), "{line}");
+            assert!(is_valid_sentence(&format!("{line}\r\n")), "{line}");
+        }
+        // An unknown type needs only a good checksum.
+        assert!(is_valid_sentence(&framed("GPZDA,x,,y")));
+        assert!(!is_valid_sentence("$GPZDA,x,,y*00"));
+        assert!(!is_valid_sentence("GPZDA,x,,y"));
+        // Field counts, ranges and hemispheres of plain fields.
+        assert!(!is_valid_sentence(&framed("GPVTG,054.7,T,034.4,M,005.5")));
+        assert!(!is_valid_sentence(&framed(
+            "GPRMC,123519,A,4860.000,N,01131.000,E,,,"
+        )));
+        assert!(!is_valid_sentence(&framed(
+            "GPRMC,243519,A,4807.038,N,01131.000,E,,,"
+        )));
+        assert!(!is_valid_sentence(&framed(
+            "GPRMC,123519,A,4807.038,Q,01131.000,E,,,"
+        )));
+        assert!(!is_valid_sentence(&framed(
+            "GPGSA,A,3,256,,,,,,,,,,,,2.5,1.3,2.1"
+        )));
+        // Fields outside the plain grammar go to the full parser, which
+        // accepts what `str::parse` accepts and rejects the rest.
+        assert!(is_valid_sentence(&framed("GPVTG,5e1,T,,M,+5.5,N,inf,K")));
+        assert!(!is_valid_sentence(&framed("GPVTG,5e,T,,M,5.5,N,1,K")));
+        assert!(is_valid_sentence(&framed(
+            "GPRMC,123519,A,-4807.038,N,01131.000,E,,,"
+        )));
+    }
+
+    #[test]
+    fn decimal_decoder_is_str_parse_on_edge_cases() {
+        for text in [
+            "0",
+            "-0",
+            "-0.0",
+            "0.1",
+            ".5",
+            "5.",
+            "-.5",
+            "545.4",
+            "0.000000000000001",
+            "999999999999999",
+            "99999999999999.9",
+            "9007199254740993",
+            "0.30000000000000004",
+            "59.9999999999999",
+            "59.99999999999999",
+            "1e3",
+            "+5",
+            "inf",
+            "NaN",
+            "-",
+            ".",
+            "",
+            "1.2.3",
+            "--1",
+        ] {
+            assert_eq!(
+                parse_decimal(text).map(f64::to_bits),
+                text.parse::<f64>().map(f64::to_bits),
+                "{text:?}"
+            );
+        }
+    }
+
+    /// The parser before the field scanner and the exact decimal
+    /// decoder, kept verbatim as the reference, with one deviation: the
+    /// GSV satellite loop.
+    mod reference {
+        use crate::parser::{checksum, sentence_type, MAX_SENTENCE_LEN};
+        use crate::sentence::{
+            FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
+        };
+        use crate::NmeaError;
+
+        /// Verifies the `*hh` checksum of a complete sentence.
+        ///
+        /// # Errors
+        ///
+        /// Returns an error when the framing or checksum is invalid. On success the
+        /// sentence body (between `$` and `*`) is returned.
+        fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
+            let s = sentence.trim_end_matches(['\r', '\n']);
+            if s.len() > MAX_SENTENCE_LEN {
+                return Err(NmeaError::SentenceTooLong(s.len()));
+            }
+            let body_and_sum = s
+                .strip_prefix('$')
+                .ok_or(NmeaError::MissingStartDelimiter)?;
+            let star = body_and_sum.rfind('*').ok_or(NmeaError::MissingChecksum)?;
+            let (body, sum_text) = body_and_sum.split_at(star);
+            let sum_text = &sum_text[1..];
+            if sum_text.len() != 2 {
+                return Err(NmeaError::MalformedChecksum(sum_text.to_string()));
+            }
+            let transmitted = u8::from_str_radix(sum_text, 16)
+                .map_err(|_| NmeaError::MalformedChecksum(sum_text.to_string()))?;
+            let computed = checksum(body);
+            if computed != transmitted {
+                return Err(NmeaError::ChecksumMismatch {
+                    computed,
+                    transmitted,
+                });
+            }
+            Ok(body)
+        }
+
+        /// Parses one complete NMEA sentence (with `$` framing and checksum).
+        ///
+        /// Unrecognized sentence types parse to [`Sentence::Unknown`] so a PerPos
+        /// Parser component can still forward them.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`NmeaError`] when framing, checksum, or a required field is
+        /// invalid.
+        pub(super) fn parse_sentence(sentence: &str) -> Result<Sentence, NmeaError> {
+            let body = verify_checksum(sentence)?;
+            let mut fields = body.split(',');
+            let address = fields.next().unwrap_or_default();
+            // The checked length bounds the field count, so the fields are
+            // sliced on the stack instead of collected into a growing `Vec`.
+            let mut slots = [""; MAX_SENTENCE_LEN];
+            let mut n = 0;
+            for (slot, field) in slots.iter_mut().zip(fields) {
+                *slot = field;
+                n += 1;
+            }
+            let rest = &slots[..n];
+            match sentence_type(body) {
+                Some("GGA") => parse_gga(rest).map(Sentence::Gga),
+                Some("RMC") => parse_rmc(rest).map(Sentence::Rmc),
+                Some("GSA") => parse_gsa(rest).map(Sentence::Gsa),
+                Some("GSV") => parse_gsv(rest).map(Sentence::Gsv),
+                Some("VTG") => parse_vtg(rest).map(Sentence::Vtg),
+                _ => Ok(Sentence::Unknown {
+                    talker_and_type: address.to_string(),
+                    fields: rest.iter().map(|s| s.to_string()).collect(),
+                }),
+            }
+        }
+
+        fn need(fields: &[&str], n: usize, sentence: &'static str) -> Result<(), NmeaError> {
+            if fields.len() < n {
+                Err(NmeaError::TooFewFields {
+                    sentence,
+                    got: fields.len(),
+                    need: n,
+                })
+            } else {
+                Ok(())
+            }
+        }
+
+        fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
+            if text.is_empty() {
+                return Ok(NmeaTime::default());
+            }
+            let bad = || NmeaError::InvalidField {
+                field: "time",
+                value: text.to_string(),
+            };
+            if text.len() < 6 {
+                return Err(bad());
+            }
+            // `get` rather than indexing: a non-ASCII byte must be a field
+            // error, not a slice on a non-`char` boundary.
+            let two = |at: usize| -> Result<u8, NmeaError> {
+                text.get(at..at + 2)
+                    .and_then(|d| d.parse().ok())
+                    .ok_or_else(bad)
+            };
+            let (hour, minute, second) = (two(0)?, two(2)?, two(4)?);
+            if hour > 23 || minute > 59 || second > 60 {
+                return Err(bad());
+            }
+            let millis = if let Some(frac) = text.get(6..).filter(|f| f.starts_with('.')) {
+                let frac_val: f64 = frac.parse().map_err(|_| bad())?;
+                (frac_val * 1000.0).round() as u16
+            } else {
+                0
+            };
+            Ok(NmeaTime::new(hour, minute, second, millis))
+        }
+
+        /// Parses `ddmm.mmmm` / `dddmm.mmmm` plus hemisphere into decimal degrees.
+        fn parse_coord(
+            value: &str,
+            hemi: &str,
+            field: &'static str,
+        ) -> Result<Option<f64>, NmeaError> {
+            if value.is_empty() || hemi.is_empty() {
+                return Ok(None);
+            }
+            let bad = || NmeaError::InvalidField {
+                field,
+                value: format!("{value},{hemi}"),
+            };
+            let dot = value.find('.').unwrap_or(value.len());
+            if dot < 3 {
+                return Err(bad());
+            }
+            let (deg_text, min_text) = value.split_at_checked(dot - 2).ok_or_else(bad)?;
+            let degrees: f64 = deg_text.parse().map_err(|_| bad())?;
+            let minutes: f64 = min_text.parse().map_err(|_| bad())?;
+            if minutes >= 60.0 {
+                return Err(bad());
+            }
+            let magnitude = degrees + minutes / 60.0;
+            let signed = match hemi {
+                "N" | "E" => magnitude,
+                "S" | "W" => -magnitude,
+                _ => return Err(bad()),
+            };
+            Ok(Some(signed))
+        }
+
+        fn parse_f64_or(text: &str, default: f64, field: &'static str) -> Result<f64, NmeaError> {
+            if text.is_empty() {
+                return Ok(default);
+            }
+            text.parse().map_err(|_| NmeaError::InvalidField {
+                field,
+                value: text.to_string(),
+            })
+        }
+
+        fn parse_u8_or(text: &str, default: u8, field: &'static str) -> Result<u8, NmeaError> {
+            if text.is_empty() {
+                return Ok(default);
+            }
+            text.parse().map_err(|_| NmeaError::InvalidField {
+                field,
+                value: text.to_string(),
+            })
+        }
+
+        fn parse_gga(f: &[&str]) -> Result<Gga, NmeaError> {
+            need(f, 14, "GGA")?;
+            Ok(Gga {
+                time: parse_time(f[0])?,
+                lat_deg: parse_coord(f[1], f[2], "latitude")?,
+                lon_deg: parse_coord(f[3], f[4], "longitude")?,
+                quality: FixQuality::from_u8(parse_u8_or(f[5], 0, "quality")?),
+                num_satellites: parse_u8_or(f[6], 0, "satellites")?,
+                hdop: parse_f64_or(f[7], 99.9, "hdop")?,
+                altitude_m: parse_f64_or(f[8], 0.0, "altitude")?,
+                geoid_separation_m: parse_f64_or(f[10], 0.0, "geoid separation")?,
+            })
+        }
+
+        fn parse_rmc(f: &[&str]) -> Result<Rmc, NmeaError> {
+            need(f, 9, "RMC")?;
+            Ok(Rmc {
+                time: parse_time(f[0])?,
+                valid: f[1] == "A",
+                lat_deg: parse_coord(f[2], f[3], "latitude")?,
+                lon_deg: parse_coord(f[4], f[5], "longitude")?,
+                speed_knots: parse_f64_or(f[6], 0.0, "speed")?,
+                course_deg: parse_f64_or(f[7], 0.0, "course")?,
+                date: f[8].to_string(),
+            })
+        }
+
+        fn parse_gsa(f: &[&str]) -> Result<Gsa, NmeaError> {
+            need(f, 17, "GSA")?;
+            let fix_type = match f[1] {
+                "2" => GsaFixType::Fix2d,
+                "3" => GsaFixType::Fix3d,
+                _ => GsaFixType::NoFix,
+            };
+            let prn_fields = &f[2..14];
+            let mut prns = Vec::with_capacity(prn_fields.iter().filter(|p| !p.is_empty()).count());
+            for field in prn_fields {
+                if !field.is_empty() {
+                    prns.push(parse_u8_or(field, 0, "prn")?);
+                }
+            }
+            Ok(Gsa {
+                auto_selection: f[0] == "A",
+                fix_type,
+                prns,
+                pdop: parse_f64_or(f[14], 99.9, "pdop")?,
+                hdop: parse_f64_or(f[15], 99.9, "hdop")?,
+                vdop: parse_f64_or(f[16], 99.9, "vdop")?,
+            })
+        }
+
+        fn parse_gsv(f: &[&str]) -> Result<Gsv, NmeaError> {
+            need(f, 3, "GSV")?;
+            let mut satellites = Vec::new();
+            let mut i = 3;
+            while i + 3 < f.len() + 1 && i + 3 <= f.len() {
+                // The one deviation from the parent: a last group cut to three
+                // fields has no SNR (the parent sliced past the end and panicked).
+                let chunk = &f[i..(i + 4).min(f.len())];
+                if chunk[0].is_empty() {
+                    break;
+                }
+                satellites.push(SatelliteInfo {
+                    prn: parse_u8_or(chunk[0], 0, "prn")?,
+                    elevation_deg: parse_u8_or(chunk[1], 0, "elevation")?,
+                    azimuth_deg: if chunk[2].is_empty() {
+                        0
+                    } else {
+                        chunk[2].parse().map_err(|_| NmeaError::InvalidField {
+                            field: "azimuth",
+                            value: chunk[2].to_string(),
+                        })?
+                    },
+                    snr_db: match chunk.get(3) {
+                        None | Some(&"") => None,
+                        Some(snr) => Some(parse_u8_or(snr, 0, "snr")?),
+                    },
+                });
+                i += 4;
+            }
+            Ok(Gsv {
+                total_messages: parse_u8_or(f[0], 1, "total messages")?,
+                message_number: parse_u8_or(f[1], 1, "message number")?,
+                satellites_in_view: parse_u8_or(f[2], 0, "satellites in view")?,
+                satellites,
+            })
+        }
+
+        fn parse_vtg(f: &[&str]) -> Result<Vtg, NmeaError> {
+            need(f, 7, "VTG")?;
+            Ok(Vtg {
+                course_true_deg: parse_f64_or(f[0], 0.0, "course")?,
+                speed_knots: parse_f64_or(f[4], 0.0, "speed knots")?,
+                speed_kmh: parse_f64_or(f[6], 0.0, "speed kmh")?,
+            })
+        }
+    }
+
+    /// A splitmix64 stream of NMEA lines for the reference properties:
+    /// real lines of every modelled type and an unknown one, their fields
+    /// at receiver precision or in odd but legal float forms, then
+    /// mutated char-wise (ASCII and non-ASCII) and mostly re-framed, so
+    /// that the mutation reaches the field decoders.
+    struct Lines(u64);
+
+    impl Lines {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+
+        fn digits(&mut self, n: usize) -> String {
+            (0..n)
+                .map(|_| char::from(b'0' + self.below(10) as u8))
+                .collect()
+        }
+
+        /// `min` up to `min + spread - 1` digits.
+        fn digits_below(&mut self, spread: usize, min: usize) -> String {
+            let n = min + self.below(spread);
+            self.digits(n)
+        }
+
+        /// A float field.
+        fn number(&mut self) -> String {
+            const ODD: [&str; 16] = [
+                ".5", "5.", "-.5", "+5", "1e3", "2E-2", "inf", "NaN", "-", ".", "1.2.3", "0x1",
+                "-0", "1_0", " 1", "--1",
+            ];
+            match self.below(10) {
+                0 => String::new(),
+                1 => self.pick(&ODD).to_string(),
+                // Around the exact path's 15-digit limit.
+                2 => {
+                    let n = 13 + self.below(6);
+                    let point = self.below(n + 1);
+                    let d = self.digits(n);
+                    format!("{}.{}", &d[..point], &d[point..])
+                }
+                3 => format!("-{}.{}", self.digits_below(3, 1), self.digits_below(4, 0)),
+                _ => {
+                    let int = self.digits_below(4, 1);
+                    match self.below(4) {
+                        0 => int,
+                        _ => format!("{int}.{}", self.digits_below(5, 0)),
+                    }
+                }
+            }
+        }
+
+        /// An integer field, usually a legal `u8`.
+        fn int(&mut self) -> String {
+            match self.below(8) {
+                0 => String::new(),
+                1 => self
+                    .pick(&["+5", "256", "-1", "007", "65536", "1.0", "x"])
+                    .to_string(),
+                _ => format!("{:0w$}", self.below(100), w = self.below(3)),
+            }
+        }
+
+        fn time(&mut self) -> String {
+            if self.below(8) == 0 {
+                return self.pick(&["", "12351", "+1+2+3", "1é2345"]).to_string();
+            }
+            let frac = self.pick(&["", "", ".5", ".25", ".999", ".", ".1.2", "x", ".-5"]);
+            format!(
+                "{:02}{:02}{:02}{frac}",
+                self.below(26),
+                self.below(62),
+                self.below(62)
+            )
+        }
+
+        /// A coordinate and its hemisphere.
+        fn coord(&mut self, degree_digits: usize) -> (String, String) {
+            let value = match self.below(8) {
+                0 => String::new(),
+                1 => self.number(),
+                // Minutes a hair below 60, at and past 15 digits.
+                2 => format!(
+                    "{}59.{}",
+                    self.digits(degree_digits),
+                    "9".repeat(8 + self.below(8))
+                ),
+                _ => format!(
+                    "{}{}{:02}.{}",
+                    self.pick(&["", "", "", "", "", "", "-", "+"]),
+                    self.digits(degree_digits),
+                    self.below(62),
+                    self.digits_below(6, 0)
+                ),
+            };
+            let hemi = self
+                .pick(&["N", "S", "E", "W", "N", "S", "", "X"])
+                .to_string();
+            (value, hemi)
+        }
+
+        fn body(&mut self) -> String {
+            let talker = self.pick(&["GP", "GL", "GN"]);
+            match self.below(6) {
+                0 => {
+                    let (lat, ns) = self.coord(2);
+                    let (lon, ew) = self.coord(3);
+                    format!(
+                        "{talker}GGA,{},{lat},{ns},{lon},{ew},{},{},{},{},M,{},M,,",
+                        self.time(),
+                        self.int(),
+                        self.int(),
+                        self.number(),
+                        self.number(),
+                        self.number()
+                    )
+                }
+                1 => {
+                    let (lat, ns) = self.coord(2);
+                    let (lon, ew) = self.coord(3);
+                    format!(
+                        "{talker}RMC,{},{},{lat},{ns},{lon},{ew},{},{},{},003.1,W",
+                        self.time(),
+                        self.pick(&["A", "V"]),
+                        self.number(),
+                        self.number(),
+                        self.digits(6)
+                    )
+                }
+                2 => {
+                    let prns: Vec<String> = (0..12).map(|_| self.int()).collect();
+                    format!(
+                        "{talker}GSA,A,{},{},{},{},{}",
+                        self.pick(&["1", "2", "3"]),
+                        prns.join(","),
+                        self.number(),
+                        self.number(),
+                        self.number()
+                    )
+                }
+                3 => {
+                    let mut body =
+                        format!("{talker}GSV,{},{},{}", self.int(), self.int(), self.int());
+                    for _ in 0..self.below(5) {
+                        let azimuth = self.pick(&["083", "308", "", "359", "65536", "7"]);
+                        body += &format!(",{},{},{azimuth},{}", self.int(), self.int(), self.int());
+                    }
+                    // Cut the last group short.
+                    for _ in 0..self.below(4) {
+                        if let Some(comma) = body.rfind(',') {
+                            body.truncate(comma);
+                        }
+                    }
+                    body
+                }
+                4 => format!(
+                    "{talker}VTG,{},T,{},M,{},N,{},K",
+                    self.number(),
+                    self.number(),
+                    self.number(),
+                    self.number()
+                ),
+                _ => format!("{talker}ZDA,{},11,03,2004,-1,00", self.time()),
+            }
+        }
+
+        fn mutate(&mut self, body: &str) -> String {
+            const ALPHABET: [char; 16] = [
+                '0',
+                '5',
+                '9',
+                '.',
+                ',',
+                '-',
+                '+',
+                'e',
+                'N',
+                'S',
+                'A',
+                '*',
+                ' ',
+                'é',
+                '\u{1F6F0}',
+                '$',
+            ];
+            let mut chars: Vec<char> = body.chars().collect();
+            for _ in 0..1 + self.below(3) {
+                let at = self.below(chars.len() + 1);
+                let c = ALPHABET[self.below(ALPHABET.len())];
+                match self.below(4) {
+                    0 if at < chars.len() => chars[at] = c,
+                    1 if at < chars.len() => {
+                        chars.remove(at);
+                    }
+                    2 => chars.truncate(at),
+                    _ => chars.insert(at, c),
+                }
+            }
+            chars.into_iter().collect()
+        }
+
+        fn line(&mut self) -> String {
+            let body = self.body();
+            let sent = if self.below(2) == 0 {
+                body.clone()
+            } else {
+                self.mutate(&body)
+            };
+            match self.below(12) {
+                // The checksum of the unmutated body.
+                0 => format!("${sent}*{:02X}", checksum(&body)),
+                1 => format!("${sent}*{:02X}\r\n", checksum(&sent)),
+                2 => format!("${sent}*{:02x}", checksum(&sent)),
+                _ => format!("${sent}*{:02X}", checksum(&sent)),
+            }
+        }
+
+        /// A float field, or any text `str::parse::<f64>` may see.
+        fn decimal_text(&mut self) -> String {
+            match self.below(6) {
+                0 => {
+                    const ALPHABET: &[u8] = b"0123456789.-+eE";
+                    (0..self.below(24))
+                        .map(|_| char::from(ALPHABET[self.below(ALPHABET.len())]))
+                        .collect()
+                }
+                1 => format!("{}", f64::from_bits(self.next())),
+                2 => {
+                    let v = (self.next() >> 11) as f64 / (1u64 << self.below(53)) as f64;
+                    format!("{v:.p$}", p = self.below(18))
+                }
+                _ => self.number(),
+            }
+        }
+    }
+
+    #[test]
+    fn line_generator_reaches_every_decoder() {
+        let mut lines = Lines(11);
+        let mut seen = std::collections::BTreeMap::<(String, bool), usize>::new();
+        let mut undecided = 0;
+        for _ in 0..20_000 {
+            let line = lines.line();
+            let key = sentence_type(&line).unwrap_or("?").to_string();
+            *seen.entry((key, is_valid_sentence(&line))).or_default() += 1;
+            let decided = frame(&line).ok().map(|body| {
+                let f = Fields::scan(body);
+                match sentence_type(body) {
+                    Some("GGA") => check_gga(&f),
+                    Some("RMC") => check_rmc(&f),
+                    Some("GSA") => check_gsa(&f),
+                    Some("GSV") => check_gsv(&f),
+                    Some("VTG") => check_vtg(&f),
+                    _ => Ok(()),
+                }
+            });
+            undecided += usize::from(matches!(decided, Some(Err(Stop::Undecided))));
+        }
+        for kind in ["GGA", "RMC", "GSA", "GSV", "VTG", "ZDA"] {
+            for valid in [true, false] {
+                let n = seen.get(&(kind.to_string(), valid)).copied().unwrap_or(0);
+                assert!(n > 50, "{n} lines of {kind} with valid = {valid}");
+            }
+        }
+        assert!(undecided > 500, "{undecided} undecided lines");
+    }
+
+    /// Cases of the reference properties; the release-mode run (CI's
+    /// "NMEA parser/encoder equivalence" step) uses the full count.
+    const REFERENCE_CASES: u32 = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        400_000
+    };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(REFERENCE_CASES))]
+        fn parser_and_validator_match_the_reference(seed in any::<u64>()) {
+            let line = Lines(seed).line();
+            let want = reference::parse_sentence(&line);
+            prop_assert_eq!(
+                format!("{:?}", parse_sentence(&line)),
+                format!("{want:?}"),
+                "{:?}",
+                line
+            );
+            prop_assert_eq!(is_valid_sentence(&line), want.is_ok(), "{:?}", line);
+        }
+
+        fn decimal_decoder_is_str_parse_bit_for_bit(seed in any::<u64>()) {
+            let text = Lines(seed).decimal_text();
+            let want = text.parse::<f64>().map(f64::to_bits);
+            prop_assert_eq!(parse_decimal(&text).map(f64::to_bits), want.clone(), "{:?}", text);
+            // The validator's premise: the plain grammar always parses.
+            prop_assert!(lex_decimal(&text).is_none() || want.is_ok(), "{:?}", text);
+        }
+    }
+
     mod fuzz {
         use super::super::*;
+        use super::reference;
         use proptest::prelude::*;
 
         proptest! {
@@ -556,11 +1505,28 @@ mod tests {
             }
 
             /// Valid framing with arbitrary field garbage parses to
-            /// Ok(...) or a field error, never a panic.
+            /// Ok(...) or a field error, never a panic. Half the
+            /// addresses name a modelled type, so the garbage reaches
+            /// every field decoder; the validator agrees with the
+            /// reference parser.
             #[test]
-            fn framed_garbage_never_panics(body in "[A-Z]{5}(,[-0-9A-Za-z.]{0,12}){0,20}") {
+            fn framed_garbage_never_panics(
+                kind in 0usize..10,
+                talker in "G[PLN]",
+                address in "[A-Z]{5}",
+                fields in "(,[-0-9A-Za-z.]{0,12}){0,20}",
+            ) {
+                const MODELLED: [&str; 5] = ["GGA", "RMC", "GSA", "GSV", "VTG"];
+                let address = MODELLED.get(kind).map_or(address, |t| format!("{talker}{t}"));
+                let body = format!("{address}{fields}");
                 let line = format!("${body}*{:02X}", checksum(&body));
                 let _ = parse_sentence(&line);
+                prop_assert_eq!(
+                    is_valid_sentence(&line),
+                    reference::parse_sentence(&line).is_ok(),
+                    "{:?}",
+                    line
+                );
             }
 
             /// Non-ASCII bytes anywhere in a correctly framed sentence
@@ -569,6 +1535,12 @@ mod tests {
             #[test]
             fn framed_non_ascii_never_panics(body in "[A-Zé]{2,6}(,[0-9.NSEWé]{0,4}){0,16}") {
                 let line = format!("${body}*{:02X}", checksum(&body));
+                prop_assert_eq!(
+                    is_valid_sentence(&line),
+                    reference::parse_sentence(&line).is_ok(),
+                    "{:?}",
+                    line
+                );
                 if let Ok(sentence) = parse_sentence(&line) {
                     if !matches!(sentence, Sentence::Unknown { .. }) {
                         prop_assert_eq!(sentence_type(&line), Some(sentence.type_code()));

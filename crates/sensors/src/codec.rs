@@ -6,9 +6,10 @@
 //! Parser forwards the very line it accepted, so no per-hop encoding
 //! happens and the middleware core stays independent of the NMEA model.
 //! Consumers peek at the type without parsing ([`sentence_type_of`]) and
-//! decode only what they use ([`gga_of`], [`sentence_of`]); every decode
-//! reads the exact line the Parser validated, so it sees the same
-//! [`Sentence`] the Parser did.
+//! decode only what they use ([`gga_of`], [`sentence_of`]). The Parser
+//! validates with `perpos_nmea::is_valid_sentence`, whose accept set is
+//! exactly [`parse_sentence`]'s, so every decode of a line the Parser
+//! accepted succeeds.
 
 use perpos_core::prelude::*;
 use perpos_nmea::{parse_sentence, sentence_type, Gga, Sentence};
@@ -77,8 +78,15 @@ impl fmt::Display for TraceError {
             TraceError::TruncatedChecksum { line } => {
                 write!(f, "line {line}: '*' not followed by two hex digits")
             }
-            TraceError::BadChecksum { line, expected, found } => {
-                write!(f, "line {line}: checksum {found:02X} != computed {expected:02X}")
+            TraceError::BadChecksum {
+                line,
+                expected,
+                found,
+            } => {
+                write!(
+                    f,
+                    "line {line}: checksum {found:02X} != computed {expected:02X}"
+                )
             }
         }
     }
@@ -318,19 +326,38 @@ mod tests {
         let report = scan_block(block, &mut out);
         assert_eq!(report.parsed, 2);
         assert_eq!(report.skipped, 4);
-        assert_eq!(out, vec![
-            "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47",
-            "$GPXXX,tail",
-        ]);
+        assert_eq!(
+            out,
+            vec![
+                "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47",
+                "$GPXXX,tail",
+            ]
+        );
         assert_eq!(report.errors.len(), 4);
         assert!(
-            matches!(report.errors[0], TraceError::BadChecksum { line: 2, found: 0xFF, .. }),
+            matches!(
+                report.errors[0],
+                TraceError::BadChecksum {
+                    line: 2,
+                    found: 0xFF,
+                    ..
+                }
+            ),
             "{:?}",
             report.errors[0]
         );
-        assert!(matches!(report.errors[1], TraceError::NonAscii { line: 3, byte: 0 }));
-        assert!(matches!(report.errors[2], TraceError::MissingStart { line: 4 }));
-        assert!(matches!(report.errors[3], TraceError::TruncatedChecksum { line: 5 }));
+        assert!(matches!(
+            report.errors[1],
+            TraceError::NonAscii { line: 3, byte: 0 }
+        ));
+        assert!(matches!(
+            report.errors[2],
+            TraceError::MissingStart { line: 4 }
+        ));
+        assert!(matches!(
+            report.errors[3],
+            TraceError::TruncatedChecksum { line: 5 }
+        ));
         // Errors render with their line numbers for diagnostics.
         assert!(report.errors[0].to_string().contains("line 2"));
         assert_eq!(report.errors[3].line(), 5);
@@ -374,9 +401,14 @@ mod tests {
         mw.connect(src, tap, 0).unwrap();
 
         let block = "$GPXXX,one\nnope\n$GPXXX,two\n";
-        let (ingested, report) =
-            ingest_nmea_block(&mut mw, src, kinds::RAW_STRING, block, SimDuration::from_micros(1))
-                .unwrap();
+        let (ingested, report) = ingest_nmea_block(
+            &mut mw,
+            src,
+            kinds::RAW_STRING,
+            block,
+            SimDuration::from_micros(1),
+        )
+        .unwrap();
         assert_eq!(ingested, 2);
         assert_eq!(report.parsed, 2);
         assert_eq!(report.skipped, 1);

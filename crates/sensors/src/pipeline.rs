@@ -9,14 +9,16 @@ use perpos_core::component::{Component, ComponentCtx, ComponentDescriptor, Input
 use perpos_core::feature::{ComponentFeature, FeatureAction, FeatureDescriptor, FeatureHost};
 use perpos_core::prelude::*;
 use perpos_model::Building;
-use perpos_nmea::parse_sentence;
+use perpos_nmea::is_valid_sentence;
 
 use crate::codec;
 
 /// The Parser component: raw NMEA strings in, validated sentences out
 /// (Fig. 1/4).
 ///
-/// A sentence item's payload is the accepted line itself (see
+/// A line is accepted when [`is_valid_sentence`] holds, which accepts
+/// exactly what `perpos_nmea::parse_sentence` does without decoding the
+/// fields. A sentence item's payload is the accepted line itself (see
 /// [`codec`]); consumers decode it on demand.
 ///
 /// Malformed sentences are counted and dropped — reproducing the Fig. 4
@@ -50,10 +52,7 @@ impl Component for Parser {
         item: DataItem,
         ctx: &mut ComponentCtx<'_>,
     ) -> Result<(), CoreError> {
-        let valid = item
-            .payload
-            .as_text()
-            .is_some_and(|text| parse_sentence(text).is_ok());
+        let valid = item.payload.as_text().is_some_and(is_valid_sentence);
         if valid {
             self.parsed += 1;
             // The validated line is the sentence payload: forwarding the

@@ -38,7 +38,8 @@ fn swallowed_pipeline_soak_holds_leak_bound_and_drop_counters() {
     mw.connect(src, swallow, 0).unwrap();
     mw.connect_to_sink(swallow, app).unwrap();
 
-    mw.step_batch(SOAK_STEPS, SimDuration::from_micros(1)).unwrap();
+    mw.step_batch(SOAK_STEPS, SimDuration::from_micros(1))
+        .unwrap();
 
     // Channel counters are byte-for-byte the pre-arena semantics: the
     // ring holds exactly its cap, the overflow is counted as dropped.
@@ -82,7 +83,8 @@ fn healthy_pipeline_soak_recycles_nearly_everything() {
     mw.connect(src, relay, 0).unwrap();
     mw.connect_to_sink(relay, app).unwrap();
 
-    mw.step_batch(SOAK_STEPS, SimDuration::from_micros(1)).unwrap();
+    mw.step_batch(SOAK_STEPS, SimDuration::from_micros(1))
+        .unwrap();
 
     let arena = mw.arena_stats();
     assert_eq!(arena.interned, SOAK_STEPS);
