@@ -31,6 +31,7 @@ use std::time::Instant;
 use perpos_core::channel::{ChannelFeature, ChannelHost, ChannelId, DataTree};
 use perpos_core::feature::FeatureDescriptor;
 use perpos_core::prelude::*;
+use perpos_nmea::checksum;
 use perpos_sensors::codec::scan_block;
 
 /// How items enter the pipeline: `item` ticks the source once per step
@@ -228,7 +229,7 @@ fn guard_block_cost() -> f64 {
     best
 }
 
-/// Pre-renders `steps` NMEA sentences chunked into newline-joined
+/// Pre-renders `steps` framed NMEA sentences chunked into newline-joined
 /// blocks of [`BLOCK_LINES`], modeling sentence bursts arriving from a
 /// capture file or serial reader. Generation happens outside the timed
 /// region; the timed region is lex + ingest only.
@@ -236,8 +237,11 @@ fn render_blocks(steps: u64) -> Vec<String> {
     let mut blocks = Vec::new();
     let mut block = String::new();
     for i in 0..steps {
-        block.push_str("$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,");
-        block.push_str(&format!("{:04}\n", i + 1));
+        let body = format!(
+            "GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,{:04}",
+            i + 1
+        );
+        block.push_str(&format!("${body}*{:02X}\n", checksum(&body)));
         if (i + 1) % BLOCK_LINES as u64 == 0 {
             blocks.push(std::mem::take(&mut block));
         }

@@ -9,20 +9,17 @@
 //!   constrained by a building model ("location models to impose
 //!   restrictions on possible movements", §1) — the Fig. 6 system,
 //! * [`KalmanFilter`] — a constant-velocity Kalman smoother baseline,
-//! * [`CentroidFusion`] — an accuracy-weighted centroid baseline,
 //! * [`transport`] — the segmentation → decision tree → HMM
 //!   transportation-mode pipeline the paper's introduction motivates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod centroid;
 mod kalman;
 mod likelihood;
 mod particle;
 pub mod transport;
 
-pub use centroid::CentroidFusion;
 pub use kalman::KalmanFilter;
 pub use likelihood::{LikelihoodFeature, LikelihoodHandle};
 pub use particle::ParticleFilter;

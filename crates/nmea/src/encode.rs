@@ -147,12 +147,12 @@ impl Sentence {
     /// untouched.
     ///
     /// ```
-    /// use perpos_nmea::{verify_checksum, Sentence, Vtg};
+    /// use perpos_nmea::{frame, Sentence, Vtg};
     /// let mut buf = String::from("prefix:");
     /// Sentence::Vtg(Vtg::default()).write_nmea(&mut buf);
     /// let line = buf.strip_prefix("prefix:").unwrap();
     /// assert_eq!(line, "$GPVTG,0.0,T,,M,0.0,N,0.0,K*60");
-    /// assert!(verify_checksum(line).is_ok());
+    /// assert_eq!(frame(line), Ok("GPVTG,0.0,T,,M,0.0,N,0.0,K"));
     /// ```
     pub fn write_nmea(&self, out: &mut String) {
         out.push('$');
@@ -293,7 +293,7 @@ impl From<FixQuality> for u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_sentence, verify_checksum};
+    use crate::parser::{frame, parse_sentence};
     use crate::sentence::{Gga, Gsa, Gsv, NmeaTime, Rmc, SatelliteInfo, Vtg};
     use proptest::prelude::*;
 
@@ -711,7 +711,7 @@ mod tests {
         sentence.write_nmea(&mut buf);
         let line = buf.strip_prefix(&prefix).unwrap().to_string();
         assert_eq!(line, sentence.to_nmea_string());
-        assert!(verify_checksum(&line).is_ok(), "{line}");
+        assert!(frame(&line).is_ok(), "{line}");
         // A second append into the same buffer is framed independently.
         let start = buf.len();
         sentence.write_nmea(&mut buf);

@@ -1,22 +1,69 @@
 use std::error::Error;
 use std::fmt;
 
+/// Why [`frame`](crate::frame) rejected a line: the one set of framing
+/// defects, shared by the parser, the validator and the sensor layer's
+/// block scanner. Borrows nothing and never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// The line, less its terminator, is longer than the NMEA maximum of
+    /// 82 bytes.
+    TooLong {
+        /// Length in bytes, terminator excluded.
+        len: usize,
+    },
+    /// The line does not start with `$`.
+    MissingStart,
+    /// The line holds a byte outside printable ASCII (0x20–0x7E).
+    NotPrintable {
+        /// Byte offset of the first such byte within the line.
+        offset: usize,
+    },
+    /// The line has no `*` at all, so no checksum.
+    MissingChecksum,
+    /// The line has a `*` but does not end in `*` and two hex digits.
+    MalformedChecksum,
+    /// The `*hh` checksum differs from the XOR of the body.
+    ChecksumMismatch {
+        /// Checksum computed over the body.
+        computed: u8,
+        /// Checksum carried on the line.
+        transmitted: u8,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FrameError::TooLong { len } => {
+                write!(f, "sentence length {len} exceeds the NMEA maximum of 82")
+            }
+            FrameError::MissingStart => write!(f, "sentence does not start with '$'"),
+            FrameError::NotPrintable { offset } => {
+                write!(f, "byte outside printable ASCII at offset {offset}")
+            }
+            FrameError::MissingChecksum => write!(f, "sentence has no '*hh' checksum"),
+            FrameError::MalformedChecksum => {
+                write!(f, "sentence does not end in '*' and two hex digits")
+            }
+            FrameError::ChecksumMismatch {
+                computed,
+                transmitted,
+            } => write!(
+                f,
+                "checksum mismatch: computed {computed:02X}, transmitted {transmitted:02X}"
+            ),
+        }
+    }
+}
+
+impl Error for FrameError {}
+
 /// Error produced while parsing NMEA-0183 data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NmeaError {
-    /// The sentence does not start with `$`.
-    MissingStartDelimiter,
-    /// The `*hh` checksum suffix is absent.
-    MissingChecksum,
-    /// The checksum suffix is not two hex digits.
-    MalformedChecksum(String),
-    /// The computed checksum differs from the transmitted one.
-    ChecksumMismatch {
-        /// Checksum computed over the sentence body.
-        computed: u8,
-        /// Checksum transmitted in the sentence.
-        transmitted: u8,
-    },
+    /// The line is not a well-framed sentence.
+    Frame(FrameError),
     /// The sentence has fewer fields than the sentence type requires.
     TooFewFields {
         /// Sentence type, e.g. `"GGA"`.
@@ -33,23 +80,18 @@ pub enum NmeaError {
         /// The raw field text.
         value: String,
     },
-    /// The sentence exceeds the NMEA maximum length of 82 characters.
-    SentenceTooLong(usize),
+}
+
+impl From<FrameError> for NmeaError {
+    fn from(e: FrameError) -> Self {
+        NmeaError::Frame(e)
+    }
 }
 
 impl fmt::Display for NmeaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NmeaError::MissingStartDelimiter => write!(f, "sentence does not start with '$'"),
-            NmeaError::MissingChecksum => write!(f, "sentence has no '*hh' checksum"),
-            NmeaError::MalformedChecksum(s) => write!(f, "malformed checksum suffix {s:?}"),
-            NmeaError::ChecksumMismatch {
-                computed,
-                transmitted,
-            } => write!(
-                f,
-                "checksum mismatch: computed {computed:02X}, transmitted {transmitted:02X}"
-            ),
+            NmeaError::Frame(e) => e.fmt(f),
             NmeaError::TooFewFields {
                 sentence,
                 got,
@@ -57,9 +99,6 @@ impl fmt::Display for NmeaError {
             } => write!(f, "{sentence} sentence has {got} fields, needs {need}"),
             NmeaError::InvalidField { field, value } => {
                 write!(f, "invalid {field} field {value:?}")
-            }
-            NmeaError::SentenceTooLong(n) => {
-                write!(f, "sentence length {n} exceeds the NMEA maximum of 82")
             }
         }
     }

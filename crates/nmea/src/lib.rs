@@ -8,6 +8,8 @@
 //!
 //! This crate provides:
 //!
+//! * the one framing rule ([`frame`]): what a well-framed line is, and
+//!   why a line is not one ([`FrameError`]),
 //! * the sentence data model ([`Sentence`], [`Gga`], [`Rmc`], …),
 //! * a validating parser ([`parse_sentence`]) and encoder
 //!   ([`Sentence::to_nmea_string`]) that round-trip,
@@ -25,8 +27,12 @@
 //! instead of decoding it and allocates nothing. It hands the rare
 //! field outside the plain grammar (`1e3`, `+5`) to the parser.
 //!
-//! Framing raw serial bytes into lines is the sensor layer's job
-//! (`perpos-sensors`' `scan_block`), not this crate's.
+//! Framing is this crate's: [`frame`] is the only code in the workspace
+//! that decides whether a line is a sentence (`$`, at most 82 bytes,
+//! printable ASCII, a `*hh` checksum that matches). The parser, the
+//! check and the sensor layer's block scanner (`perpos-sensors`'
+//! `scan_block`, which only splits a block into lines and reports each
+//! line's [`FrameError`]) all call it.
 //!
 //! # Examples
 //!
@@ -52,8 +58,8 @@ mod error;
 mod parser;
 mod sentence;
 
-pub use error::NmeaError;
-pub use parser::{checksum, is_valid_sentence, parse_sentence, sentence_type, verify_checksum};
+pub use error::{FrameError, NmeaError};
+pub use parser::{checksum, frame, is_valid_sentence, parse_sentence, sentence_type};
 pub use sentence::{
     FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
 };

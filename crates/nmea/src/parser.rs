@@ -4,7 +4,7 @@ use std::str::FromStr;
 use crate::sentence::{
     FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
 };
-use crate::NmeaError;
+use crate::{FrameError, NmeaError};
 
 /// Maximum sentence length (including `$` and checksum) per NMEA-0183.
 pub(crate) const MAX_SENTENCE_LEN: usize = 82;
@@ -19,61 +19,68 @@ pub fn checksum(body: &str) -> u8 {
     body.bytes().fold(0, |acc, b| acc ^ b)
 }
 
-/// A framing or checksum defect, borrowed from the line so that
-/// [`is_valid_sentence`] can reject a line without allocating.
-enum Unframed<'a> {
-    TooLong(usize),
-    NoStart,
-    NoChecksum,
-    MalformedChecksum(&'a str),
-    Mismatch { computed: u8, transmitted: u8 },
-}
-
-/// The body (between `$` and `*`) of a correctly framed line.
-fn frame(sentence: &str) -> Result<&str, Unframed<'_>> {
-    let s = sentence.trim_end_matches(['\r', '\n']);
-    if s.len() > MAX_SENTENCE_LEN {
-        return Err(Unframed::TooLong(s.len()));
+/// The body (between `$` and the final `*`) of a well-framed line: the
+/// one framing rule of the workspace.
+///
+/// A line is well framed when, with any trailing `\r`/`\n` terminator
+/// stripped, it
+///
+/// 1. is at most 82 bytes long (the NMEA-0183 maximum),
+/// 2. starts with `$`,
+/// 3. holds printable ASCII (0x20–0x7E) only, and
+/// 4. ends in `*hh`: exactly two hex digits, either case and no sign,
+///    equal to the [`checksum`] of the body.
+///
+/// The first rule a line breaks is its [`FrameError`]. A `*` inside the
+/// body is a body byte. [`parse_sentence`] and [`is_valid_sentence`]
+/// frame every line with it, and so does `perpos-sensors`' `scan_block`,
+/// so a block scan and the Parser component cannot disagree on what a
+/// sentence is.
+///
+/// ```
+/// use perpos_nmea::{frame, FrameError};
+///
+/// assert_eq!(frame("$GPZDA,1,|*05\r\n"), Ok("GPZDA,1,|"));
+/// assert_eq!(frame("$GPZDA,1,|*+5"), Err(FrameError::MalformedChecksum));
+/// assert_eq!(frame("$GPZDA,1,|"), Err(FrameError::MissingChecksum));
+/// ```
+pub fn frame(line: &str) -> Result<&str, FrameError> {
+    let s = line.trim_end_matches(['\r', '\n']);
+    let bytes = s.as_bytes();
+    if bytes.len() > MAX_SENTENCE_LEN {
+        return Err(FrameError::TooLong { len: bytes.len() });
     }
-    let body_and_sum = s.strip_prefix('$').ok_or(Unframed::NoStart)?;
-    let star = body_and_sum.rfind('*').ok_or(Unframed::NoChecksum)?;
-    let (body, sum_text) = body_and_sum.split_at(star);
-    let sum_text = &sum_text[1..];
-    if sum_text.len() != 2 {
-        return Err(Unframed::MalformedChecksum(sum_text));
+    if bytes.first() != Some(&b'$') {
+        return Err(FrameError::MissingStart);
     }
-    let transmitted =
-        u8::from_str_radix(sum_text, 16).map_err(|_| Unframed::MalformedChecksum(sum_text))?;
+    let printable = |b: &u8| (0x20..0x7f).contains(b);
+    // An OR-reduction vectorizes where a short-circuiting search goes
+    // byte by byte; the offset is only looked for on the error path.
+    if bytes.iter().fold(false, |bad, b| bad | !printable(b)) {
+        let offset = bytes.iter().position(|b| !printable(b)).unwrap_or(0);
+        return Err(FrameError::NotPrintable { offset });
+    }
+    let hex = |b: u8| char::from(b).to_digit(16);
+    let transmitted = match bytes {
+        [.., b'*', hi, lo] => hex(*hi).zip(hex(*lo)).map(|(h, l)| (h << 4 | l) as u8),
+        _ => None,
+    };
+    let Some(transmitted) = transmitted else {
+        return Err(if bytes.contains(&b'*') {
+            FrameError::MalformedChecksum
+        } else {
+            FrameError::MissingChecksum
+        });
+    };
+    let body = &s[1..s.len() - 3];
     let computed = checksum(body);
     if computed != transmitted {
-        return Err(Unframed::Mismatch {
+        return Err(FrameError::ChecksumMismatch {
             computed,
             transmitted,
         });
     }
     Ok(body)
-}
-
-/// Verifies the `*hh` checksum of a complete sentence.
-///
-/// # Errors
-///
-/// Returns an error when the framing or checksum is invalid. On success the
-/// sentence body (between `$` and `*`) is returned.
-pub fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
-    frame(sentence).map_err(|defect| match defect {
-        Unframed::TooLong(len) => NmeaError::SentenceTooLong(len),
-        Unframed::NoStart => NmeaError::MissingStartDelimiter,
-        Unframed::NoChecksum => NmeaError::MissingChecksum,
-        Unframed::MalformedChecksum(text) => NmeaError::MalformedChecksum(text.to_string()),
-        Unframed::Mismatch {
-            computed,
-            transmitted,
-        } => NmeaError::ChecksumMismatch {
-            computed,
-            transmitted,
-        },
-    })
 }
 
 /// The three-letter type of an NMEA line or bare address field, read
@@ -84,13 +91,12 @@ pub fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
 /// `*`. The type is the three characters after the two-character talker
 /// ID; an address shorter than five bytes is its own type. Returns
 /// `None` when those characters do not fall on `char` boundaries
-/// (non-ASCII input), which [`parse_sentence`] turns into
-/// [`Sentence::Unknown`].
+/// (non-ASCII input, which [`frame`] rejects).
 ///
 /// This is the one place a type is read from text: [`parse_sentence`]
 /// dispatches on it, [`Sentence::type_code`] reports it for unknown
 /// types, and consumers peek with it before paying for a full parse. On
-/// any line that passes [`verify_checksum`] the peek and the parser read
+/// any line that passes [`frame`] the peek and the parser read
 /// the same address, so they cannot disagree.
 ///
 /// ```
@@ -228,10 +234,10 @@ fn parse_decimal(text: &str) -> Result<f64, ParseFloatError> {
 ///
 /// # Errors
 ///
-/// Returns [`NmeaError`] when framing, checksum, or a required field is
-/// invalid.
+/// Returns [`NmeaError::Frame`] when [`frame`] rejects the line, and
+/// another [`NmeaError`] when a required field is missing or invalid.
 pub fn parse_sentence(sentence: &str) -> Result<Sentence, NmeaError> {
-    let body = verify_checksum(sentence)?;
+    let body = frame(sentence)?;
     let f = Fields::scan(body);
     match sentence_type(body) {
         Some("GGA") => parse_gga(&f).map(Sentence::Gga),
@@ -249,10 +255,10 @@ pub fn parse_sentence(sentence: &str) -> Result<Sentence, NmeaError> {
 /// Whether [`parse_sentence`] accepts `line`, decided without decoding a
 /// float or allocating.
 ///
-/// The accept set is exactly `parse_sentence(line).is_ok()`: the framing
-/// and checksum, each modelled type's field count, and every field the
-/// parser decodes, checked against its grammar. Sentence types the crate
-/// does not model are valid once the checksum passes. The rare field
+/// The accept set is exactly `parse_sentence(line).is_ok()`: [`frame`],
+/// each modelled type's field count, and every field the parser decodes,
+/// checked against its grammar. Sentence types the crate does not model
+/// are valid once the line is framed. The rare field
 /// outside the plain grammar (a float written `1e3` or `+5`, a
 /// coordinate with a sign or more than 15 digits) is left to
 /// [`parse_sentence`].
@@ -296,22 +302,24 @@ fn need(f: &Fields<'_>, n: usize, sentence: &'static str) -> Result<(), NmeaErro
     }
 }
 
-/// Hour, minute and second of a non-empty `hhmmss[.sss]` time field, in
-/// range.
+/// Hour, minute and second of a non-empty time field, in range. The
+/// grammar is strict: six ASCII digits `hhmmss`, optionally followed by
+/// `.` and one or more digits (the fraction, from byte 6), and nothing
+/// else.
 fn clock(text: &str) -> Option<(u8, u8, u8)> {
-    if text.len() < 6 {
+    let (hms, fraction) = text.as_bytes().split_at_checked(6)?;
+    let digits = |d: &[u8]| d.iter().all(u8::is_ascii_digit);
+    let fraction_ok = match fraction {
+        [] => true,
+        [b'.', frac @ ..] => !frac.is_empty() && digits(frac),
+        _ => false,
+    };
+    if !(fraction_ok && digits(hms)) {
         return None;
     }
-    // `get` rather than indexing: a non-ASCII byte must be a field
-    // error, not a slice on a non-`char` boundary.
-    let two = |at: usize| -> Option<u8> { text.get(at..at + 2)?.parse().ok() };
-    let (hour, minute, second) = (two(0)?, two(2)?, two(4)?);
+    let two = |at: usize| (hms[at] - b'0') * 10 + (hms[at + 1] - b'0');
+    let (hour, minute, second) = (two(0), two(2), two(4));
     (hour <= 23 && minute <= 59 && second <= 60).then_some((hour, minute, second))
-}
-
-/// The `.sss` fraction of a time field, if it has one.
-fn fraction(text: &str) -> Option<&str> {
-    text.get(6..).filter(|f| f.starts_with('.'))
 }
 
 fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
@@ -323,12 +331,14 @@ fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
         value: text.to_string(),
     };
     let (hour, minute, second) = clock(text).ok_or_else(bad)?;
-    let millis = match fraction(text) {
-        Some(frac) => {
-            let frac_val = parse_decimal(frac).map_err(|_| bad())?;
-            (frac_val * 1000.0).round() as u16
+    let millis = match &text[6..] {
+        "" => 0,
+        // Capped as `NmeaTime::from_seconds_of_day` caps: `.9996` is 999
+        // ms, not a 1000 the encoder would write as `.1000`.
+        fraction => {
+            let frac_val = parse_decimal(fraction).map_err(|_| bad())?;
+            ((frac_val * 1000.0).round() as u16).min(999)
         }
-        None => 0,
     };
     Ok(NmeaTime::new(hour, minute, second, millis))
 }
@@ -419,7 +429,7 @@ fn parse_gsa(f: &Fields<'_>) -> Result<Gsa, NmeaError> {
         .map(|i| f.at(i))
         .filter(|p| !p.is_empty())
         .map(|p| parse_int_or(p, 0, "prn"))
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, NmeaError>>()?;
     Ok(Gsa {
         auto_selection: f.at(0) == "A",
         fix_type,
@@ -458,7 +468,7 @@ fn parse_gsv(f: &Fields<'_>) -> Result<Gsv, NmeaError> {
                 },
             })
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, NmeaError>>()?;
     Ok(Gsv {
         total_messages: parse_int_or(f.at(0), 1, "total messages")?,
         message_number: parse_int_or(f.at(1), 1, "message number")?,
@@ -494,12 +504,10 @@ fn valid_if(ok: bool) -> Check {
     }
 }
 
+/// A time in the strict grammar always decodes: its fraction is plain
+/// digits.
 fn check_time(text: &str) -> Check {
-    if text.is_empty() {
-        return Ok(());
-    }
-    clock(text).ok_or(Stop::Invalid)?;
-    fraction(text).map_or(Ok(()), check_float)
+    valid_if(text.is_empty() || clock(text).is_some())
 }
 
 /// A plain unsigned coordinate of at most 15 digits has parseable degrees
@@ -663,36 +671,91 @@ mod tests {
     #[test]
     fn rejects_bad_checksum() {
         let line = GGA.replace("*47", "*48");
-        assert!(matches!(
+        assert_eq!(
             parse_sentence(&line),
-            Err(NmeaError::ChecksumMismatch { .. })
-        ));
+            Err(NmeaError::Frame(FrameError::ChecksumMismatch {
+                computed: 0x47,
+                transmitted: 0x48
+            }))
+        );
     }
 
     #[test]
     fn rejects_missing_framing() {
-        assert!(matches!(
-            parse_sentence("GPGGA,foo*00"),
-            Err(NmeaError::MissingStartDelimiter)
-        ));
-        assert!(matches!(
-            parse_sentence("$GPGGA,foo"),
-            Err(NmeaError::MissingChecksum)
-        ));
-        assert!(matches!(
-            parse_sentence("$GPGGA,foo*4"),
-            Err(NmeaError::MalformedChecksum(_))
-        ));
+        let frame_error = |line| match parse_sentence(line) {
+            Err(NmeaError::Frame(e)) => e,
+            other => panic!("{line:?} framed: {other:?}"),
+        };
+        assert_eq!(frame_error("GPGGA,foo*00"), FrameError::MissingStart);
+        assert_eq!(frame_error("$GPGGA,foo"), FrameError::MissingChecksum);
+        assert_eq!(frame_error("$GPGGA,foo*4"), FrameError::MalformedChecksum);
+        assert_eq!(frame_error("$GPGGA,fo*o12"), FrameError::MalformedChecksum);
     }
 
     #[test]
     fn rejects_overlong_sentence() {
         let body = format!("GPGGA,{}", "x".repeat(100));
         let line = format!("${body}*{:02X}", checksum(&body));
-        assert!(matches!(
+        assert_eq!(
             parse_sentence(&line),
-            Err(NmeaError::SentenceTooLong(_))
-        ));
+            Err(NmeaError::Frame(FrameError::TooLong { len: 110 }))
+        );
+        // 82 bytes is the limit, terminator excluded.
+        let body = format!("GPZDA,{}", "x".repeat(72));
+        let line = framed(&body);
+        assert_eq!(line.len(), 82);
+        assert!(parse_sentence(&format!("{line}\r\n")).is_ok());
+        assert_eq!(
+            frame(&framed(&format!("{body}x"))),
+            Err(FrameError::TooLong { len: 83 })
+        );
+    }
+
+    #[test]
+    fn checksum_digits_are_two_unsigned_hex_of_either_case() {
+        // `$GPZDA,1,|` sums to 0x05; a sign is not a digit.
+        assert_eq!(checksum("GPZDA,1,|"), 0x05);
+        assert_eq!(frame("$GPZDA,1,|*05"), Ok("GPZDA,1,|"));
+        for line in [
+            "$GPZDA,1,|*+5",
+            "$GPZDA,1,|*-5",
+            "$GPZDA,1,|* 5",
+            "$GPZDA,1,|*5",
+        ] {
+            assert_eq!(frame(line), Err(FrameError::MalformedChecksum), "{line}");
+            assert!(parse_sentence(line).is_err(), "{line}");
+            assert!(!is_valid_sentence(line), "{line}");
+        }
+        let lower = format!("$GPZDA,:*{:02x}", checksum("GPZDA,:"));
+        assert!(lower.ends_with("*5e"), "{lower}");
+        assert_eq!(frame(&lower), Ok("GPZDA,:"));
+        // A `*` inside the body is a body byte.
+        assert_eq!(frame(&framed("GPZDA,*,1")), Ok("GPZDA,*,1"));
+    }
+
+    #[test]
+    fn framing_rules_apply_in_order() {
+        let long_and_bare = "x".repeat(90);
+        assert_eq!(frame(&long_and_bare), Err(FrameError::TooLong { len: 90 }));
+        assert_eq!(frame("GPZDA,é*00"), Err(FrameError::MissingStart));
+        assert_eq!(
+            frame("$GPZDA,é"),
+            Err(FrameError::NotPrintable { offset: 7 })
+        );
+        assert_eq!(
+            frame("$GPZDA,\t1*00"),
+            Err(FrameError::NotPrintable { offset: 7 })
+        );
+        // Only a trailing run of terminators is stripped.
+        assert_eq!(
+            frame("$GPZDA\r,1*00"),
+            Err(FrameError::NotPrintable { offset: 6 })
+        );
+        assert_eq!(frame(&format!("{}\r\r\n", framed("GPZDA"))), Ok("GPZDA"));
+        assert_eq!(frame(""), Err(FrameError::MissingStart));
+        assert_eq!(frame("$"), Err(FrameError::MissingChecksum));
+        assert_eq!(frame("$*"), Err(FrameError::MalformedChecksum));
+        assert_eq!(frame("$*00"), Ok(""));
     }
 
     #[test]
@@ -756,37 +819,90 @@ mod tests {
     }
 
     #[test]
-    fn non_ascii_address_is_unknown_not_a_panic() {
-        // Bytes 2..5 of the address "GPXYé" split the two-byte 'é'.
-        let Sentence::Unknown {
-            talker_and_type,
-            fields,
-        } = parse_sentence(&framed("GPXYé,1")).unwrap()
-        else {
-            panic!("not unknown");
-        };
-        assert_eq!(talker_and_type, "GPXYé");
-        assert_eq!(fields, vec!["1".to_string()]);
+    fn non_ascii_lines_are_framing_errors() {
+        // Bytes 2..5 of the address "GPXYé" split the two-byte 'é'; the
+        // peek does not panic, and framing rejects the line.
         assert_eq!(sentence_type("$GPXYé,1"), None);
+        for (body, offset) in [
+            ("GPXYé,1", 5),
+            (
+                "GPGGA,1é2345,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,",
+                8,
+            ),
+            (
+                "GPGGA,123519,4é.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,",
+                15,
+            ),
+        ] {
+            let line = framed(body);
+            assert_eq!(
+                parse_sentence(&line),
+                Err(NmeaError::Frame(FrameError::NotPrintable { offset })),
+                "{line}"
+            );
+            assert!(!is_valid_sentence(&line), "{line}");
+        }
+    }
+
+    fn gga_at(time: &str) -> String {
+        framed(&format!(
+            "GPGGA,{time},4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,"
+        ))
     }
 
     #[test]
-    fn non_ascii_time_and_coordinate_are_field_errors() {
-        // "1é2345" has six bytes but byte 2 is inside 'é'.
-        let time = framed("GPGGA,1é2345,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,");
-        assert!(matches!(
-            parse_sentence(&time),
-            Err(NmeaError::InvalidField { field: "time", .. })
-        ));
-        // The degrees/minutes split lands inside 'é'.
-        let lat = framed("GPGGA,123519,4é.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,");
-        assert!(matches!(
-            parse_sentence(&lat),
-            Err(NmeaError::InvalidField {
-                field: "latitude",
-                ..
-            })
-        ));
+    fn time_field_is_strictly_hhmmss_and_a_fraction() {
+        for time in [
+            "+1+2+3",
+            "123519xyz",
+            "123519.5e1",
+            "123519.",
+            "123519.-5",
+            "12351",
+            "1235190",
+            " 123519",
+            "12:35:19",
+            "243519",
+            "126019",
+            "123561",
+        ] {
+            let line = gga_at(time);
+            assert_eq!(
+                parse_sentence(&line),
+                Err(NmeaError::InvalidField {
+                    field: "time",
+                    value: time.to_string()
+                }),
+                "{time}"
+            );
+            assert!(!is_valid_sentence(&line), "{time}");
+        }
+        for (time, want) in [
+            ("", NmeaTime::default()),
+            ("000000", NmeaTime::new(0, 0, 0, 0)),
+            ("235960", NmeaTime::new(23, 59, 60, 0)),
+            ("123519.5", NmeaTime::new(12, 35, 19, 500)),
+            ("123519.0004", NmeaTime::new(12, 35, 19, 0)),
+            ("123519.1234567890123456", NmeaTime::new(12, 35, 19, 123)),
+        ] {
+            let line = gga_at(time);
+            assert!(is_valid_sentence(&line), "{time}");
+            let Ok(Sentence::Gga(g)) = parse_sentence(&line) else {
+                panic!("{time} rejected");
+            };
+            assert_eq!(g.time, want, "{time}");
+        }
+    }
+
+    #[test]
+    fn millis_rounding_up_to_a_second_is_capped_and_round_trips() {
+        let Ok(Sentence::Gga(g)) = parse_sentence(&gga_at("123519.9996")) else {
+            panic!("rejected");
+        };
+        assert_eq!(g.time, NmeaTime::new(12, 35, 19, 999));
+        let line = Sentence::Gga(g.clone()).to_nmea_string();
+        assert!(line.starts_with("$GPGGA,123519.999,"), "{line}");
+        assert_eq!(parse_sentence(&line), Ok(Sentence::Gga(g)));
     }
 
     #[test]
@@ -913,14 +1029,27 @@ mod tests {
     }
 
     /// The parser before the field scanner and the exact decimal
-    /// decoder, kept verbatim as the reference, with one deviation: the
-    /// GSV satellite loop.
+    /// decoder, kept as the reference. Its framing errors are mapped
+    /// onto [`FrameError`]; otherwise it is verbatim but for these
+    /// deviations, each a fix the parser made to its accept set:
+    ///
+    /// 1. GSV: a last satellite group cut to three fields has no SNR
+    ///    (the parent sliced past the end and panicked).
+    /// 2. Framing: a byte outside printable ASCII is a framing error
+    ///    (the parent framed `é` and failed or accepted the fields).
+    /// 3. Framing: the checksum is two hex digits, no sign (the parent's
+    ///    `u8::from_str_radix` took `*+5`).
+    /// 4. Time: exactly `hhmmss` in ASCII digits, optionally `.` and one
+    ///    or more digits (the parent read three `u8::from_str` pairs and
+    ///    ignored a tail without `.`, so `+1+2+3` was 01:02:03).
+    /// 5. Time: millis are capped at 999 (the parent decoded `.9996` as
+    ///    1000, which the encoder writes as `.1000`).
     mod reference {
         use crate::parser::{checksum, sentence_type, MAX_SENTENCE_LEN};
         use crate::sentence::{
             FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo, Sentence, Vtg,
         };
-        use crate::NmeaError;
+        use crate::{FrameError, NmeaError};
 
         /// Verifies the `*hh` checksum of a complete sentence.
         ///
@@ -931,25 +1060,32 @@ mod tests {
         fn verify_checksum(sentence: &str) -> Result<&str, NmeaError> {
             let s = sentence.trim_end_matches(['\r', '\n']);
             if s.len() > MAX_SENTENCE_LEN {
-                return Err(NmeaError::SentenceTooLong(s.len()));
+                return Err(FrameError::TooLong { len: s.len() }.into());
             }
-            let body_and_sum = s
-                .strip_prefix('$')
-                .ok_or(NmeaError::MissingStartDelimiter)?;
-            let star = body_and_sum.rfind('*').ok_or(NmeaError::MissingChecksum)?;
+            let body_and_sum = s.strip_prefix('$').ok_or(FrameError::MissingStart)?;
+            // Deviation 2.
+            if let Some(offset) = s.bytes().position(|b| !(b' '..=b'~').contains(&b)) {
+                return Err(FrameError::NotPrintable { offset }.into());
+            }
+            let star = body_and_sum.rfind('*').ok_or(FrameError::MissingChecksum)?;
             let (body, sum_text) = body_and_sum.split_at(star);
             let sum_text = &sum_text[1..];
             if sum_text.len() != 2 {
-                return Err(NmeaError::MalformedChecksum(sum_text.to_string()));
+                return Err(FrameError::MalformedChecksum.into());
             }
-            let transmitted = u8::from_str_radix(sum_text, 16)
-                .map_err(|_| NmeaError::MalformedChecksum(sum_text.to_string()))?;
+            // Deviation 3.
+            if !sum_text.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(FrameError::MalformedChecksum.into());
+            }
+            let transmitted =
+                u8::from_str_radix(sum_text, 16).map_err(|_| FrameError::MalformedChecksum)?;
             let computed = checksum(body);
             if computed != transmitted {
-                return Err(NmeaError::ChecksumMismatch {
+                return Err(FrameError::ChecksumMismatch {
                     computed,
                     transmitted,
-                });
+                }
+                .into());
             }
             Ok(body)
         }
@@ -1012,6 +1148,15 @@ mod tests {
             if text.len() < 6 {
                 return Err(bad());
             }
+            // Deviation 4.
+            let strict = text.bytes().enumerate().all(|(i, b)| match i {
+                0..=5 => b.is_ascii_digit(),
+                6 => b == b'.' && text.len() > 7,
+                _ => b.is_ascii_digit(),
+            });
+            if !strict {
+                return Err(bad());
+            }
             // `get` rather than indexing: a non-ASCII byte must be a field
             // error, not a slice on a non-`char` boundary.
             let two = |at: usize| -> Result<u8, NmeaError> {
@@ -1025,7 +1170,8 @@ mod tests {
             }
             let millis = if let Some(frac) = text.get(6..).filter(|f| f.starts_with('.')) {
                 let frac_val: f64 = frac.parse().map_err(|_| bad())?;
-                (frac_val * 1000.0).round() as u16
+                // Deviation 5.
+                ((frac_val * 1000.0).round() as u16).min(999)
             } else {
                 0
             };
@@ -1140,8 +1286,7 @@ mod tests {
             let mut satellites = Vec::new();
             let mut i = 3;
             while i + 3 < f.len() + 1 && i + 3 <= f.len() {
-                // The one deviation from the parent: a last group cut to three
-                // fields has no SNR (the parent sliced past the end and panicked).
+                // Deviation 1: a last group cut to three fields has no SNR.
                 let chunk = &f[i..(i + 4).min(f.len())];
                 if chunk[0].is_empty() {
                     break;
@@ -1258,9 +1403,21 @@ mod tests {
 
         fn time(&mut self) -> String {
             if self.below(8) == 0 {
-                return self.pick(&["", "12351", "+1+2+3", "1é2345"]).to_string();
+                return self
+                    .pick(&[
+                        "",
+                        "12351",
+                        "+1+2+3",
+                        "1é2345",
+                        "123519xyz",
+                        "1235190",
+                        " 12351",
+                    ])
+                    .to_string();
             }
-            let frac = self.pick(&["", "", ".5", ".25", ".999", ".", ".1.2", "x", ".-5"]);
+            let frac = self.pick(&[
+                "", "", ".5", ".25", ".999", ".", ".1.2", "x", ".-5", ".9996", ".5e1", ".0005",
+            ]);
             format!(
                 "{:02}{:02}{:02}{frac}",
                 self.below(26),
@@ -1401,11 +1558,14 @@ mod tests {
             } else {
                 self.mutate(&body)
             };
-            match self.below(12) {
+            match self.below(14) {
                 // The checksum of the unmutated body.
                 0 => format!("${sent}*{:02X}", checksum(&body)),
                 1 => format!("${sent}*{:02X}\r\n", checksum(&sent)),
                 2 => format!("${sent}*{:02x}", checksum(&sent)),
+                // A signed digit, or no checksum at all.
+                3 => format!("${sent}*+{:X}", checksum(&sent) & 0xF),
+                4 => format!("${sent}"),
                 _ => format!("${sent}*{:02X}", checksum(&sent)),
             }
         }
@@ -1529,12 +1689,13 @@ mod tests {
                 );
             }
 
-            /// Non-ASCII bytes anywhere in a correctly framed sentence
-            /// give a typed error or `Unknown`, never a panic, and the
-            /// type peek agrees with what the parser dispatched on.
+            /// Non-ASCII bytes anywhere in an otherwise framed sentence
+            /// give a typed error, never a panic, and the type peek
+            /// agrees with what the parser dispatched on.
             #[test]
             fn framed_non_ascii_never_panics(body in "[A-Zé]{2,6}(,[0-9.NSEWé]{0,4}){0,16}") {
                 let line = format!("${body}*{:02X}", checksum(&body));
+                prop_assert!(body.is_ascii() || parse_sentence(&line).is_err(), "{:?}", line);
                 prop_assert_eq!(
                     is_valid_sentence(&line),
                     reference::parse_sentence(&line).is_ok(),
@@ -1553,7 +1714,7 @@ mod tests {
             fn checksum_round_trip(body in "[ -)+-~]{0,60}") {
                 // (excludes '*' so the body has no checksum delimiter)
                 let line = format!("${body}*{:02X}", checksum(&body));
-                prop_assert_eq!(verify_checksum(&line).unwrap(), body.as_str());
+                prop_assert_eq!(frame(&line), Ok(body.as_str()));
             }
         }
     }

@@ -1,5 +1,11 @@
 //! Codecs between domain types and the middleware's dynamic [`Value`]
-//! representation.
+//! representation, and the block scanner that splits raw trace bytes
+//! into lines.
+//!
+//! [`scan_block`] only splits a block into lines and reports the lines
+//! it skips: what a well-framed sentence is, is `perpos_nmea`'s one
+//! framing rule, [`frame`], which the Parser's check also applies. So a
+//! line the scan accepts is a line the Parser frames, and vice versa.
 //!
 //! NMEA sentences travel the processing graph as `nmea.sentence` items
 //! whose payload is the sentence's validated NMEA-0183 wire text: the
@@ -12,7 +18,7 @@
 //! accepted succeeds.
 
 use perpos_core::prelude::*;
-use perpos_nmea::{parse_sentence, sentence_type, Gga, Sentence};
+use perpos_nmea::{frame, parse_sentence, sentence_type, FrameError, Gga, Sentence};
 use std::fmt;
 
 /// Encodes a parsed NMEA sentence as an item payload: its NMEA-0183 wire
@@ -21,176 +27,65 @@ pub fn sentence_to_value(s: &Sentence) -> Value {
     Value::Text(s.to_nmea_string())
 }
 
-/// A per-line defect found while scanning a trace block. Carries the
-/// 1-based line number within the block so a corrupt capture can be
-/// diagnosed without re-scanning.
+/// A line [`scan_block`] skipped: where it is in the block and why
+/// [`frame`] rejected it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceError {
-    /// The line does not start with `$`.
-    MissingStart {
-        /// 1-based line number within the block.
-        line: usize,
-    },
-    /// The line contains a byte outside printable ASCII.
-    NonAscii {
-        /// 1-based line number within the block.
-        line: usize,
-        /// Byte offset of the first offending byte within the line.
-        byte: usize,
-    },
-    /// A `*` suffix is present but not followed by exactly two hex digits.
-    TruncatedChecksum {
-        /// 1-based line number within the block.
-        line: usize,
-    },
-    /// The `*XX` checksum does not match the XOR of the sentence body.
-    BadChecksum {
-        /// 1-based line number within the block.
-        line: usize,
-        /// Checksum computed from the sentence body.
-        expected: u8,
-        /// Checksum carried on the line.
-        found: u8,
-    },
+pub struct LineDefect {
+    /// 1-based line number within the block, blank lines not counted, so
+    /// a corrupt capture can be diagnosed without re-scanning.
+    pub line: usize,
+    /// The framing rule the line breaks.
+    pub defect: FrameError,
 }
 
-impl TraceError {
-    /// 1-based line number within the scanned block.
-    pub fn line(&self) -> usize {
-        match *self {
-            TraceError::MissingStart { line }
-            | TraceError::NonAscii { line, .. }
-            | TraceError::TruncatedChecksum { line }
-            | TraceError::BadChecksum { line, .. } => line,
-        }
-    }
-}
-
-impl fmt::Display for TraceError {
+impl fmt::Display for LineDefect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TraceError::MissingStart { line } => {
-                write!(f, "line {line}: sentence does not start with '$'")
-            }
-            TraceError::NonAscii { line, byte } => {
-                write!(f, "line {line}: non-ASCII byte at offset {byte}")
-            }
-            TraceError::TruncatedChecksum { line } => {
-                write!(f, "line {line}: '*' not followed by two hex digits")
-            }
-            TraceError::BadChecksum {
-                line,
-                expected,
-                found,
-            } => {
-                write!(
-                    f,
-                    "line {line}: checksum {found:02X} != computed {expected:02X}"
-                )
-            }
-        }
+        write!(f, "line {}: {}", self.line, self.defect)
     }
 }
 
 /// Outcome of scanning one trace block: how many lines were accepted,
-/// how many were skipped, and a typed error per skipped line.
+/// how many were skipped, and why each skipped line was.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockReport {
-    /// Lines that passed validation and were appended to the output.
+    /// Lines that [`frame`] accepted and were appended to the output.
     pub parsed: usize,
     /// Malformed lines that were counted and skipped (never fatal).
     pub skipped: usize,
-    /// One typed error per skipped line, in block order.
-    pub errors: Vec<TraceError>,
+    /// One defect per skipped line, in block order.
+    pub errors: Vec<LineDefect>,
 }
 
-fn hex_val(b: u8) -> Option<u8> {
-    match b {
-        b'0'..=b'9' => Some(b - b'0'),
-        b'A'..=b'F' => Some(b - b'A' + 10),
-        b'a'..=b'f' => Some(b - b'a' + 10),
-        _ => None,
-    }
-}
-
-/// Scans a newline-delimited block of NMEA sentences in a single
-/// bounds-checked pass, appending each valid line to `out`.
+/// Splits a newline-delimited block of NMEA sentences into lines and
+/// appends each line that [`frame`] accepts to `out`.
 ///
-/// Validation per line: leading `$`, printable ASCII throughout, and —
-/// when the line ends in `*HH` — a two-hex-digit checksum equal to the
-/// XOR of the bytes between `$` and the final `*`. Lines without a
-/// trailing checksum are accepted (checksums are optional in captures);
-/// a `*` in the last three bytes that is not a well-formed `*HH` is
-/// reported as truncated. Blank lines and a trailing `\r` are tolerated
-/// silently. Malformed lines are counted and reported, never fatal.
+/// A line is what lies between two `\n`, less its trailing `\r`s.
+/// Blank lines are skipped silently. Whether a line is a sentence is
+/// `perpos_nmea`'s one framing rule, [`frame`]; a line it rejects is
+/// counted, reported with its [`FrameError`], and skipped, never fatal.
 ///
-/// `out` is cleared first and then holds exactly this block's valid
+/// `out` is cleared first and then holds exactly this block's accepted
 /// lines, so one buffer can be reused across blocks (the allocation is
-/// kept); the scan itself allocates nothing besides error records.
+/// kept); the scan itself allocates nothing besides defect records.
 pub fn scan_block<'a>(block: &'a str, out: &mut Vec<&'a str>) -> BlockReport {
     out.clear();
     let mut report = BlockReport::default();
-    let mut lineno = 0usize;
-    for raw in block.split('\n') {
-        let line = raw.strip_suffix('\r').unwrap_or(raw);
-        if line.is_empty() {
-            continue;
-        }
-        lineno += 1;
-        let bytes = line.as_bytes();
-        // Wide vectorizable passes instead of one branchy byte loop:
-        // an all-printable check, a reverse `*` find, and an XOR fold
-        // paid only by lines that actually carry a checksum.
-        // Branchless violation fold: a short-circuiting `all()` compiles
-        // to a byte-at-a-time loop, while an OR reduction vectorizes —
-        // clean lines (the common case) pay a few lanes, not a cycle per
-        // byte. The exact offset is only recovered on the error path.
-        let viol = bytes
-            .iter()
-            .fold(0u8, |a, &b| a | u8::from(!(0x20..0x7f).contains(&b)));
-        let err = if viol != 0 {
-            let byte = bytes
-                .iter()
-                .position(|&b| !(0x20..0x7f).contains(&b))
-                .unwrap_or(0);
-            Some(TraceError::NonAscii { line: lineno, byte })
-        } else if bytes[0] != b'$' {
-            Some(TraceError::MissingStart { line: lineno })
-        } else {
-            // A checksum is a trailing `*HH`; `*` anywhere else is a
-            // body byte (the spec XORs every byte between `$` and the
-            // final `*`, so a stray `*` simply contributes to the sum).
-            // Probing only the 3-byte tail keeps checksum-less lines
-            // from paying a whole-line reverse scan.
-            let tail = bytes.get(bytes.len().saturating_sub(3)..).unwrap_or(b"");
-            match tail {
-                [b'*', hi, lo] => match (hex_val(*hi), hex_val(*lo)) {
-                    (Some(h), Some(l)) => {
-                        let s = bytes.len() - 3;
-                        let xor = bytes[1..s].iter().fold(0u8, |a, &b| a ^ b);
-                        let found = (h << 4) | l;
-                        (found != xor).then_some(TraceError::BadChecksum {
-                            line: lineno,
-                            expected: xor,
-                            found,
-                        })
-                    }
-                    _ => Some(TraceError::TruncatedChecksum { line: lineno }),
-                },
-                // A `*` in the tail window that is not a well-formed
-                // `*HH` is a checksum cut off mid-write.
-                t if t.contains(&b'*') => Some(TraceError::TruncatedChecksum { line: lineno }),
-                _ => None,
-            }
-        };
-        match err {
-            Some(e) => {
-                report.skipped += 1;
-                report.errors.push(e);
-            }
-            None => {
+    let lines = block
+        .split('\n')
+        .map(|raw| raw.trim_end_matches('\r'))
+        .filter(|line| !line.is_empty());
+    for (i, line) in lines.enumerate() {
+        match frame(line) {
+            Ok(_) => {
                 report.parsed += 1;
                 out.push(line);
+            }
+            Err(defect) => {
+                report.skipped += 1;
+                report.errors.push(LineDefect {
+                    line: i + 1,
+                    defect,
+                });
             }
         }
     }
@@ -299,7 +194,7 @@ mod tests {
     fn clean_block_parses_every_line() {
         let block = "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47\r\n\
                      $GPVTG,054.7,T,034.4,M,005.5,N,010.2,K*48\n\
-                     $GPXXX,no,checksum,is,fine\n";
+                     $GPZDA,201530.00,04,07,2002,00,00*60\n";
         let mut out = Vec::new();
         let report = scan_block(block, &mut out);
         assert_eq!(report.parsed, 3);
@@ -314,53 +209,62 @@ mod tests {
     fn corrupt_block_counts_and_skips_each_defect() {
         // A realistic corrupt capture: good line, bad checksum, binary
         // garbage mid-stream, a line missing '$', a '*' cut off by a
-        // write tear, blank separators, then a good tail line.
+        // write tear, a line with no checksum, two lines run together,
+        // blank separators, then a good tail line.
         let block = "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47\n\
                      $GPVTG,054.7,T,034.4,M,005.5,N,010.2,K*FF\n\
-                     \u{fffd}\u{fffd}binary tear\n\
+                     $GP\u{fffd}\u{fffd}binary tear\n\
                      GPRMC,123519,A,4807.038,N\n\
                      $GPGSA,A,3,04,05*4\n\
+                     $GPXXX,no,checksum\n\
+                     $GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47$GPVTG,054.7,T,034.4,M,005.5,N,010.2,K*48\n\
+                     \r\n\
                      \n\
-                     $GPXXX,tail\n";
+                     $GPXXX,tail*73\n";
         let mut out = Vec::new();
         let report = scan_block(block, &mut out);
         assert_eq!(report.parsed, 2);
-        assert_eq!(report.skipped, 4);
+        assert_eq!(report.skipped, 6);
         assert_eq!(
             out,
             vec![
                 "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47",
-                "$GPXXX,tail",
+                "$GPXXX,tail*73",
             ]
         );
-        assert_eq!(report.errors.len(), 4);
-        assert!(
-            matches!(
-                report.errors[0],
-                TraceError::BadChecksum {
-                    line: 2,
-                    found: 0xFF,
-                    ..
-                }
-            ),
-            "{:?}",
-            report.errors[0]
+        let defects: Vec<(usize, FrameError)> =
+            report.errors.iter().map(|e| (e.line, e.defect)).collect();
+        assert_eq!(
+            defects,
+            vec![
+                (
+                    2,
+                    FrameError::ChecksumMismatch {
+                        computed: 0x48,
+                        transmitted: 0xFF
+                    }
+                ),
+                (3, FrameError::NotPrintable { offset: 3 }),
+                (4, FrameError::MissingStart),
+                (5, FrameError::MalformedChecksum),
+                (6, FrameError::MissingChecksum),
+                (7, FrameError::TooLong { len: 106 }),
+            ]
         );
-        assert!(matches!(
-            report.errors[1],
-            TraceError::NonAscii { line: 3, byte: 0 }
-        ));
-        assert!(matches!(
-            report.errors[2],
-            TraceError::MissingStart { line: 4 }
-        ));
-        assert!(matches!(
-            report.errors[3],
-            TraceError::TruncatedChecksum { line: 5 }
-        ));
-        // Errors render with their line numbers for diagnostics.
-        assert!(report.errors[0].to_string().contains("line 2"));
-        assert_eq!(report.errors[3].line(), 5);
+        // Defects render with their line numbers for diagnostics.
+        assert!(report.errors[0].to_string().starts_with("line 2: "));
+    }
+
+    #[test]
+    fn scan_verdict_is_the_framing_rule() {
+        // The sign `u8::from_str_radix` would accept is not a hex digit,
+        // for the scan as for the parser.
+        let mut out = Vec::new();
+        let report = scan_block("$GPZDA,1,|*+5\n$GPZDA,1,|*05\n", &mut out);
+        assert_eq!(out, vec!["$GPZDA,1,|*05"]);
+        assert_eq!(report.errors[0].defect, FrameError::MalformedChecksum);
+        assert!(parse_sentence("$GPZDA,1,|*+5").is_err());
+        assert!(!perpos_nmea::is_valid_sentence("$GPZDA,1,|*+5"));
     }
 
     #[test]
@@ -373,9 +277,12 @@ mod tests {
         assert_eq!(scan_block(&good, &mut out).parsed, 1);
         let report = scan_block(&bad, &mut out);
         assert_eq!(report.skipped, 1);
-        assert!(
-            matches!(report.errors[0], TraceError::BadChecksum { expected, found, .. }
-                if expected == xor && found == xor ^ 1)
+        assert_eq!(
+            report.errors[0].defect,
+            FrameError::ChecksumMismatch {
+                computed: xor,
+                transmitted: xor ^ 1
+            }
         );
     }
 
@@ -400,7 +307,7 @@ mod tests {
         ));
         mw.connect(src, tap, 0).unwrap();
 
-        let block = "$GPXXX,one\nnope\n$GPXXX,two\n";
+        let block = "$GPXXX,one*07\nnope\n$GPXXX,two*0F\n";
         let (ingested, report) = ingest_nmea_block(
             &mut mw,
             src,
@@ -412,6 +319,9 @@ mod tests {
         assert_eq!(ingested, 2);
         assert_eq!(report.parsed, 2);
         assert_eq!(report.skipped, 1);
-        assert_eq!(*seen.lock().unwrap(), vec!["$GPXXX,one", "$GPXXX,two"]);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec!["$GPXXX,one*07", "$GPXXX,two*0F"]
+        );
     }
 }

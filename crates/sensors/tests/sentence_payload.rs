@@ -2,7 +2,9 @@
 //! its validated NMEA-0183 wire text, the Parser forwards that text
 //! without copying it, and every decode on the way (the GGA peek of the
 //! HDOP feature and the Interpreter, the full [`codec::sentence_of`])
-//! sees exactly what parsing the line directly gives.
+//! sees exactly what parsing the line directly gives. Upstream of the
+//! Parser, the block scanner and the Parser frame lines by one rule,
+//! `perpos_nmea::frame`.
 
 #![allow(clippy::unwrap_used)]
 
@@ -10,11 +12,12 @@ use std::sync::{Arc, Mutex};
 
 use perpos_core::prelude::*;
 use perpos_nmea::{
-    checksum, parse_sentence, FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc, SatelliteInfo,
-    Sentence, Vtg,
+    checksum, frame, parse_sentence, FixQuality, Gga, Gsa, GsaFixType, Gsv, NmeaTime, Rmc,
+    SatelliteInfo, Sentence, Vtg,
 };
 use perpos_sensors::codec::{
-    gga_of, ingest_nmea_block, sentence_of, sentence_to_value, sentence_type_of, value_to_sentence,
+    gga_of, ingest_nmea_block, scan_block, sentence_of, sentence_to_value, sentence_type_of,
+    value_to_sentence, LineDefect,
 };
 use perpos_sensors::{HdopFeature, Interpreter, Parser};
 use proptest::prelude::*;
@@ -181,6 +184,127 @@ proptest! {
             prop_assert!(out.is_empty());
         }
     }
+}
+
+/// The lines of a trace block as a sloppy or hostile source delivers
+/// them: sentences of every type, most cut, re-framed or corrupted at
+/// the framing, with terminators and blank lines.
+#[derive(Debug, Clone, Copy)]
+struct CaptureLines;
+
+fn capture_line(rng: &mut SampleRng) -> String {
+    let wire = AnySentence.sample(rng).to_nmea_string();
+    // The encoder writes ASCII, so every offset is a char boundary.
+    let body = &wire[1..wire.len() - 3];
+    let sum = &wire[wire.len() - 2..];
+    let at = rng.below(body.len() + 1);
+    let (head, tail) = body.split_at(at);
+    match rng.below(16) {
+        0 => format!("${body}*+{}", &sum[1..]),
+        1 => format!("${body}*{}", &sum[1..]),
+        2 => format!("${body}*{:02x}", checksum(body)),
+        3 => format!("${body}"),
+        4 => framed(&format!("{body},{}", "0".repeat(10 + rng.below(40)))),
+        5 => framed(&format!("{head}é{tail}")),
+        6 => framed(&format!("{head}*{tail}")),
+        7 => framed(&format!("{head}\t{tail}")),
+        8 => format!("{wire}\r"),
+        9 => format!("{wire}\r\n"),
+        10 => ["", "\r", " "][rng.below(3)].to_string(),
+        // A corrupted byte under the old checksum.
+        11 => {
+            let c = ["0", ".", ",", "*", "-", "+", "e", "é", "$"][rng.below(9)];
+            format!("${head}{c}{}*{sum}", tail.get(1..).unwrap_or(""))
+        }
+        12 => wire[1..].to_string(),
+        // A write tear.
+        13 => wire[..rng.below(wire.len())].to_string(),
+        _ => wire,
+    }
+}
+
+impl Strategy for CaptureLines {
+    type Value = Vec<String>;
+
+    fn sample(&self, rng: &mut SampleRng) -> Vec<String> {
+        (0..1 + rng.below(12)).map(|_| capture_line(rng)).collect()
+    }
+}
+
+/// Cases of the framing agreement property; the release-mode run (CI's
+/// "NMEA parser/encoder equivalence" step) uses the full count.
+const AGREEMENT_CASES: u32 = if cfg!(debug_assertions) {
+    2_000
+} else {
+    50_000
+};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(AGREEMENT_CASES))]
+
+    /// `scan_block` and the Parser frame lines by the one rule: per
+    /// non-blank line, the scan's verdict and defect are `frame`'s, and
+    /// every line the Parser counts in `parsedCount` is a line the scan
+    /// accepts.
+    #[test]
+    fn scan_block_and_the_parser_frame_alike(lines in CaptureLines) {
+        let block = lines.join("\n");
+        let mut out = Vec::new();
+        let report = scan_block(&block, &mut out);
+        let (mut want_out, mut want_errors) = (Vec::new(), Vec::new());
+        let mut parser = Parser::new();
+        let mut parsed = 0;
+        let mut numbered = 0;
+        for line in &lines {
+            let text = line.trim_end_matches(['\r', '\n']);
+            if text.is_empty() {
+                continue;
+            }
+            numbered += 1;
+            match frame(line) {
+                Ok(_) => want_out.push(text),
+                Err(defect) => want_errors.push(LineDefect { line: numbered, defect }),
+            }
+            let raw = DataItem::new(kinds::RAW_STRING, SimTime::ZERO, Value::from(line.as_str()));
+            ComponentCtxProbe::run_input(&mut parser, raw).unwrap();
+            let now = parser.invoke("parsedCount", &[]).unwrap().as_i64().unwrap();
+            if now > parsed {
+                prop_assert!(frame(line).is_ok(), "Parser counted {:?}", line);
+                parsed = now;
+            }
+        }
+        prop_assert_eq!(&out, &want_out, "{:?}", block);
+        prop_assert_eq!(&report.errors, &want_errors, "{:?}", block);
+        prop_assert_eq!(report.parsed, want_out.len());
+        prop_assert_eq!(report.skipped, want_errors.len());
+    }
+}
+
+#[test]
+fn capture_lines_reach_every_framing_defect() {
+    let mut rng = SampleRng::seeded(21);
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..2_000 {
+        let line = capture_line(&mut rng);
+        seen.insert(match frame(&line) {
+            Ok(_) => "framed".to_string(),
+            Err(e) => format!("{e:?}")
+                .split([' ', '{'])
+                .next()
+                .unwrap()
+                .to_string(),
+        });
+    }
+    let want = [
+        "ChecksumMismatch",
+        "MalformedChecksum",
+        "MissingChecksum",
+        "MissingStart",
+        "NotPrintable",
+        "TooLong",
+        "framed",
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), want);
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! | [`model`] | `perpos-model` | buildings, rooms, walls, room graphs (the location model service) |
 //! | [`registry`] | `perpos-registry` | OSGi-like dynamic service registry |
 //! | [`sensors`] | `perpos-sensors` | GPS/WiFi/motion simulators, Fig. 1 pipeline components, trace emulator |
-//! | [`fusion`] | `perpos-fusion` | particle filter, Likelihood channel feature, Kalman/centroid baselines |
+//! | [`fusion`] | `perpos-fusion` | particle filter, Likelihood channel feature, Kalman baseline |
 //! | [`energy`] | `perpos-energy` | power models and the EnTracked strategy |
 //! | [`baselines`] | `perpos-baselines` | Location-Stack- and PoSIM-style comparison middlewares |
 //! | [`analysis`] | `perpos-analysis` | whole-graph static analysis (P001–P020), adaptation safety, `perpos-lint` |
