@@ -6,14 +6,22 @@
 //! is validated, but a multi-step adaptation can pass every per-edge
 //! check and still leave the process unsound in between or at the end
 //! (a dangling merge input, a dead subgraph, a feature requirement lost
-//! with a detach). [`check_adaptation`] simulates a whole
-//! [`AdaptationPlan`] on a *copy* of the reflective structure and runs
-//! the full whole-graph analysis on the result, so callers can reject
-//! unsound adaptations without mutating anything.
+//! with a detach). [`check_adaptation`] replays a whole
+//! [`AdaptationPlan`] on a stand-in graph built from the reflective
+//! structure and runs the full whole-graph analysis on the result, so
+//! callers can reject unsound adaptations without mutating anything.
+//!
+//! The replay has no op rules of its own: [`simulate`] calls the
+//! [`ProcessingGraph`] ops `Middleware` calls, so a plan step fails
+//! (P007) exactly when the same call on the middleware would. A
+//! `Connect` the live graph rejects (kind mismatch, missing required
+//! feature, cycle) is therefore a P007 at its step and never becomes an
+//! edge; the whole-graph lints P001, P003 and P005 judge the structure
+//! the plan leaves behind, not the wires it failed to make.
 
 use perpos_core::component::ComponentRole;
 use perpos_core::feature::FeatureDescriptor;
-use perpos_core::graph::{NodeId, NodeInfo};
+use perpos_core::graph::{NodeId, NodeInfo, ProcessingGraph};
 use perpos_core::supervision::HealthStatus;
 use perpos_core::Middleware;
 
@@ -82,12 +90,12 @@ impl AdaptationPlan {
 }
 
 /// Checks a plan against a live middleware without touching it: the
-/// plan is applied to a copy of `mw.structure()` and the resulting
-/// structure is lowered once and fully analyzed — structural lints plus
-/// the semantic dataflow passes, with *semantic deltas* (how accuracy,
-/// rate and taint observed at the sinks change) reported at Info
-/// severity. The plan is safe when the returned report
-/// [has no errors](Report::has_errors).
+/// plan is replayed on a stand-in of `mw.structure()` (see
+/// [`simulate`]) and the resulting structure is lowered once and fully
+/// analyzed — structural lints plus the semantic dataflow passes, with
+/// *semantic deltas* (how accuracy, rate and taint observed at the sinks
+/// change) reported at Info severity. The plan is safe when the returned
+/// report [has no errors](Report::has_errors).
 pub fn check_adaptation(mw: &Middleware, plan: &AdaptationPlan) -> Report {
     check_adaptation_with_facts(mw, plan).report
 }
@@ -258,161 +266,45 @@ fn semantic_deltas(
     out
 }
 
-/// Applies a plan to a detached structure model, reporting operations
-/// that could not apply (P007). Returns the resulting structure and the
-/// application report; analysis of the result is the caller's job
-/// (see [`check_adaptation`]).
-pub fn simulate(mut nodes: Vec<NodeInfo>, plan: &AdaptationPlan) -> (Vec<NodeInfo>, Report) {
+/// Replays a plan on a graph built from `nodes` with
+/// [`ProcessingGraph::from_structure`], one op at a time through the
+/// graph's own `connect`/`disconnect`/`remove`/`attach_feature`/
+/// `detach_feature`. Returns the resulting structure and a report with
+/// one P007 error per refused step (a refused op changes nothing);
+/// analysis of the result is the caller's job (see
+/// [`check_adaptation`]).
+pub fn simulate(nodes: Vec<NodeInfo>, plan: &AdaptationPlan) -> (Vec<NodeInfo>, Report) {
+    let mut graph = ProcessingGraph::from_structure(&nodes);
     let mut report = Report::new();
     for (step, op) in plan.ops.iter().enumerate() {
-        if let Err(d) = apply(&mut nodes, step, op) {
-            report.push(d);
+        let applied = match op {
+            AdaptationOp::Connect { from, to, port } => graph.connect(*from, *to, *port),
+            AdaptationOp::Disconnect { to, port } => graph.disconnect(*to, *port).map(drop),
+            AdaptationOp::Remove { node } => graph.remove(*node).map(drop),
+            AdaptationOp::AttachFeature { node, descriptor } => {
+                graph.attach_feature(*node, Box::new(descriptor.clone()))
+            }
+            AdaptationOp::DetachFeature { node, feature } => {
+                graph.detach_feature(*node, feature).map(drop)
+            }
+        };
+        if let Err(e) = applied {
+            report.push(
+                Diagnostic::new(
+                    Code::P007,
+                    Severity::Error,
+                    e.to_string(),
+                    vec![format!("plan step {step}")],
+                )
+                .with_hint(
+                    "the live graph rejects this op; fix it against Middleware::structure()",
+                ),
+            );
         }
     }
-    (nodes, report)
-}
-
-fn find(nodes: &[NodeInfo], id: NodeId) -> Option<usize> {
-    nodes.iter().position(|n| n.id == id)
-}
-
-fn op_error(step: usize, message: String, hint: &str) -> Diagnostic {
-    Diagnostic::new(
-        Code::P007,
-        Severity::Error,
-        message,
-        vec![format!("plan step {step}")],
-    )
-    .with_hint(hint.to_string())
-}
-
-fn apply(nodes: &mut Vec<NodeInfo>, step: usize, op: &AdaptationOp) -> Result<(), Diagnostic> {
-    match op {
-        AdaptationOp::Connect { from, to, port } => {
-            let fi = find(nodes, *from).ok_or_else(|| {
-                op_error(
-                    step,
-                    format!("connect references unknown node {from}"),
-                    "use node ids from Middleware::structure()",
-                )
-            })?;
-            if nodes[fi].descriptor.output.is_none() {
-                return Err(op_error(
-                    step,
-                    format!("connect uses sink {from} as a producer"),
-                    "sinks have no output port; pick a producing node",
-                ));
-            }
-            let ti = find(nodes, *to).ok_or_else(|| {
-                op_error(
-                    step,
-                    format!("connect references unknown node {to}"),
-                    "use node ids from Middleware::structure()",
-                )
-            })?;
-            if *port >= nodes[ti].inputs.len() {
-                return Err(op_error(
-                    step,
-                    format!(
-                        "connect targets port {port} of {to}, which declares {} port(s)",
-                        nodes[ti].inputs.len()
-                    ),
-                    "use a port index within the consumer's declared inputs",
-                ));
-            }
-            if nodes[ti].inputs[*port].is_some() {
-                return Err(op_error(
-                    step,
-                    format!("input port {port} of {to} is already connected"),
-                    "disconnect the port first",
-                ));
-            }
-            nodes[ti].inputs[*port] = Some(*from);
-            nodes[fi].outputs.push((*to, *port));
-            Ok(())
-        }
-        AdaptationOp::Disconnect { to, port } => {
-            let ti = find(nodes, *to).ok_or_else(|| {
-                op_error(
-                    step,
-                    format!("disconnect references unknown node {to}"),
-                    "use node ids from Middleware::structure()",
-                )
-            })?;
-            if *port >= nodes[ti].inputs.len() {
-                return Err(op_error(
-                    step,
-                    format!("disconnect targets out-of-range port {port} of {to}"),
-                    "use a port index within the consumer's declared inputs",
-                ));
-            }
-            if let Some(producer) = nodes[ti].inputs[*port].take() {
-                if let Some(pi) = find(nodes, producer) {
-                    nodes[pi]
-                        .outputs
-                        .retain(|(n, p)| !(*n == *to && *p == *port));
-                }
-            }
-            Ok(())
-        }
-        AdaptationOp::Remove { node } => {
-            let i = find(nodes, *node).ok_or_else(|| {
-                op_error(
-                    step,
-                    format!("remove references unknown node {node}"),
-                    "use node ids from Middleware::structure()",
-                )
-            })?;
-            nodes.remove(i);
-            for n in nodes.iter_mut() {
-                for input in n.inputs.iter_mut() {
-                    if *input == Some(*node) {
-                        *input = None;
-                    }
-                }
-                n.outputs.retain(|(t, _)| *t != *node);
-            }
-            Ok(())
-        }
-        AdaptationOp::AttachFeature { node, descriptor } => {
-            let i = find(nodes, *node).ok_or_else(|| {
-                op_error(
-                    step,
-                    format!("attach references unknown node {node}"),
-                    "use node ids from Middleware::structure()",
-                )
-            })?;
-            if nodes[i].features.iter().any(|f| f.name == descriptor.name) {
-                return Err(op_error(
-                    step,
-                    format!(
-                        "feature {:?} is already attached to {node}",
-                        descriptor.name
-                    ),
-                    "detach the existing feature first",
-                ));
-            }
-            nodes[i].features.push(descriptor.clone());
-            Ok(())
-        }
-        AdaptationOp::DetachFeature { node, feature } => {
-            let i = find(nodes, *node).ok_or_else(|| {
-                op_error(
-                    step,
-                    format!("detach references unknown node {node}"),
-                    "use node ids from Middleware::structure()",
-                )
-            })?;
-            let before = nodes[i].features.len();
-            nodes[i].features.retain(|f| &f.name != feature);
-            if nodes[i].features.len() == before {
-                return Err(op_error(
-                    step,
-                    format!("feature {feature:?} is not attached to {node}"),
-                    "check attached features via Middleware::structure()",
-                ));
-            }
-            Ok(())
-        }
-    }
+    let result = graph
+        .node_ids()
+        .filter_map(|id| graph.info(id).ok())
+        .collect();
+    (result, report)
 }

@@ -1,6 +1,6 @@
 //! The type catalog: what the analyzer knows about component *types*.
 //!
-//! A [`crate::GraphConfig`] references component types by name and says
+//! A [`GraphConfig`](perpos_core::assembly::GraphConfig) references component types by name and says
 //! nothing about their ports, so config-level analysis needs a side
 //! channel describing each type. A [`TypeCatalog`] provides it, either
 //! [probed](TypeCatalog::probe) from the same factories the configuration

@@ -169,7 +169,7 @@ pub struct CodeExplanation {
 
 impl Code {
     /// The long-form explanation of this code. The `match` is exhaustive
-    /// on purpose: adding a code to [`define_codes!`] without an
+    /// on purpose: adding a code to `define_codes!` without an
     /// explanation here is a compile error, which keeps `--explain`
     /// complete by construction.
     pub fn explain(&self) -> CodeExplanation {
@@ -231,8 +231,8 @@ impl Code {
                 detail: "The configuration references something that does not exist or \
                          is used twice: unknown type/instance names, duplicate instance \
                          names, out-of-range port indexes, or two producers driving the \
-                         same input port. An adaptation plan referencing a missing node \
-                         or a quarantined node also reports P007.",
+                         same input port. An adaptation plan step the live graph would \
+                         refuse, or one adapting a quarantined node, also reports P007.",
                 example: "A connection names instance \"parserX\" but only \"parser0\" \
                           is declared.",
                 fix: "Fix the name/index in the configuration or plan.",

@@ -18,8 +18,11 @@
 //! - **Live analysis** ([`analyze_structure`]): lints an instantiated
 //!   graph via `Middleware::structure()`, and — through
 //!   [`check_adaptation`] — a *hypothetical* structure produced by
-//!   simulating an [`AdaptationPlan`], answering "is this adaptation
-//!   safe?" without touching the live process.
+//!   replaying an [`AdaptationPlan`] through the graph's own ops on
+//!   inert stand-ins, answering "is this adaptation safe?" without
+//!   touching the live process. A plan step fails (P007) exactly when
+//!   `Middleware` would refuse it, so a rejected connect never becomes
+//!   an edge for P001, P003 or P005 to judge.
 //! - **Runtime probing** ([`MonotonicityProbe`]): a Channel Feature
 //!   asserting logical-time monotonicity on every delivery (P008).
 //!

@@ -207,9 +207,9 @@ fn dead_components(graph: &FlowGraph, report: &mut Report) {
 
 /// P005: every strongly connected component with more than one member,
 /// or a self-loop, is one cycle finding with its members sorted. A live
-/// graph is acyclic by construction, so on live input this fires only
-/// for simulated plans, predicting the `CycleDetected` the real graph
-/// would raise.
+/// graph is acyclic by construction, and a replayed plan refuses a
+/// cyclic connect at its step (P007), so on live input this fires only
+/// for structures edited by hand.
 fn cycles(graph: &FlowGraph, report: &mut Report) {
     let succ: Vec<Vec<usize>> = (0..graph.nodes.len())
         .map(|i| graph.succs(i).iter().map(|&e| graph.edges[e].to).collect())

@@ -1,7 +1,7 @@
 //! Infeasibility diagnosis: when no pipeline satisfies a goal, name the
 //! *binding constraint* instead of returning a bare empty list.
 //!
-//! The diagnosis is search-based: [`diagnose`] re-runs the enumeration
+//! The diagnosis is search-based: `diagnose` re-runs the enumeration
 //! with one criterion relaxed at a time, in a fixed order. If dropping a
 //! single criterion makes the goal satisfiable, that criterion is the
 //! binding constraint and the relaxed candidates show the *achievable*

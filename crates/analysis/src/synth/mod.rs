@@ -6,7 +6,7 @@
 //! rate, power budget, coordinate frame, privacy constraint, output
 //! kind — plus a [`TypeCatalog`], and searches the catalog's
 //! requirements/capabilities space for [`GraphConfig`]s satisfying every
-//! criterion. The search ([`search`] module) is static-analysis-directed:
+//! criterion. The search (`search` module) is static-analysis-directed:
 //! partial pipelines are scored and pruned by the same abstract domains
 //! `perpos-lint` checks with (frames P010, accuracy P011, taint P012,
 //! rates P013/P014), and a candidate is only emitted when the *full*
@@ -19,8 +19,9 @@
 //! empty list, and [`Synthesis::report`] renders it as diagnostic P015.
 //!
 //! Surfaces: this library API, the `perpos-lint synth` subcommand, and
-//! `Middleware::instantiate_synthesized` (re-gated instantiation of a
-//! [`perpos_core::assembly::SynthesizedConfig`]).
+//! re-gated instantiation of a
+//! [`perpos_core::assembly::SynthesizedConfig`] through its config's
+//! `instantiate_checked` with [`crate::gate::config_gate`].
 
 pub mod explain;
 mod search;
@@ -135,14 +136,13 @@ pub struct RankedPipeline {
     pub power_mw: Option<f64>,
     /// Coordinate frames observed at the sink.
     pub frames: Vec<String>,
-    /// The pipeline itself, ready for `instantiate_checked` /
-    /// `instantiate_synthesized`.
+    /// The pipeline itself, ready for `instantiate_checked`.
     pub config: GraphConfig,
 }
 
 impl RankedPipeline {
     /// Wraps the pipeline as a core [`SynthesizedConfig`] carrying the
-    /// goal summary, for `Middleware::instantiate_synthesized`.
+    /// goal summary and rank.
     pub fn into_synthesized(self, goal: &SynthesisGoal) -> SynthesizedConfig {
         SynthesizedConfig {
             config: self.config,

@@ -3,9 +3,9 @@
 //! deltas, quarantined plan targets and privacy regressions caused by
 //! feature detachment.
 //!
-//! Each parity test builds a live middleware graph (or a structure
-//! simulated from one, for shapes the live graph refuses to build) that
-//! mirrors one of the JSON fixtures and asserts that
+//! Each parity test builds a live middleware graph (or its structure
+//! with a wire added by hand, for shapes the live graph refuses to
+//! build) that mirrors one of the JSON fixtures and asserts that
 //! [`analyze_structure`] and [`analyze_config`] report the same
 //! (code, severity) multiset: the translucent promise is that declared
 //! configurations and reflected structures are judged by one analysis,
@@ -14,7 +14,7 @@
 #![allow(clippy::unwrap_used)]
 
 use perpos_analysis::adaptation::{
-    check_adaptation, check_adaptation_with_facts, simulate, AdaptationOp, AdaptationPlan,
+    check_adaptation, check_adaptation_with_facts, AdaptationOp, AdaptationPlan,
 };
 use perpos_analysis::{analyze_config, analyze_structure, Code, Report, Severity, TypeCatalog};
 use perpos_core::assembly::GraphConfig;
@@ -163,16 +163,20 @@ fn assert_parity(structure: &[NodeInfo], config: &GraphConfig, expected: Code) {
     );
 }
 
-/// Applies `plan` to the middleware's structure; the plan itself must
-/// apply cleanly (the shape it builds is what the parity test checks).
-fn simulated(mw: &Middleware, plan: AdaptationPlan) -> Vec<NodeInfo> {
-    let (nodes, ops) = simulate(mw.structure(), &plan);
-    assert!(ops.is_clean(), "{}", ops.render_human());
-    nodes
-}
-
-fn connect(from: NodeId, to: NodeId, port: usize) -> AdaptationPlan {
-    AdaptationPlan::new().then(AdaptationOp::Connect { from, to, port })
+/// The middleware's structure plus the wire `from -> (to, port)`, added
+/// by editing the [`NodeInfo`] list: the live graph, and a plan replayed
+/// through it, refuse the shapes these tests need (a kind mismatch, a
+/// missing feature, a cycle).
+fn wired(mut structure: Vec<NodeInfo>, from: NodeId, to: NodeId, port: usize) -> Vec<NodeInfo> {
+    for n in &mut structure {
+        if n.id == to {
+            n.inputs[port] = Some(from);
+        }
+        if n.id == from {
+            n.outputs.push((to, port));
+        }
+    }
+    structure
 }
 
 #[test]
@@ -274,7 +278,7 @@ fn echo_desc(name: &str) -> ComponentDescriptor {
 
 // Structural findings (P001-P005): the live graph refuses to build
 // mismatched, feature-less or cyclic wires, so those shapes come from
-// simulating the one offending connect.
+// adding the one offending wire to the reflected structure.
 
 #[test]
 fn p001_kind_mismatch_config_and_live_agree() {
@@ -283,7 +287,7 @@ fn p001_kind_mismatch_config_and_live_agree() {
     let decode = mw.add_boxed_component(stub(decoder_desc("decode0")));
     let app = mw.application_sink();
     mw.connect(decode, app, 0).unwrap();
-    let structure = simulated(&mw, connect(gps, decode, 0));
+    let structure = wired(mw.structure(), gps, decode, 0);
     assert_parity(
         &structure,
         &fixture_config("p001_kind_mismatch.json"),
@@ -315,7 +319,7 @@ fn p003_missing_feature_config_and_live_agree() {
     mw.connect(gps, parse, 0).unwrap();
     mw.connect(parse, decode, 0).unwrap();
     mw.connect(conf, app, 0).unwrap();
-    let structure = simulated(&mw, connect(decode, conf, 0));
+    let structure = wired(mw.structure(), decode, conf, 0);
     assert_parity(
         &structure,
         &fixture_config("p003_missing_feature.json"),
@@ -347,7 +351,7 @@ fn p005_cycle_config_and_live_agree() {
     let app = mw.application_sink();
     mw.connect(echo1, echo2, 0).unwrap();
     mw.connect(echo2, app, 0).unwrap();
-    let structure = simulated(&mw, connect(echo2, echo1, 0));
+    let structure = wired(mw.structure(), echo2, echo1, 0);
     assert_parity(&structure, &fixture_config("p005_cycle.json"), Code::P005);
 }
 
@@ -381,12 +385,7 @@ fn two_cycles_through_one_merge_are_one_p005_on_both_sides() {
     mw.connect(m0, b0, 0).unwrap();
     mw.connect(m0, c0, 0).unwrap();
     mw.connect(m0, app, 0).unwrap();
-    let plan = connect(b0, m0, 0).then(AdaptationOp::Connect {
-        from: c0,
-        to: m0,
-        port: 1,
-    });
-    let structure = simulated(&mw, plan);
+    let structure = wired(wired(mw.structure(), b0, m0, 0), c0, m0, 1);
     assert_parity(&structure, &config, Code::P005);
     let live = analyze_structure(&structure);
     assert_eq!(

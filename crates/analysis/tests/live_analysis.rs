@@ -9,13 +9,14 @@ use std::collections::BTreeMap;
 use perpos_analysis::adaptation::{check_adaptation, simulate, AdaptationOp, AdaptationPlan};
 use perpos_analysis::gate::{config_gate, structure_gate};
 use perpos_analysis::probe::{MonotonicityProbe, PROBE_NAME};
-use perpos_analysis::{analyze_structure, Code, TypeCatalog};
+use perpos_analysis::{analyze_structure, Code, Report, TypeCatalog};
 use perpos_core::assembly::{
     Assembler, ComponentConfig, ComponentFactory, ConnectionConfig, GraphConfig,
 };
 use perpos_core::channel::{ChannelFeature, ChannelHost, ChannelId, DataNode, DataTree};
 use perpos_core::graph::NodeId;
 use perpos_core::prelude::*;
+use proptest::prelude::*;
 
 fn gps_factory() -> Box<dyn Component> {
     Box::new(FnSource::new("gps", kinds::RAW_STRING, |_| {
@@ -184,10 +185,11 @@ fn disconnecting_a_required_input_is_unsafe() {
 }
 
 #[test]
-fn self_wiring_plan_is_reported_as_a_cycle() {
+fn self_wiring_plan_fails_at_its_step() {
     let (mw, gps, parser, _) = pipeline();
-    // Free the port, drop the source, then wire the parser to itself:
-    // each op applies cleanly, but the resulting structure is cyclic.
+    // Free the port and drop the source, then wire the parser to
+    // itself: the graph refuses that connect, so the replay reports the
+    // step (P007) and the cyclic edge never exists.
     let plan = AdaptationPlan::new()
         .then(AdaptationOp::Disconnect {
             to: parser,
@@ -200,9 +202,9 @@ fn self_wiring_plan_is_reported_as_a_cycle() {
             port: 0,
         });
     let report = check_adaptation(&mw, &plan);
-    assert_eq!(
-        report.with_code(Code::P005).len(),
-        1,
+    assert_eq!(failed_steps(&report), vec![2], "{}", report.render_human());
+    assert!(
+        report.with_code(Code::P005).is_empty(),
         "{}",
         report.render_human()
     );
@@ -259,7 +261,8 @@ fn attach_feature_plan_is_safe_and_validated() {
     });
     let report = check_adaptation(&mw, &plan);
     assert!(!report.has_errors(), "{}", report.render_human());
-    // Attaching the same feature twice is rejected by the simulation.
+    // Attaching the same feature twice is rejected, as the live graph
+    // rejects it.
     let twice = AdaptationPlan {
         ops: vec![plan.ops[0].clone(), plan.ops[0].clone()],
     };
@@ -270,6 +273,176 @@ fn attach_feature_plan_is_safe_and_validated() {
         "{}",
         report.render_human()
     );
+}
+
+// ---------------------------------------------------------------------
+// Plan replay against the live middleware
+// ---------------------------------------------------------------------
+
+/// The steps a report marks as failed: P007 errors at `plan step k`.
+fn failed_steps(report: &Report) -> Vec<usize> {
+    report
+        .errors()
+        .filter(|d| d.code == Code::P007)
+        .filter_map(|d| d.path.first()?.strip_prefix("plan step ")?.parse().ok())
+        .collect()
+}
+
+/// A two-input position merge whose second port requires `Hdop` on its
+/// producer.
+struct Merge;
+
+impl Component for Merge {
+    fn descriptor(&self) -> ComponentDescriptor {
+        ComponentDescriptor::merge(
+            "merge",
+            vec![
+                InputSpec::new("a", vec![kinds::POSITION_WGS84]),
+                InputSpec::new("b", vec![kinds::POSITION_WGS84]).requiring_feature("Hdop"),
+            ],
+            vec![kinds::POSITION_WGS84],
+        )
+    }
+
+    fn on_input(
+        &mut self,
+        _port: usize,
+        _item: DataItem,
+        _ctx: &mut ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
+        Ok(())
+    }
+}
+
+/// The Fig. 1 pipeline gps -> parser -> interpreter feeding port 0 of a
+/// merge that feeds the application, a spare unwired `gps2`, and the id
+/// of a removed node. Returns the middleware and its node pool
+/// `[gps, gps2, parser, interpreter, merge, app, removed]`.
+fn fig1_with_merge() -> (Middleware, [NodeId; 7]) {
+    let mut mw = Middleware::new();
+    let gps = mw.add_boxed_component(gps_factory());
+    let gps2 = mw.add_boxed_component(gps_factory());
+    let parser = mw.add_boxed_component(parser_factory());
+    let interpreter = mw.add_component(FnProcessor::new(
+        "interpreter",
+        vec![kinds::NMEA_SENTENCE],
+        kinds::POSITION_WGS84,
+        |i| Some(i.payload.clone()),
+    ));
+    let merge = mw.add_component(Merge);
+    let app = mw.application_sink();
+    let removed = mw.add_boxed_component(gps_factory());
+    mw.remove_component(removed).unwrap();
+    mw.connect(gps, parser, 0).unwrap();
+    mw.connect(parser, interpreter, 0).unwrap();
+    mw.connect(interpreter, merge, 0).unwrap();
+    mw.connect(merge, app, 0).unwrap();
+    (mw, [gps, gps2, parser, interpreter, merge, app, removed])
+}
+
+/// The two feature names plans draw from; `NumberOfSatellites` also
+/// widens its host's output to NMEA sentences.
+fn feature(i: usize) -> FeatureDescriptor {
+    if i == 0 {
+        FeatureDescriptor::new("Hdop")
+    } else {
+        FeatureDescriptor::new("NumberOfSatellites").adds(kinds::NMEA_SENTENCE)
+    }
+}
+
+/// Applies each op through the middleware's own calls, returning the
+/// steps whose call failed.
+fn apply_one_by_one(mw: &mut Middleware, plan: &AdaptationPlan) -> Vec<usize> {
+    let mut failed = Vec::new();
+    for (step, op) in plan.ops.iter().enumerate() {
+        let result = match op {
+            AdaptationOp::Connect { from, to, port } => mw.connect(*from, *to, *port),
+            AdaptationOp::Disconnect { to, port } => mw.disconnect(*to, *port).map(drop),
+            AdaptationOp::Remove { node } => mw.remove_component(*node).map(drop),
+            AdaptationOp::AttachFeature { node, descriptor } => {
+                mw.attach_feature(*node, descriptor.clone())
+            }
+            AdaptationOp::DetachFeature { node, feature } => {
+                mw.detach_feature(*node, feature).map(drop)
+            }
+        };
+        if result.is_err() {
+            failed.push(step);
+        }
+    }
+    failed
+}
+
+/// The checker and the middleware agree on `plan`: the steps reported as
+/// P007 errors are the steps whose middleware call fails, and the
+/// replayed structure is the middleware's structure after the ops.
+fn assert_replay_matches_middleware(plan: &AdaptationPlan) -> Result<(), TestCaseError> {
+    let (checked, _) = fig1_with_merge();
+    let report = check_adaptation(&checked, plan);
+    let (predicted, _) = simulate(checked.structure(), plan);
+    let (mut live, _) = fig1_with_merge();
+    let failed = apply_one_by_one(&mut live, plan);
+    prop_assert_eq!(failed_steps(&report), failed, "{}", report.render_human());
+    prop_assert_eq!(predicted, live.structure());
+    Ok(())
+}
+
+#[test]
+fn unchecked_self_connect_between_disconnects_is_refused_like_middleware() {
+    let (_, [gps, gps2, parser, ..]) = fig1_with_merge();
+    let plan = AdaptationPlan::new()
+        .then(AdaptationOp::Disconnect {
+            to: parser,
+            port: 0,
+        })
+        .then(AdaptationOp::Connect {
+            from: parser,
+            to: parser,
+            port: 0,
+        })
+        .then(AdaptationOp::Disconnect {
+            to: parser,
+            port: 0,
+        })
+        .then(AdaptationOp::Connect {
+            from: gps2,
+            to: parser,
+            port: 0,
+        })
+        .then(AdaptationOp::Remove { node: gps });
+    assert_replay_matches_middleware(&plan).unwrap();
+}
+
+#[test]
+fn attaching_a_feature_name_twice_is_refused_like_middleware() {
+    let (_, [gps, ..]) = fig1_with_merge();
+    let attach = AdaptationOp::AttachFeature {
+        node: gps,
+        descriptor: feature(1),
+    };
+    let plan = AdaptationPlan::new().then(attach.clone()).then(attach);
+    assert_replay_matches_middleware(&plan).unwrap();
+}
+
+/// Cases of the replay property; the release-mode run (CI's
+/// "Config/live lint parity" step) uses the full count.
+const REPLAY_CASES: u32 = if cfg!(debug_assertions) { 500 } else { 20_000 };
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(REPLAY_CASES))]
+    fn replayed_plans_match_middleware_op_by_op(
+        raw in proptest::collection::vec((0u8..5, 0usize..7, 0usize..7, 0usize..3, 0usize..2), 1..9)
+    ) {
+        let (_, pool) = fig1_with_merge();
+        let ops = raw.into_iter().map(|(kind, a, b, port, f)| match kind {
+            0 => AdaptationOp::Connect { from: pool[a], to: pool[b], port },
+            1 => AdaptationOp::Disconnect { to: pool[b], port },
+            2 => AdaptationOp::Remove { node: pool[a] },
+            3 => AdaptationOp::AttachFeature { node: pool[a], descriptor: feature(f) },
+            _ => AdaptationOp::DetachFeature { node: pool[a], feature: feature(f).name },
+        });
+        assert_replay_matches_middleware(&AdaptationPlan { ops: ops.collect() })?;
+    }
 }
 
 // ---------------------------------------------------------------------

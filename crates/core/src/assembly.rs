@@ -321,8 +321,8 @@ impl GraphConfig {
 /// `perpos-analysis`'s `synth` module) rather than written by hand,
 /// together with the goal it was synthesized for.
 ///
-/// Synthesized configurations are only ever stood up through
-/// [`Middleware::instantiate_synthesized`], which re-runs the caller's
+/// Stand one up with `synthesized.config.instantiate_checked(..)`
+/// ([`GraphConfig::instantiate_checked`]), which re-runs the caller's
 /// acceptance gate before touching the graph — a synthesizer bug (or a
 /// stale serialized artifact) can therefore never instantiate a pipeline
 /// that no longer passes analysis.

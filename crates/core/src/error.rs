@@ -71,6 +71,14 @@ pub enum CoreError {
         /// Human-readable description of the problem.
         reason: String,
     },
+    /// A Component Feature with this name is already attached to the
+    /// node; feature names are unique per host.
+    DuplicateFeature {
+        /// Host node.
+        node: NodeId,
+        /// The feature name already taken.
+        feature: String,
+    },
     /// No feature with this name is attached to the target.
     UnknownFeatureName {
         /// Target description.
@@ -130,6 +138,9 @@ impl fmt::Display for CoreError {
             CoreError::BadArguments { method, reason } => {
                 write!(f, "bad arguments for {method:?}: {reason}")
             }
+            CoreError::DuplicateFeature { node, feature } => {
+                write!(f, "feature {feature:?} is already attached to node {node}")
+            }
             CoreError::UnknownFeatureName { target, feature } => {
                 write!(f, "{target} has no feature {feature:?}")
             }
@@ -186,6 +197,10 @@ mod tests {
             CoreError::BadArguments {
                 method: "set".into(),
                 reason: "expected float".into(),
+            },
+            CoreError::DuplicateFeature {
+                node: n,
+                feature: "HDOP".into(),
             },
             CoreError::UnknownFeatureName {
                 target: "Parser".into(),

@@ -71,13 +71,8 @@ impl FleetStats {
     }
 }
 
-/// Flat fleet-wide counter totals, cached on the pool so stats polling
-/// inside a soak loop is O(1) instead of re-collecting (and summing)
-/// every shard's counters per probe. Refreshed at construction and at
-/// the end of every [`FleetPool::run`] call; after mutating shards
-/// directly (via [`FleetPool::shard_mut`]) call
-/// [`FleetPool::refresh_totals`]. `tests` pin the cache to
-/// [`FleetStats::totals`] recomputed from the per-shard breakdown.
+/// Flat fleet-wide counter totals, summed from the shards on demand by
+/// [`FleetPool::totals`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetTotals {
     /// Instances across all shards.
@@ -142,14 +137,13 @@ impl FleetTotals {
 }
 
 /// A supervised multi-instance engine: owns [`FleetConfig::shards`]
-/// shards of factory-built [`Middleware`](crate::Middleware) instances
+/// shards of factory-built [`Middleware`] instances
 /// and steps them under the escalation ladder described in the
 /// [module docs](crate::fleet).
 pub struct FleetPool {
     config: FleetConfig,
     factory: InstanceFactory,
     shards: Vec<Shard>,
-    totals: FleetTotals,
 }
 
 impl FleetPool {
@@ -183,14 +177,11 @@ impl FleetPool {
             ));
             next += count;
         }
-        let mut pool = FleetPool {
+        FleetPool {
             config,
             factory,
             shards,
-            totals: FleetTotals::default(),
-        };
-        pool.refresh_totals();
-        pool
+        }
     }
 
     /// The fleet's configuration.
@@ -264,7 +255,6 @@ impl FleetPool {
                 }
             });
         }
-        self.refresh_totals();
     }
 
     /// Aggregated supervision counters with per-shard breakdown.
@@ -274,24 +264,14 @@ impl FleetPool {
         }
     }
 
-    /// The cached fleet-wide totals — O(1), no per-shard collection.
-    /// Current as of the last [`FleetPool::run`] /
-    /// [`FleetPool::refresh_totals`] call.
+    /// The fleet-wide totals, summed over the shards' current counters.
     pub fn totals(&self) -> FleetTotals {
-        self.totals
+        self.stats().totals()
     }
 
-    /// Recomputes the cached [`FleetTotals`] from the shards. `run`
-    /// calls this once per invocation (O(shards), amortized O(1) per
-    /// polled round); call it manually after mutating shards through
-    /// [`FleetPool::shard_mut`].
-    pub fn refresh_totals(&mut self) {
-        self.totals = self.stats().totals();
-    }
-
-    /// Fleet-wide availability so far, served from the cached totals.
+    /// Fleet-wide availability so far.
     pub fn availability(&self) -> f64 {
-        self.totals.availability()
+        self.totals().availability()
     }
 }
 
@@ -605,24 +585,6 @@ mod tests {
         ] {
             assert_eq!(serial, run(scheduler), "{scheduler:?} diverged from serial");
         }
-    }
-
-    #[test]
-    fn totals_cache_matches_recomputed_stats() {
-        let mut pool = FleetPool::new(
-            chaotic_config(FleetScheduler::WorkStealing { workers: 2 }),
-            flaky_factory(0.08, 13, 20),
-        );
-        // Multiple run calls, including a round count that is not a
-        // checkpoint multiple, keep the cache fresh.
-        pool.run(10, SimDuration::from_millis(10));
-        pool.run(3, SimDuration::from_millis(10));
-        let totals = pool.totals();
-        assert_eq!(totals, pool.stats().totals());
-        assert_eq!(totals.instances, 20);
-        assert!(totals.instance_faults > 0, "chaos fired");
-        // And the O(1) availability getter serves the cached value.
-        assert_eq!(pool.availability(), totals.availability());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub enum ShardState {
 /// Counters for one shard's supervision activity.
 ///
 /// These counters are *runtime* state of the shard, not instance state:
-/// they are never captured by a [`Snapshot`](crate::fleet::Snapshot),
+/// they are never captured by a [`Snapshot`],
 /// so an instance restarted from its checkpoint keeps its channel and
 /// component counters while the supervision history stays with the
 /// shard, and a rebuilt shard starts from the build-time baseline

@@ -5,8 +5,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// Cap on the watchdog's backoff doubling, mirroring the per-node
-/// supervisor's [`MAX_BACKOFF_LEVEL`](crate::supervision::MAX_BACKOFF_LEVEL).
+/// Cap on the watchdog's backoff doubling; the per-node supervisor caps
+/// its own ladder the same way.
 pub const MAX_SHARD_BACKOFF_LEVEL: u32 = 10;
 
 /// Watches one shard's fault stream and opens a quarantine window when

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::component::{Component, ComponentDescriptor, ComponentRole, MethodSpec};
+use crate::component::{Component, ComponentCtx, ComponentDescriptor, ComponentRole, MethodSpec};
 use crate::data::DataItem;
 use crate::data::{DataKind, Value};
 use crate::feature::{ComponentFeature, FeatureDescriptor, FeatureHost};
@@ -108,6 +108,25 @@ impl Node {
             .iter()
             .map(|s| s.descriptor.name.clone())
             .collect()
+    }
+}
+
+/// The inert component of [`ProcessingGraph::from_structure`]: it
+/// declares what the live component declared and never runs.
+struct StandIn(ComponentDescriptor);
+
+impl Component for StandIn {
+    fn descriptor(&self) -> ComponentDescriptor {
+        self.0.clone()
+    }
+
+    fn on_input(
+        &mut self,
+        _port: usize,
+        _item: DataItem,
+        _ctx: &mut ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
+        Ok(())
     }
 }
 
@@ -246,6 +265,37 @@ impl ProcessingGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         ProcessingGraph::default()
+    }
+
+    /// A graph with the ids, wiring and feature descriptors of
+    /// `structure` (as [`crate::Middleware::structure`] returns it),
+    /// whose components and features are inert stand-ins carrying only
+    /// their descriptors. Its structural ops are the live graph's own,
+    /// so a change can be replayed here before it is applied there.
+    /// Wiring is copied as given, not validated; wires into ports the
+    /// descriptor does not declare are dropped.
+    pub fn from_structure(structure: &[NodeInfo]) -> Self {
+        let mut graph = ProcessingGraph::new();
+        for info in structure {
+            let mut node = Node::new(Box::new(StandIn(info.descriptor.clone())));
+            for (slot, producer) in node.inputs.iter_mut().zip(&info.inputs) {
+                *slot = *producer;
+            }
+            node.outputs = info.outputs.clone();
+            node.features = info
+                .features
+                .iter()
+                .map(|d| FeatureSlot {
+                    descriptor: d.clone(),
+                    feature: Box::new(d.clone()),
+                })
+                .collect();
+            node.refresh_provides();
+            graph.nodes.insert(info.id, node);
+            graph.next_id = graph.next_id.max(info.id.0);
+        }
+        graph.refresh_kind_table();
+        graph
     }
 
     /// Adds a component as a new, unconnected node.
@@ -418,15 +468,29 @@ impl ProcessingGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownNode`] when the node does not exist.
+    /// Returns [`CoreError::UnknownNode`] when the node does not exist
+    /// and [`CoreError::DuplicateFeature`] when a feature of the same
+    /// name is already attached (lookups by name would find only the
+    /// first).
     pub fn attach_feature(
         &mut self,
         id: NodeId,
         feature: Box<dyn ComponentFeature>,
     ) -> Result<(), CoreError> {
         let node = self.nodes.get_mut(&id).ok_or(CoreError::UnknownNode(id))?;
+        let descriptor = feature.descriptor();
+        if node
+            .features
+            .iter()
+            .any(|s| s.descriptor.name == descriptor.name)
+        {
+            return Err(CoreError::DuplicateFeature {
+                node: id,
+                feature: descriptor.name,
+            });
+        }
         node.features.push(FeatureSlot {
-            descriptor: feature.descriptor(),
+            descriptor,
             feature,
         });
         node.refresh_provides();
@@ -1100,6 +1164,56 @@ mod tests {
             g.detach_feature(src, "T"),
             Err(CoreError::UnknownFeatureName { .. })
         ));
+    }
+
+    #[test]
+    fn feature_names_are_unique_per_node() {
+        let mut g = ProcessingGraph::new();
+        let src = source(&mut g, "src", kinds::RAW_STRING);
+        let other = source(&mut g, "other", kinds::RAW_STRING);
+        let tag = || Box::new(TagFeature::new("T", "k", Value::Null));
+        g.attach_feature(src, tag()).unwrap();
+        assert_eq!(
+            g.attach_feature(src, tag()),
+            Err(CoreError::DuplicateFeature {
+                node: src,
+                feature: "T".into()
+            })
+        );
+        assert_eq!(g.info(src).unwrap().features.len(), 1);
+        // The same name on another node is a different feature.
+        g.attach_feature(other, tag()).unwrap();
+    }
+
+    #[test]
+    fn from_structure_keeps_ids_wiring_and_feature_descriptors() {
+        let mut g = ProcessingGraph::new();
+        let gone = source(&mut g, "gone", kinds::RAW_STRING);
+        let src = source(&mut g, "src", kinds::RAW_STRING);
+        let p = processor(&mut g, "p", kinds::RAW_STRING, kinds::NMEA_SENTENCE);
+        g.connect(src, p, 0).unwrap();
+        g.attach_feature(
+            src,
+            Box::new(FeatureDescriptor::new("Geo").adds(kinds::POSITION_WGS84)),
+        )
+        .unwrap();
+        g.remove(gone).unwrap();
+        let structure: Vec<NodeInfo> = g.node_ids().map(|id| g.info(id).unwrap()).collect();
+        let mut stand_in = ProcessingGraph::from_structure(&structure);
+        let replayed: Vec<NodeInfo> = stand_in
+            .node_ids()
+            .map(|id| stand_in.info(id).unwrap())
+            .collect();
+        assert_eq!(replayed, structure);
+        assert_eq!(stand_in.effective_provides(src), g.effective_provides(src));
+        // Its ops are the graph's own: the occupied port and a fresh
+        // add both behave as on the original.
+        assert_eq!(
+            stand_in.connect(src, p, 0),
+            Err(CoreError::PortOccupied { node: p, port: 0 })
+        );
+        let fresh = source(&mut stand_in, "fresh", kinds::RAW_STRING);
+        assert_eq!(fresh, source(&mut g, "fresh", kinds::RAW_STRING));
     }
 
     #[test]

@@ -251,7 +251,9 @@ impl Middleware {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownNode`] for unknown nodes.
+    /// Returns [`CoreError::UnknownNode`] for unknown nodes and
+    /// [`CoreError::DuplicateFeature`] when a feature of that name is
+    /// already attached.
     pub fn attach_feature(
         &mut self,
         id: NodeId,
@@ -513,31 +515,6 @@ impl Middleware {
     /// Returns [`CoreError::UnknownChannel`] for unknown channels.
     pub fn channel_stats(&self, id: ChannelId) -> Result<ChannelStats, CoreError> {
         self.channels.stats(id)
-    }
-
-    /// Stands up a synthesizer-produced configuration, re-running
-    /// `check` over the embedded [`crate::assembly::GraphConfig`] first
-    /// — the acceptance gate for machine-written pipelines. Nothing is
-    /// instantiated unless the gate passes, so a stale or corrupted
-    /// synthesis artifact can never reach the running graph.
-    ///
-    /// `perpos-analysis`'s `gate::config_gate` is the intended `check`;
-    /// it re-runs the full P001–P014 pass the synthesizer already used
-    /// as its own acceptance criterion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `check`'s error without touching the graph, then
-    /// behaves like [`crate::assembly::GraphConfig::instantiate`].
-    pub fn instantiate_synthesized(
-        &mut self,
-        synthesized: &crate::assembly::SynthesizedConfig,
-        factories: &std::collections::BTreeMap<String, crate::assembly::ComponentFactory>,
-        check: &dyn Fn(&crate::assembly::GraphConfig) -> Result<(), CoreError>,
-    ) -> Result<std::collections::BTreeMap<String, NodeId>, CoreError> {
-        synthesized
-            .config
-            .instantiate_checked(self, factories, check)
     }
 
     // ------------------------------------------------------------------
@@ -863,13 +840,15 @@ impl Middleware {
     ///
     /// # Errors
     ///
-    /// Propagates the first step error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is zero.
+    /// Returns [`CoreError::BadArguments`] when `tick` is zero, without
+    /// stepping; otherwise propagates the first step error.
     pub fn run_for(&mut self, total: SimDuration, tick: SimDuration) -> Result<(), CoreError> {
-        assert!(!tick.is_zero(), "tick duration must be non-zero");
+        if tick.is_zero() {
+            return Err(CoreError::BadArguments {
+                method: "run_for".into(),
+                reason: "tick duration must be non-zero".into(),
+            });
+        }
         let steps = total.as_micros().div_ceil(tick.as_micros());
         self.step_batch(steps, tick)
     }
@@ -908,6 +887,19 @@ mod tests {
         assert!(provider.last_position().is_some());
         assert_eq!(provider.delivered_count(), 10);
         assert_eq!(mw.steps_run(), 10);
+    }
+
+    #[test]
+    fn run_for_rejects_a_zero_tick_without_stepping() {
+        let mut mw = Middleware::new();
+        let src = position_source(&mut mw, "gps", 56.0, 10.0);
+        mw.connect(src, mw.application_sink(), 0).unwrap();
+        assert!(matches!(
+            mw.run_for(SimDuration::from_secs(1), SimDuration::ZERO),
+            Err(CoreError::BadArguments { .. })
+        ));
+        assert_eq!(mw.steps_run(), 0);
+        assert_eq!(mw.now(), SimTime::ZERO);
     }
 
     #[test]

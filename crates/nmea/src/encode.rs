@@ -95,13 +95,33 @@ fn push_fixed(out: &mut String, v: f64, prec: u32, width: usize) {
     }
 }
 
+/// Appends `hhmmss[.sss]`. A time the parser accepts (the leap second
+/// 60 included) is written as it is; any other is carried into range
+/// by integer arithmetic and wrapped into one day, as
+/// [`NmeaTime::from_seconds_of_day`] wraps, so the field re-parses to
+/// the time it stands for.
 fn push_time(out: &mut String, t: &NmeaTime) {
-    push_uint(out, t.hour.into(), 2);
-    push_uint(out, t.minute.into(), 2);
-    push_uint(out, t.second.into(), 2);
-    if t.millis != 0 {
+    let (mut h, mut m, mut s, mut ms) = (
+        u64::from(t.hour),
+        u64::from(t.minute),
+        u64::from(t.second),
+        u64::from(t.millis),
+    );
+    if !(h < 24 && m < 60 && s <= 60 && ms < 1000) {
+        let total = (((h * 60 + m) * 60 + s) * 1000 + ms) % 86_400_000;
+        (h, m, s, ms) = (
+            total / 3_600_000,
+            total / 60_000 % 60,
+            total / 1000 % 60,
+            total % 1000,
+        );
+    }
+    push_uint(out, h, 2);
+    push_uint(out, m, 2);
+    push_uint(out, s, 2);
+    if ms != 0 {
         out.push('.');
-        push_uint(out, t.millis.into(), 3);
+        push_uint(out, ms, 3);
     }
 }
 
@@ -643,14 +663,48 @@ mod tests {
         400_000
     };
 
+    /// The time the encoder writes: as given when the parser accepts
+    /// it, otherwise the same instant wrapped into one day.
+    fn canonical(t: NmeaTime) -> NmeaTime {
+        if t.hour < 24 && t.minute < 60 && t.second <= 60 && t.millis < 1000 {
+            t
+        } else {
+            NmeaTime::from_seconds_of_day(t.seconds_of_day())
+        }
+    }
+
+    /// `sentence` with its time, if it has one, made [`canonical`]: the
+    /// second intended deviation from the reference, which writes any
+    /// field values as they are.
+    fn with_canonical_time(mut sentence: Sentence) -> Sentence {
+        if let Sentence::Gga(Gga { time, .. }) | Sentence::Rmc(Rmc { time, .. }) = &mut sentence {
+            *time = canonical(*time);
+        }
+        sentence
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(REFERENCE_CASES))]
         fn encoder_matches_format_reference(seed in any::<u64>(), kind in 0u8..6) {
             let sentence = Gen(seed).sentence(kind);
             let ours = sentence.to_nmea_string();
-            let reference = reference::to_nmea_string(&sentence);
+            let reference = reference::to_nmea_string(&with_canonical_time(sentence.clone()));
             prop_assert_eq!(&ours, &with_minute_carry(&reference), "{:?}", sentence);
             prop_assert_eq!(&sentence.to_string(), &ours);
+        }
+
+        fn any_time_reparses_as_its_canonical_form(
+            hour in any::<u8>(),
+            minute in any::<u8>(),
+            second in any::<u8>(),
+            millis in any::<u16>(),
+        ) {
+            let time = NmeaTime::new(hour, minute, second, millis);
+            let line = Sentence::Gga(Gga { time, ..Gga::default() }).to_nmea_string();
+            let Ok(Sentence::Gga(back)) = parse_sentence(&line) else {
+                return Err(TestCaseError::fail(format!("{line} does not re-parse as GGA")));
+            };
+            prop_assert_eq!(back.time, canonical(time), "{}", line);
         }
     }
 
@@ -691,6 +745,23 @@ mod tests {
             assert_eq!(out, want, "{v}");
             let prec = prec as usize;
             assert_eq!(out, format!("{v:0width$.prec$}"), "{v}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_times_are_written_carried_and_wrapped() {
+        for ((h, m, s, ms), want) in [
+            ((23, 59, 60, 0), "235960"),
+            ((23, 59, 60, 999), "235960.999"),
+            ((12, 35, 19, 1000), "123520"),
+            ((0, 0, 0, 65_535), "000105.535"),
+            ((25, 61, 0, 0), "020100"),
+            ((23, 59, 59, 1000), "000000"),
+            ((255, 255, 255, 0), "191915"),
+        ] {
+            let mut out = String::new();
+            push_time(&mut out, &NmeaTime::new(h, m, s, ms));
+            assert_eq!(out, want, "{h}:{m}:{s}.{ms}");
         }
     }
 

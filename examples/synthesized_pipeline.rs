@@ -8,7 +8,7 @@
 //! 2. asks the synthesizer for a pipeline meeting *criteria* (accuracy
 //!    ≤ 5 m, no identifiable sensor data at the application),
 //! 3. instantiates the top-ranked candidate through the re-checked
-//!    `instantiate_synthesized` gate, and
+//!    `instantiate_checked` gate, and
 //! 4. runs it for 100 logical ticks and reads positions.
 //!
 //! It also shows the other half of the contract: an impossible goal is
@@ -106,7 +106,9 @@ fn main() -> Result<(), CoreError> {
     // pass on the synthesized configuration before building anything.
     let mut mw = Middleware::new();
     let check = gate::config_gate(catalog);
-    let nodes = mw.instantiate_synthesized(&synthesized, &factories, &check)?;
+    let nodes = synthesized
+        .config
+        .instantiate_checked(&mut mw, &factories, &check)?;
     println!(
         "instantiated {} nodes from rank-{} pipeline (goal: {})",
         nodes.len(),
