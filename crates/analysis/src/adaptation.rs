@@ -20,7 +20,7 @@
 //! the plan leaves behind, not the wires it failed to make.
 
 use perpos_core::component::ComponentRole;
-use perpos_core::feature::FeatureDescriptor;
+use perpos_core::feature::{ComponentFeature, FeatureDescriptor};
 use perpos_core::graph::{NodeId, NodeInfo, ProcessingGraph};
 use perpos_core::supervision::HealthStatus;
 use perpos_core::Middleware;
@@ -266,6 +266,21 @@ fn semantic_deltas(
     out
 }
 
+/// The feature an `AttachFeature` step attaches to the replay: inert,
+/// carrying only the plan's descriptor, like the stand-ins
+/// [`ProcessingGraph::from_structure`] builds.
+struct PlannedFeature(FeatureDescriptor);
+
+impl ComponentFeature for PlannedFeature {
+    fn descriptor(&self) -> FeatureDescriptor {
+        self.0.clone()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 /// Replays a plan on a graph built from `nodes` with
 /// [`ProcessingGraph::from_structure`], one op at a time through the
 /// graph's own `connect`/`disconnect`/`remove`/`attach_feature`/
@@ -282,7 +297,7 @@ pub fn simulate(nodes: Vec<NodeInfo>, plan: &AdaptationPlan) -> (Vec<NodeInfo>, 
             AdaptationOp::Disconnect { to, port } => graph.disconnect(*to, *port).map(drop),
             AdaptationOp::Remove { node } => graph.remove(*node).map(drop),
             AdaptationOp::AttachFeature { node, descriptor } => {
-                graph.attach_feature(*node, Box::new(descriptor.clone()))
+                graph.attach_feature(*node, Box::new(PlannedFeature(descriptor.clone())))
             }
             AdaptationOp::DetachFeature { node, feature } => {
                 graph.detach_feature(*node, feature).map(drop)

@@ -350,6 +350,20 @@ fn feature(i: usize) -> FeatureDescriptor {
     }
 }
 
+/// A feature that only declares a plan's descriptor, so a plan's
+/// `AttachFeature` can be applied to the middleware as written.
+struct DescriptorFeature(FeatureDescriptor);
+
+impl ComponentFeature for DescriptorFeature {
+    fn descriptor(&self) -> FeatureDescriptor {
+        self.0.clone()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 /// Applies each op through the middleware's own calls, returning the
 /// steps whose call failed.
 fn apply_one_by_one(mw: &mut Middleware, plan: &AdaptationPlan) -> Vec<usize> {
@@ -360,7 +374,7 @@ fn apply_one_by_one(mw: &mut Middleware, plan: &AdaptationPlan) -> Vec<usize> {
             AdaptationOp::Disconnect { to, port } => mw.disconnect(*to, *port).map(drop),
             AdaptationOp::Remove { node } => mw.remove_component(*node).map(drop),
             AdaptationOp::AttachFeature { node, descriptor } => {
-                mw.attach_feature(*node, descriptor.clone())
+                mw.attach_feature(*node, DescriptorFeature(descriptor.clone()))
             }
             AdaptationOp::DetachFeature { node, feature } => {
                 mw.detach_feature(*node, feature).map(drop)

@@ -8,10 +8,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perpos_core::feature::{ComponentFeature, FeatureAction, FeatureDescriptor, FeatureHost};
 use perpos_core::prelude::*;
 
-struct Noop;
+struct Noop(usize);
 impl ComponentFeature for Noop {
     fn descriptor(&self) -> FeatureDescriptor {
-        FeatureDescriptor::new("Noop")
+        FeatureDescriptor::new(format!("Noop{}", self.0))
     }
     fn on_produce(
         &mut self,
@@ -25,10 +25,10 @@ impl ComponentFeature for Noop {
     }
 }
 
-struct Tagging;
+struct Tagging(usize);
 impl ComponentFeature for Tagging {
     fn descriptor(&self) -> FeatureDescriptor {
-        FeatureDescriptor::new("Tagging")
+        FeatureDescriptor::new(format!("Tagging{}", self.0))
     }
     fn on_produce(
         &mut self,
@@ -50,11 +50,13 @@ fn setup(features: usize, tagging: bool) -> Middleware {
         i += 1;
         Some(Value::Int(i))
     }));
-    for _ in 0..features {
+    // Each stacked copy gets its own name: a node holds at most one
+    // feature of a name.
+    for i in 0..features {
         if tagging {
-            mw.attach_feature(src, Tagging).unwrap();
+            mw.attach_feature(src, Tagging(i)).unwrap();
         } else {
-            mw.attach_feature(src, Noop).unwrap();
+            mw.attach_feature(src, Noop(i)).unwrap();
         }
     }
     let app = mw.application_sink();

@@ -32,10 +32,12 @@ fn direct_pipeline(n: u64) -> i64 {
     acc
 }
 
-struct NoopFeature;
+/// A pass-through feature; the index gives each stacked copy its own
+/// name, since a node holds at most one feature of a name.
+struct NoopFeature(usize);
 impl ComponentFeature for NoopFeature {
     fn descriptor(&self) -> FeatureDescriptor {
-        FeatureDescriptor::new("Noop")
+        FeatureDescriptor::new(format!("Noop{}", self.0))
     }
     fn on_produce(
         &mut self,
@@ -86,8 +88,8 @@ fn graph_pipeline(n: u64, features_per_node: usize, channel_features: usize) -> 
     mw.connect(parse, interp, 0).unwrap();
     mw.connect(interp, app, 0).unwrap();
     for node in [src, parse, interp] {
-        for _ in 0..features_per_node {
-            mw.attach_feature(node, NoopFeature).unwrap();
+        for i in 0..features_per_node {
+            mw.attach_feature(node, NoopFeature(i)).unwrap();
         }
     }
     if channel_features > 0 {

@@ -283,20 +283,6 @@ impl ComponentFeature for TagFeature {
     }
 }
 
-/// A bare descriptor is an inert feature: it declares its name, added
-/// kinds and methods and intercepts nothing. Structures that are replayed
-/// rather than run ([`crate::graph::ProcessingGraph::from_structure`])
-/// carry their features this way.
-impl ComponentFeature for FeatureDescriptor {
-    fn descriptor(&self) -> FeatureDescriptor {
-        self.clone()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

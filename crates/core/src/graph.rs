@@ -130,6 +130,20 @@ impl Component for StandIn {
     }
 }
 
+/// The inert feature of [`ProcessingGraph::from_structure`]: it declares
+/// what the live feature declared and intercepts nothing.
+struct StandInFeature(FeatureDescriptor);
+
+impl ComponentFeature for StandInFeature {
+    fn descriptor(&self) -> FeatureDescriptor {
+        self.0.clone()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 /// Read-only summary of a node, returned by the inspection API.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeInfo {
@@ -287,7 +301,7 @@ impl ProcessingGraph {
                 .iter()
                 .map(|d| FeatureSlot {
                     descriptor: d.clone(),
-                    feature: Box::new(d.clone()),
+                    feature: Box::new(StandInFeature(d.clone())),
                 })
                 .collect();
             node.refresh_provides();
@@ -1194,7 +1208,9 @@ mod tests {
         g.connect(src, p, 0).unwrap();
         g.attach_feature(
             src,
-            Box::new(FeatureDescriptor::new("Geo").adds(kinds::POSITION_WGS84)),
+            Box::new(StandInFeature(
+                FeatureDescriptor::new("Geo").adds(kinds::POSITION_WGS84),
+            )),
         )
         .unwrap();
         g.remove(gone).unwrap();
