@@ -444,6 +444,7 @@ const REPLAY_CASES: u32 = if cfg!(debug_assertions) { 500 } else { 20_000 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(REPLAY_CASES))]
+    #[test]
     fn replayed_plans_match_middleware_op_by_op(
         raw in proptest::collection::vec((0u8..5, 0usize..7, 0usize..7, 0usize..3, 0usize..2), 1..9)
     ) {

@@ -471,6 +471,13 @@ impl Payload {
     pub fn shares_with(&self, other: &Payload) -> bool {
         Arc::ptr_eq(&self.value, &other.value)
     }
+
+    /// How many payloads share this one's allocation (its `Arc` strong
+    /// count), for tests that check what a holder releases.
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> usize {
+        Arc::strong_count(&self.value)
+    }
 }
 
 impl std::ops::Deref for Payload {

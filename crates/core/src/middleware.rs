@@ -54,7 +54,9 @@ impl Target {
         self.node
     }
 
-    /// A location provider filtered by `criteria` over this target's data.
+    /// A location provider filtered by `criteria` over this target's data;
+    /// while it lives the target's sink retains its history (see
+    /// [`Middleware::location_provider`]).
     pub fn provider(&self, criteria: Criteria) -> LocationProvider {
         LocationProvider::new(Arc::clone(&self.shared), criteria)
     }
@@ -528,6 +530,13 @@ impl Middleware {
 
     /// Requests a location provider matching `criteria` over the default
     /// application sink.
+    ///
+    /// The sink retains its last 1,024 deliveries for pull reads only
+    /// while a provider on it (or a failover provider) lives; with none
+    /// it keeps just the last-known item and, when that is not a
+    /// position, the last-known position. Request the provider before
+    /// stepping to read the history of the run; one requested later
+    /// starts from those.
     ///
     /// # Errors
     ///
@@ -1162,6 +1171,7 @@ mod tests {
         }));
         let app = mw.application_sink();
         mw.connect(src, app, 0).unwrap();
+        let p = mw.location_provider(Criteria::new()).unwrap();
         mw.step().unwrap();
 
         // Insert a filter dropping odd numbers mid-flight.
@@ -1179,7 +1189,6 @@ mod tests {
             mw.clock.advance(SimDuration::from_millis(100));
             mw.step().unwrap();
         }
-        let p = mw.location_provider(Criteria::new()).unwrap();
         let values: Vec<i64> = p
             .history()
             .iter()

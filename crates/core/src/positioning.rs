@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use perpos_geo::Wgs84;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{atomic::AtomicUsize, atomic::Ordering, Arc};
 
 use crate::channel::ChannelInfo;
 use crate::component::{Component, ComponentCtx, ComponentDescriptor, InputSpec};
@@ -22,7 +22,7 @@ use crate::data::{DataItem, DataKind, Position, Value};
 use crate::supervision::HealthStatus;
 use crate::{CoreError, SimDuration, SimTime};
 
-/// How many delivered items a sink retains for pull-style access.
+/// How many delivered items a sink retains while a history reader lives.
 pub(crate) const SINK_HISTORY_CAP: usize = 1024;
 
 /// Selection criteria for a location provider (paper §2: "applications
@@ -152,6 +152,10 @@ struct Subscription {
     tx: Sender<DataItem>,
 }
 
+/// How many items a sink retains with no history reader: the last-known
+/// item and, when that is not a position, the last-known position.
+const LAST_KNOWN: usize = 2;
+
 #[derive(Default)]
 struct SinkInner {
     history: VecDeque<DataItem>,
@@ -162,9 +166,19 @@ struct SinkInner {
 
 /// State shared between an application sink node in the graph and the
 /// [`LocationProvider`] handles created from it.
+///
+/// History is retained by demand: while a reader lives (see
+/// [`HistoryReader`]) the sink keeps its last [`SINK_HISTORY_CAP`]
+/// deliveries; with none it keeps at most [`LAST_KNOWN`]: the last item
+/// and, when that is not a position, the last position before it.
+/// Subscriptions and proximity watches are push paths and do not read
+/// the history.
 #[derive(Default)]
 pub(crate) struct SinkShared {
     inner: Mutex<SinkInner>,
+    /// Live [`HistoryReader`]s. It only sizes the history, so relaxed
+    /// ordering suffices: the lock orders the deliveries themselves.
+    readers: AtomicUsize,
 }
 
 impl SinkShared {
@@ -192,10 +206,90 @@ impl SinkShared {
                 }
             }
         }
-        inner.history.push_back(item.clone());
-        if inner.history.len() > SINK_HISTORY_CAP {
-            inner.history.pop_front();
+        let history = &mut inner.history;
+        if self.readers.load(Ordering::Relaxed) > 0 {
+            if history.len() == SINK_HISTORY_CAP {
+                history.pop_front();
+            }
+        } else {
+            // No reader: keep only the last-known position, and only when
+            // the new item is not itself a position.
+            let before = history.len();
+            let last_position = match item.payload.as_position() {
+                Some(_) => None,
+                None => history
+                    .iter()
+                    .rposition(|i| i.payload.as_position().is_some()),
+            };
+            match last_position {
+                Some(k) => {
+                    history.truncate(k + 1);
+                    history.drain(..k);
+                }
+                None => history.clear(),
+            }
+            if before > LAST_KNOWN {
+                // The last reader went away: give back the ring's buffer too.
+                history.shrink_to_fit();
+            }
         }
+        history.push_back(item.clone());
+    }
+
+    /// The newest retained item for which `pick` yields a value.
+    fn newest<T>(&self, pick: impl FnMut(&DataItem) -> Option<T>) -> Option<T> {
+        self.inner.lock().history.iter().rev().find_map(pick)
+    }
+
+    fn last_item(&self, criteria: &Criteria) -> Option<DataItem> {
+        self.newest(|i| criteria.matches(i).then(|| i.clone()))
+    }
+
+    /// The newest matching position whose item passes `fresh`.
+    fn last_position(
+        &self,
+        criteria: &Criteria,
+        fresh: impl Fn(&DataItem) -> bool,
+    ) -> Option<Position> {
+        self.newest(|i| {
+            if criteria.matches(i) && fresh(i) {
+                i.payload.as_position().copied()
+            } else {
+                None
+            }
+        })
+    }
+}
+
+/// A counted handle on a sink: while one lives, the sink retains up to
+/// [`SINK_HISTORY_CAP`] items for it to read. Every [`LocationProvider`]
+/// and [`FailoverProvider`] (clones included) holds one.
+struct HistoryReader(Arc<SinkShared>);
+
+impl HistoryReader {
+    fn new(shared: Arc<SinkShared>) -> Self {
+        shared.readers.fetch_add(1, Ordering::Relaxed);
+        HistoryReader(shared)
+    }
+}
+
+impl Clone for HistoryReader {
+    fn clone(&self) -> Self {
+        HistoryReader::new(Arc::clone(&self.0))
+    }
+}
+
+impl Drop for HistoryReader {
+    fn drop(&mut self) {
+        self.0.readers.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl std::ops::Deref for HistoryReader {
+    type Target = SinkShared;
+
+    fn deref(&self) -> &SinkShared {
+        &self.0
     }
 }
 
@@ -250,10 +344,17 @@ impl Component for ApplicationSink {
 /// A handle for retrieving position data that matches fixed criteria —
 /// the technology-transparent access point of the Positioning Layer.
 ///
-/// Cheap to clone; all clones observe the same sink.
+/// Cheap to clone; all clones observe the same sink. While any provider
+/// on a sink lives (or a [`FailoverProvider`] on it), the sink retains
+/// its last 1,024 deliveries for pull reads; with none, it keeps only
+/// the last-known item and, when that is not a position, the
+/// last-known position. A provider created while no other lived
+/// therefore sees at most those two of the items delivered before it.
+/// Subscriptions and proximity alerts receive every future item either
+/// way.
 #[derive(Clone)]
 pub struct LocationProvider {
-    shared: Arc<SinkShared>,
+    shared: HistoryReader,
     criteria: Criteria,
 }
 
@@ -267,7 +368,10 @@ impl fmt::Debug for LocationProvider {
 
 impl LocationProvider {
     pub(crate) fn new(shared: Arc<SinkShared>, criteria: Criteria) -> Self {
-        LocationProvider { shared, criteria }
+        LocationProvider {
+            shared: HistoryReader::new(shared),
+            criteria,
+        }
     }
 
     /// The criteria this provider filters by.
@@ -275,29 +379,25 @@ impl LocationProvider {
         &self.criteria
     }
 
-    /// Pull semantics: the most recent matching item, if any.
+    /// Pull semantics: the most recent matching retained item, if any.
+    ///
+    /// Of the items delivered while no provider on the sink lived, only
+    /// the last-known item and position are retained: if neither
+    /// matches, a provider created afterwards answers `None` until a
+    /// matching item arrives.
     pub fn last_item(&self) -> Option<DataItem> {
-        let inner = self.shared.inner.lock();
-        inner
-            .history
-            .iter()
-            .rev()
-            .find(|i| self.criteria.matches(i))
-            .cloned()
+        self.shared.last_item(&self.criteria)
     }
 
-    /// Pull semantics: the most recent matching *position*.
+    /// Pull semantics: the most recent matching retained *position*
+    /// (retention as for [`LocationProvider::last_item`]).
     pub fn last_position(&self) -> Option<Position> {
-        let inner = self.shared.inner.lock();
-        inner
-            .history
-            .iter()
-            .rev()
-            .filter(|i| self.criteria.matches(i))
-            .find_map(|i| i.payload.as_position().copied())
+        self.shared.last_position(&self.criteria, |_| true)
     }
 
-    /// All currently retained matching items, oldest first.
+    /// All currently retained matching items, oldest first: at most the
+    /// last 1,024 deliveries, and of those made while no provider lived
+    /// only the last-known item and position (see [`LocationProvider`]).
     pub fn history(&self) -> Vec<DataItem> {
         let inner = self.shared.inner.lock();
         inner
@@ -336,13 +436,8 @@ impl LocationProvider {
     /// position no older than `max_age` relative to `now` (JSR-179-style
     /// freshness criteria).
     pub fn last_position_within(&self, max_age: SimDuration, now: SimTime) -> Option<Position> {
-        let inner = self.shared.inner.lock();
-        inner
-            .history
-            .iter()
-            .rev()
-            .filter(|i| self.criteria.matches(i) && now.since(i.timestamp) <= max_age)
-            .find_map(|i| i.payload.as_position().copied())
+        self.shared
+            .last_position(&self.criteria, |i| now.since(i.timestamp) <= max_age)
     }
 
     /// Total number of items the underlying sink has delivered (matching
@@ -410,9 +505,11 @@ pub(crate) struct FailoverShared {
 /// observable through [`FailoverProvider::events`].
 ///
 /// Created by [`crate::Middleware::failover_provider`]; cheap to clone.
+/// Like a [`LocationProvider`], it keeps the sink's history retained
+/// while it lives.
 #[derive(Clone)]
 pub struct FailoverProvider {
-    sink: Arc<SinkShared>,
+    sink: HistoryReader,
     shared: Arc<FailoverShared>,
 }
 
@@ -427,7 +524,10 @@ impl fmt::Debug for FailoverProvider {
 
 impl FailoverProvider {
     pub(crate) fn new(sink: Arc<SinkShared>, shared: Arc<FailoverShared>) -> Self {
-        FailoverProvider { sink, shared }
+        FailoverProvider {
+            sink: HistoryReader::new(sink),
+            shared,
+        }
     }
 
     /// The ordered preference list (0 = most preferred).
@@ -468,21 +568,20 @@ impl FailoverProvider {
 
     /// The most recent item matching the active criteria, if any.
     pub fn last_item(&self) -> Option<DataItem> {
-        let criteria = self.active_criteria()?;
-        LocationProvider::new(Arc::clone(&self.sink), criteria).last_item()
+        self.sink.last_item(&self.active_criteria()?)
     }
 
     /// The most recent position matching the active criteria, if any.
     pub fn last_position(&self) -> Option<Position> {
-        let criteria = self.active_criteria()?;
-        LocationProvider::new(Arc::clone(&self.sink), criteria).last_position()
+        self.sink.last_position(&self.active_criteria()?, |_| true)
     }
 
     /// Freshness-bounded pull through the active criteria (see
     /// [`LocationProvider::last_position_within`]).
     pub fn last_position_within(&self, max_age: SimDuration, now: SimTime) -> Option<Position> {
-        let criteria = self.active_criteria()?;
-        LocationProvider::new(Arc::clone(&self.sink), criteria).last_position_within(max_age, now)
+        self.sink.last_position(&self.active_criteria()?, |i| {
+            now.since(i.timestamp) <= max_age
+        })
     }
 }
 
@@ -592,9 +691,9 @@ mod tests {
     #[test]
     fn pull_returns_most_recent_match() {
         let shared = Arc::new(SinkShared::default());
+        let any = LocationProvider::new(Arc::clone(&shared), Criteria::new());
         shared.deliver(&pos_item(1.0, 1.0, Some(5.0), 1));
         shared.deliver(&pos_item(2.0, 2.0, Some(50.0), 2));
-        let any = LocationProvider::new(Arc::clone(&shared), Criteria::new());
         assert_eq!(any.last_position().unwrap().coord().lat_deg(), 2.0);
         let precise =
             LocationProvider::new(Arc::clone(&shared), Criteria::new().max_accuracy_m(10.0));
@@ -674,10 +773,198 @@ mod tests {
     #[test]
     fn history_is_bounded() {
         let shared = Arc::new(SinkShared::default());
+        let reader = LocationProvider::new(Arc::clone(&shared), Criteria::new());
         for i in 0..(SINK_HISTORY_CAP as u64 + 10) {
             shared.deliver(&pos_item(1.0, 1.0, None, i));
         }
         assert_eq!(shared.inner.lock().history.len(), SINK_HISTORY_CAP);
+        // A reader alive before delivery sees the newest capped history.
+        assert_eq!(reader.history()[0].timestamp, SimTime::from_micros(10));
+    }
+
+    /// Items the sink currently retains.
+    fn retained(shared: &SinkShared) -> usize {
+        shared.inner.lock().history.len()
+    }
+
+    fn deliver_n(shared: &SinkShared, n: u64) {
+        for t in 0..n {
+            shared.deliver(&pos_item(1.0 + (t % 80) as f64, 1.0, None, t));
+        }
+    }
+
+    #[test]
+    fn without_a_reader_a_late_provider_sees_only_the_last_item() {
+        let shared = Arc::new(SinkShared::default());
+        deliver_n(&shared, 10);
+        assert_eq!(retained(&shared), 1);
+        let late = LocationProvider::new(Arc::clone(&shared), Criteria::new());
+        let history = late.history();
+        assert_eq!(history.len(), 1);
+        assert_eq!(history[0].timestamp, SimTime::from_micros(9));
+        assert_eq!(late.last_item().unwrap().timestamp, SimTime::from_micros(9));
+        assert_eq!(late.last_position().unwrap().coord().lat_deg(), 10.0);
+        assert_eq!(late.delivered_count(), 10);
+        // The late provider is a reader from now on.
+        shared.deliver(&pos_item(20.0, 1.0, None, 10));
+        assert_eq!(late.history().len(), 2);
+    }
+
+    fn text_item(t: u64) -> DataItem {
+        DataItem::new(
+            kinds::NMEA_SENTENCE,
+            SimTime::from_micros(t),
+            Value::from("$GPZDA"),
+        )
+    }
+
+    #[test]
+    fn without_a_reader_the_last_position_outlives_other_kinds() {
+        let shared = Arc::new(SinkShared::default());
+        deliver_n(&shared, 10);
+        for t in 10..15 {
+            shared.deliver(&text_item(t));
+        }
+        assert_eq!(retained(&shared), 2, "the last position and the last item");
+        let late = LocationProvider::new(Arc::clone(&shared), Criteria::new());
+        let stamps: Vec<u64> = late
+            .history()
+            .iter()
+            .map(|i| i.timestamp.as_micros())
+            .collect();
+        assert_eq!(stamps, [9, 14]);
+        assert_eq!(late.last_item().unwrap().kind, kinds::NMEA_SENTENCE);
+        assert_eq!(late.last_position().unwrap().coord().lat_deg(), 10.0);
+        let positions = LocationProvider::new(
+            Arc::clone(&shared),
+            Criteria::new().kind(kinds::POSITION_WGS84),
+        );
+        assert_eq!(positions.last_item().unwrap().timestamp.as_micros(), 9);
+        drop((late, positions));
+        // A new position replaces both.
+        shared.deliver(&pos_item(30.0, 1.0, None, 15));
+        assert_eq!(retained(&shared), 1);
+    }
+
+    #[test]
+    fn k_nearest_targets_finds_a_target_whose_last_item_is_not_a_position() {
+        use crate::component::FnSource;
+        let mut mw = crate::Middleware::new();
+        let carol = mw.add_target("carol");
+        let mut fixes = 0;
+        let gps = mw.add_component(FnSource::new(
+            "gps-carol",
+            kinds::POSITION_WGS84,
+            move |_| {
+                fixes += 1;
+                (fixes == 1).then(|| Value::from(Position::new(wgs(10.0, 10.0), Some(5.0))))
+            },
+        ));
+        let nmea = mw.add_component(FnSource::new("nmea-carol", kinds::NMEA_SENTENCE, |_| {
+            Some(Value::from("$GPZDA"))
+        }));
+        mw.connect(gps, carol.node(), 0).unwrap();
+        mw.connect(nmea, carol.node(), 1).unwrap();
+        for _ in 0..5 {
+            mw.step().unwrap();
+            mw.advance_clock(SimDuration::from_millis(100));
+        }
+        let p = carol.provider(Criteria::new());
+        assert_eq!(p.last_item().unwrap().kind, kinds::NMEA_SENTENCE);
+        let nearest = mw.k_nearest_targets(&wgs(10.0, 10.0), 1);
+        assert_eq!(nearest.len(), 1);
+        assert_eq!(nearest[0].0, "carol");
+    }
+
+    #[test]
+    fn k_nearest_targets_answers_without_a_reader() {
+        use crate::component::FnSource;
+        let mut mw = crate::Middleware::new();
+        let alice = mw.add_target("alice");
+        let src = mw.add_component(FnSource::new("gps-alice", kinds::POSITION_WGS84, |_| {
+            Some(Value::from(Position::new(wgs(10.0, 10.0), Some(5.0))))
+        }));
+        mw.connect(src, alice.node(), 0).unwrap();
+        for _ in 0..5 {
+            mw.step().unwrap();
+            mw.advance_clock(SimDuration::from_millis(100));
+        }
+        let nearest = mw.k_nearest_targets(&wgs(10.0, 10.0), 1);
+        assert_eq!(nearest.len(), 1);
+        assert_eq!(nearest[0].0, "alice");
+        assert_eq!(alice.provider(Criteria::new()).history().len(), 1);
+    }
+
+    #[test]
+    fn clones_targets_and_failover_providers_read_subscriptions_do_not() {
+        // A subscription (and a proximity watch) outliving its provider.
+        let shared = Arc::new(SinkShared::default());
+        let provider = LocationProvider::new(Arc::clone(&shared), Criteria::new());
+        let rx = provider.subscribe();
+        let zone = provider.proximity_alert(wgs(1.0, 1.0), 10.0);
+        drop(provider);
+        deliver_n(&shared, 3);
+        assert_eq!(rx.try_iter().count(), 3);
+        assert_eq!(zone.try_iter().count(), 2, "entered, then left");
+        assert_eq!(retained(&shared), 1);
+
+        // A clone outliving the provider it was cloned from.
+        let shared = Arc::new(SinkShared::default());
+        let clone = LocationProvider::new(Arc::clone(&shared), Criteria::new()).clone();
+        deliver_n(&shared, 3);
+        assert_eq!(clone.history().len(), 3);
+
+        // A failover provider.
+        let shared = Arc::new(SinkShared::default());
+        let prefs = vec![Criteria::new()];
+        let failover = FailoverProvider::new(
+            Arc::clone(&shared),
+            Arc::new(FailoverShared::new(prefs, &[])),
+        );
+        deliver_n(&shared, 3);
+        assert_eq!(retained(&shared), 3);
+        drop(failover);
+
+        // A target's provider.
+        let mut mw = crate::Middleware::new();
+        let bob = mw.add_target("bob");
+        let p = bob.provider(Criteria::new());
+        let mut n = 0;
+        let src = mw.add_component(crate::component::FnSource::new(
+            "s",
+            kinds::RAW_STRING,
+            move |_| {
+                n += 1;
+                Some(Value::Int(n))
+            },
+        ));
+        mw.connect(src, bob.node(), 0).unwrap();
+        for _ in 0..3 {
+            mw.step().unwrap();
+            mw.advance_clock(SimDuration::from_millis(100));
+        }
+        assert_eq!(p.history().len(), 3);
+    }
+
+    #[test]
+    fn the_delivery_after_the_last_reader_drops_frees_the_history() {
+        let shared = Arc::new(SinkShared::default());
+        let reader = LocationProvider::new(Arc::clone(&shared), Criteria::new());
+        let first = pos_item(0.0, 1.0, None, 0);
+        shared.deliver(&first);
+        deliver_n(&shared, 4);
+        assert_eq!(first.payload.holders(), 2, "the test's and the history's");
+        drop(reader);
+        assert_eq!(
+            retained(&shared),
+            5,
+            "dropping the reader alone frees nothing"
+        );
+        shared.deliver(&pos_item(2.0, 2.0, None, 5));
+        assert_eq!(first.payload.holders(), 1);
+        let inner = shared.inner.lock();
+        assert_eq!(inner.history.len(), 1);
+        assert!(inner.history.capacity() < 8, "the ring's buffer shrank too");
     }
 
     #[test]

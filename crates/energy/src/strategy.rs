@@ -371,6 +371,9 @@ mod tests {
     fn moving_target_duty_cycles() {
         let walk = Trajectory::new(vec![Point2::new(0.0, 0.0), Point2::new(400.0, 0.0)], 1.4);
         let (mut mw, gps) = entracked_setup(walk, 50.0);
+        let p = mw
+            .location_provider(Criteria::new().kind(kinds::POSITION_WGS84))
+            .unwrap();
         let mut on_samples = 0u32;
         let mut total = 0u32;
         for _ in 0..240 {
@@ -389,9 +392,6 @@ mod tests {
             "GPS on {on_samples}/{total} samples — no duty cycling happened"
         );
         // Positions keep flowing at a bounded interval.
-        let p = mw
-            .location_provider(Criteria::new().kind(kinds::POSITION_WGS84))
-            .unwrap();
         assert!(p.history().len() >= 3, "periodic reports expected");
     }
 

@@ -685,6 +685,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(REFERENCE_CASES))]
+        #[test]
         fn encoder_matches_format_reference(seed in any::<u64>(), kind in 0u8..6) {
             let sentence = Gen(seed).sentence(kind);
             let ours = sentence.to_nmea_string();
@@ -693,6 +694,7 @@ mod tests {
             prop_assert_eq!(&sentence.to_string(), &ours);
         }
 
+        #[test]
         fn any_time_reparses_as_its_canonical_form(
             hour in any::<u8>(),
             minute in any::<u8>(),

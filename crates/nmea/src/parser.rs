@@ -1630,6 +1630,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(REFERENCE_CASES))]
+        #[test]
         fn parser_and_validator_match_the_reference(seed in any::<u64>()) {
             let line = Lines(seed).line();
             let want = reference::parse_sentence(&line);
@@ -1642,6 +1643,7 @@ mod tests {
             prop_assert_eq!(is_valid_sentence(&line), want.is_ok(), "{:?}", line);
         }
 
+        #[test]
         fn decimal_decoder_is_str_parse_bit_for_bit(seed in any::<u64>()) {
             let text = Lines(seed).decimal_text();
             let want = text.parse::<f64>().map(f64::to_bits);

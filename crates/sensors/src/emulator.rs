@@ -437,10 +437,10 @@ mod tests {
         let emu = mw2.add_component(EmulatorSource::new("emu", trace));
         let app2 = mw2.application_sink();
         mw2.connect(emu, app2, 0).unwrap();
-        mw2.run_for(SimDuration::from_millis(300), SimDuration::from_millis(100))
-            .unwrap();
         let p = mw2
             .location_provider(perpos_core::positioning::Criteria::new())
+            .unwrap();
+        mw2.run_for(SimDuration::from_millis(300), SimDuration::from_millis(100))
             .unwrap();
         let values: Vec<i64> = p
             .history()

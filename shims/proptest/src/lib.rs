@@ -450,8 +450,11 @@ macro_rules! prop_assert_ne {
     }};
 }
 
-/// Declares `#[test]` functions whose arguments are sampled from
-/// strategies: `fn name(arg in strategy, ...) { body }`.
+/// Declares property functions whose arguments are sampled from
+/// strategies: `#[test] fn name(arg in strategy, ...) { body }`.
+///
+/// As in real proptest, the macro does not add `#[test]` itself: each
+/// property carries its own, so it is registered (and run) exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -473,7 +476,6 @@ macro_rules! __proptest_items {
         $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let mut runner = $crate::test_runner::TestRunner::new($cfg);
             let result = runner.run(&($($strat,)+), |($($arg,)+)| {
@@ -597,6 +599,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
         /// The macro form compiles, samples, and threads doc attributes.
+        #[test]
         fn macro_form_works(a in 0usize..8, b in 0usize..8) {
             prop_assert!(a < 8 && b < 8);
             prop_assert_eq!(a + b, b + a);
