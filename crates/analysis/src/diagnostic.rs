@@ -230,8 +230,9 @@ impl Code {
             Code::P007 => CodeExplanation {
                 detail: "The configuration references something that does not exist or \
                          is used twice: unknown type/instance names, duplicate instance \
-                         names, out-of-range port indexes, or two producers driving the \
-                         same input port. An adaptation plan step the live graph would \
+                         names, out-of-range port indexes, two producers driving the \
+                         same input port, or a fleet scheduler name other than \"serial\" \
+                         and \"work_stealing\". An adaptation plan step the live graph would \
                          refuse, or one adapting a quarantined node, also reports P007.",
                 example: "A connection names instance \"parserX\" but only \"parser0\" \
                           is declared.",

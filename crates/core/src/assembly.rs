@@ -1,4 +1,4 @@
-//! Dynamic, registry-driven assembly of processing graphs.
+//! Declarative and dynamic assembly of processing graphs.
 //!
 //! The paper realizes PerPos on OSGi: Processing Components are service
 //! components, and "the dynamic composition mechanisms of OSGi is used for
@@ -7,13 +7,17 @@
 //! PerPos middleware the dependencies are resolved and when satisfied the
 //! components are added to the processing graph appropriately" (§2.1).
 //!
-//! [`Assembler`] reproduces that mechanism on top of
-//! [`perpos_registry::Registry`]: component *factories* are registered
-//! with a service descriptor whose capability/requirement namespaces are
-//! data kinds; when the registry resolves a factory, the assembler
-//! instantiates the component, adds it to a [`Middleware`]'s graph and
-//! connects each requirement wire to the node instantiated for its
-//! provider.
+//! [`Assembler`] reproduces that mechanism without a separate service
+//! registry: component *factories* are registered with the data kinds
+//! they provide and require, and [`Assembler::sync`] resolves them by
+//! matching required kinds to provided ones, builds each resolved factory
+//! into a [`Middleware`]'s graph and connects each requirement to the node
+//! built for its provider. Because resolution happens at sync, a factory
+//! that could resolve only between two syncs (say, a consumer whose
+//! provider is registered and unregistered in that window) is never
+//! built.
+//! [`GraphConfig`] is the explicit, declarative path: a stored list of
+//! instances and connections.
 //!
 //! # Examples
 //!
@@ -48,10 +52,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-use perpos_registry::{
-    Capability, Registry, Requirement, ServiceDescriptor, ServiceEvent, ServiceId,
-};
 
 use crate::component::Component;
 use crate::data::DataKind;
@@ -337,43 +337,64 @@ pub struct SynthesizedConfig {
     pub rank: u64,
 }
 
-/// Connects a [`perpos_registry::Registry`] of component factories to a
-/// [`Middleware`] instance, instantiating and wiring components as their
-/// declared dependencies resolve.
-pub struct Assembler {
-    registry: Registry<Factory>,
-    events: crossbeam_channel::Receiver<ServiceEvent>,
-    instantiated: BTreeMap<ServiceId, NodeId>,
+/// Identifier of a factory registered with an [`Assembler`]. Ids are
+/// assigned in registration order and never reused; a lower id wins when
+/// several resolved factories provide a required kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FactoryId(u64);
+
+/// A registered factory: the data kinds it declares, and the node it was
+/// built as once resolved, with the provider chosen for each requirement.
+struct Registration {
+    name: String,
+    provides: Vec<DataKind>,
+    requires: Vec<DataKind>,
+    factory: Factory,
+    /// The built node and, per requirement, the provider wired to it.
+    built: Option<(NodeId, Vec<FactoryId>)>,
 }
 
-impl Default for Assembler {
-    fn default() -> Self {
-        Assembler::new()
-    }
+/// Builds component factories into a [`Middleware`]'s graph as their
+/// declared dependencies resolve, wiring each requirement to the node
+/// built for its provider.
+///
+/// Resolution happens in [`Assembler::sync`], over the factories
+/// registered at that moment:
+///
+/// * a factory resolves once every kind it requires is provided by
+///   another factory that is already resolved (never by itself), so
+///   chains resolve source-first;
+/// * the provider with the lowest [`FactoryId`] is chosen;
+/// * a resolved factory keeps its providers until one is unregistered or
+///   unresolves; then its node is removed, and it re-resolves, onto an
+///   alternative if one exists, as a fresh node;
+/// * passes run in ascending id order until nothing changes.
+#[derive(Default)]
+pub struct Assembler {
+    next_id: u64,
+    factories: BTreeMap<FactoryId, Registration>,
 }
 
 impl std::fmt::Debug for Assembler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Assembler")
-            .field("instantiated", &self.instantiated.len())
+        f.debug_map()
+            .entries(
+                self.factories
+                    .iter()
+                    .map(|(id, r)| (id, (&r.name, r.built.as_ref().map(|b| b.0)))),
+            )
             .finish()
     }
 }
 
 impl Assembler {
-    /// Creates an assembler with an empty factory registry.
+    /// Creates an assembler with no factories.
     pub fn new() -> Self {
-        let registry = Registry::new();
-        let events = registry.subscribe();
-        Assembler {
-            registry,
-            events,
-            instantiated: BTreeMap::new(),
-        }
+        Assembler::default()
     }
 
     /// Registers a component factory declaring the data kinds it provides
-    /// and requires. Returns the underlying service id.
+    /// and requires. Nothing is built until the next [`Assembler::sync`].
     ///
     /// Each required kind becomes one input port wire: the i-th
     /// requirement connects the provider's node to input port i of the
@@ -384,98 +405,98 @@ impl Assembler {
         provides: &[DataKind],
         requires: &[DataKind],
         factory: impl Fn() -> Box<dyn Component> + Send + Sync + 'static,
-    ) -> ServiceId {
-        let mut descriptor = ServiceDescriptor::new(name);
-        for p in provides {
-            descriptor = descriptor.provides(Capability::new(p.as_str()));
-        }
-        for r in requires {
-            descriptor = descriptor.requires(Requirement::new(r.as_str()));
-        }
-        self.registry.register(descriptor, Box::new(factory))
+    ) -> FactoryId {
+        self.next_id += 1;
+        let id = FactoryId(self.next_id);
+        self.factories.insert(
+            id,
+            Registration {
+                name: name.to_string(),
+                provides: provides.to_vec(),
+                requires: requires.to_vec(),
+                factory: Box::new(factory),
+                built: None,
+            },
+        );
+        id
     }
 
-    /// Unregisters a factory and removes its instantiated component (and,
-    /// transitively via unresolution events processed by the next
-    /// [`Assembler::sync`], its dependents' wires).
+    /// Unregisters a factory and removes its built component at once; the
+    /// next [`Assembler::sync`] removes its dependents' nodes. Unknown
+    /// ids are ignored.
     ///
     /// # Errors
     ///
-    /// Propagates registry and graph errors.
+    /// Propagates graph errors.
     pub fn unregister_factory(
         &mut self,
-        id: ServiceId,
+        id: FactoryId,
         mw: &mut Middleware,
     ) -> Result<(), CoreError> {
-        let _ = self.registry.unregister(id);
-        if let Some(node) = self.instantiated.remove(&id) {
+        if let Some((node, _)) = self.factories.remove(&id).and_then(|r| r.built) {
             mw.remove_component(node)?;
         }
         Ok(())
     }
 
-    /// The node a resolved service was instantiated as, if any.
-    pub fn node_for(&self, id: ServiceId) -> Option<NodeId> {
-        self.instantiated.get(&id).copied()
+    /// The node a resolved factory was built as, if any.
+    pub fn node_for(&self, id: FactoryId) -> Option<NodeId> {
+        self.factories.get(&id)?.built.as_ref().map(|b| b.0)
     }
 
-    /// Processes pending registry events, instantiating newly resolved
-    /// components into `mw` and wiring their dependencies. Returns the
-    /// number of components instantiated.
+    /// Resolves the registered factories and applies the net change to
+    /// `mw`: removes the nodes of factories that lost a provider, then
+    /// builds and wires every factory that resolves. Returns the number
+    /// of components built.
     ///
     /// # Errors
     ///
     /// Propagates graph errors (e.g. incompatible wires).
     pub fn sync(&mut self, mw: &mut Middleware) -> Result<usize, CoreError> {
+        // Unresolve, to a fixed point, every factory wired to a provider
+        // that is gone or itself unresolved.
+        while let Some(id) = self.factories.iter().find_map(|(id, r)| {
+            let (_, providers) = r.built.as_ref()?;
+            let broken = providers.iter().any(|p| self.node_for(*p).is_none());
+            broken.then_some(*id)
+        }) {
+            if let Some((node, _)) = self.factories.get_mut(&id).and_then(|r| r.built.take()) {
+                mw.remove_component(node)?;
+            }
+        }
+
         let mut added = 0;
-        let events: Vec<ServiceEvent> = self.events.try_iter().collect();
-        for event in events {
-            match event {
-                ServiceEvent::Resolved(sid) => {
-                    if self.instantiated.contains_key(&sid) {
-                        continue;
-                    }
-                    let Some(component) = self.registry.with_payload(sid, |f| f()) else {
-                        continue;
-                    };
-                    let node = mw.add_boxed_component(component);
-                    self.instantiated.insert(sid, node);
-                    added += 1;
-                    // Wire each requirement to its provider's node.
-                    for (port, wire) in self.registry.wires(sid).iter().enumerate() {
-                        if let Some(&provider_node) = self.instantiated.get(&wire.provider) {
-                            mw.connect(provider_node, node, port)?;
-                        }
-                    }
-                    // Wire dependents that resolved before this provider
-                    // was instantiated (possible when events interleave).
-                    let dependents: Vec<(ServiceId, usize)> = self
-                        .registry
-                        .service_ids()
-                        .into_iter()
-                        .flat_map(|other| {
-                            self.registry
-                                .wires(other)
-                                .into_iter()
-                                .enumerate()
-                                .filter(move |(_, w)| w.provider == sid)
-                                .map(move |(port, _)| (other, port))
-                        })
-                        .collect();
-                    for (dependent, port) in dependents {
-                        if let Some(&dep_node) = self.instantiated.get(&dependent) {
-                            if mw.node_info(dep_node)?.inputs[port].is_none() {
-                                mw.connect(node, dep_node, port)?;
-                            }
-                        }
-                    }
+        loop {
+            let mut progressed = false;
+            let ids: Vec<FactoryId> = self.factories.keys().copied().collect();
+            for id in ids {
+                let r = &self.factories[&id];
+                if r.built.is_some() {
+                    continue;
                 }
-                ServiceEvent::Unresolved(sid) | ServiceEvent::Unregistered(sid) => {
-                    if let Some(node) = self.instantiated.remove(&sid) {
-                        mw.remove_component(node)?;
-                    }
+                // The lowest-id resolved provider of each required kind.
+                let provider = |kind: &DataKind| {
+                    self.factories.iter().find_map(|(pid, p)| {
+                        let (node, _) = p.built.as_ref()?;
+                        (*pid != id && p.provides.contains(kind)).then_some((*pid, *node))
+                    })
+                };
+                let Some(wires) = r.requires.iter().map(provider).collect::<Option<Vec<_>>>()
+                else {
+                    continue;
+                };
+                let node = mw.add_boxed_component((r.factory)());
+                if let Some(r) = self.factories.get_mut(&id) {
+                    r.built = Some((node, wires.iter().map(|w| w.0).collect()));
                 }
-                ServiceEvent::Registered(_) => {}
+                added += 1;
+                progressed = true;
+                for (port, (_, provider_node)) in wires.into_iter().enumerate() {
+                    mw.connect(provider_node, node, port)?;
+                }
+            }
+            if !progressed {
+                break;
             }
         }
         Ok(added)
@@ -502,11 +523,6 @@ impl Assembler {
         let added = self.sync(mw)?;
         check(&mw.structure())?;
         Ok(added)
-    }
-
-    /// The underlying registry (for inspection or direct manipulation).
-    pub fn registry(&self) -> &Registry<Factory> {
-        &self.registry
     }
 }
 
@@ -876,10 +892,248 @@ mod tests {
         let _gps2 = asm.register_factory("gps2", &[kinds::RAW_STRING], &[], gps_factory);
         asm.sync(&mut mw).unwrap();
         asm.unregister_factory(gps1, &mut mw).unwrap();
-        // Registry re-resolves parser onto gps2; sync re-instantiates it.
+        // The next sync re-resolves parser onto gps2 as a fresh node.
         asm.sync(&mut mw).unwrap();
         let parser_node = asm.node_for(parser_id).expect("parser re-instantiated");
         let producers = mw.graph().upstream(parser_node);
         assert!(producers[0].is_some(), "parser rewired to gps2");
+    }
+
+    /// A test stage with one input port per required kind; a source when
+    /// it requires nothing.
+    struct Stage {
+        name: &'static str,
+        requires: Vec<DataKind>,
+        provides: DataKind,
+    }
+
+    impl Component for Stage {
+        fn descriptor(&self) -> crate::component::ComponentDescriptor {
+            use crate::component::{ComponentDescriptor, InputSpec};
+            let provides = vec![self.provides.clone()];
+            let port = |k: &DataKind| InputSpec::new(k.as_str(), vec![k.clone()]);
+            match self.requires.as_slice() {
+                [] => ComponentDescriptor::source(self.name, provides),
+                [one] => ComponentDescriptor::processor(self.name, port(one), provides),
+                many => {
+                    ComponentDescriptor::merge(self.name, many.iter().map(port).collect(), provides)
+                }
+            }
+        }
+
+        fn on_input(
+            &mut self,
+            _port: usize,
+            _item: crate::data::DataItem,
+            _ctx: &mut crate::component::ComponentCtx<'_>,
+        ) -> Result<(), CoreError> {
+            Ok(())
+        }
+    }
+
+    /// Registers a [`Stage`] whose declared kinds match its ports.
+    fn stage(
+        asm: &mut Assembler,
+        name: &'static str,
+        provides: DataKind,
+        requires: &[DataKind],
+    ) -> FactoryId {
+        let (inputs, output) = (requires.to_vec(), provides.clone());
+        asm.register_factory(name, &[provides], requires, move || {
+            Box::new(Stage {
+                name,
+                requires: inputs.clone(),
+                provides: output.clone(),
+            })
+        })
+    }
+
+    fn upstream(asm: &Assembler, mw: &Middleware, id: FactoryId) -> Vec<Option<NodeId>> {
+        mw.graph().upstream(asm.node_for(id).unwrap()).to_vec()
+    }
+
+    #[test]
+    fn a_factory_never_provides_for_itself() {
+        let mut mw = Middleware::new();
+        let mut asm = Assembler::new();
+        let id = stage(&mut asm, "echo", kinds::RAW_STRING, &[kinds::RAW_STRING]);
+        assert_eq!(asm.sync(&mut mw).unwrap(), 0);
+        assert_eq!(asm.sync(&mut mw).unwrap(), 0);
+        assert_eq!(asm.node_for(id), None);
+    }
+
+    #[test]
+    fn a_three_deep_chain_resolves_transitively() {
+        let mut mw = Middleware::new();
+        let mut asm = Assembler::new();
+        let app = stage(
+            &mut asm,
+            "app",
+            kinds::POSITION_ROOM,
+            &[kinds::POSITION_WGS84],
+        );
+        let interp = stage(
+            &mut asm,
+            "interp",
+            kinds::POSITION_WGS84,
+            &[kinds::NMEA_SENTENCE],
+        );
+        let parser = stage(
+            &mut asm,
+            "parser",
+            kinds::NMEA_SENTENCE,
+            &[kinds::RAW_STRING],
+        );
+        assert_eq!(asm.sync(&mut mw).unwrap(), 0);
+        let gps = stage(&mut asm, "gps", kinds::RAW_STRING, &[]);
+        assert_eq!(asm.sync(&mut mw).unwrap(), 4);
+        for (consumer, provider) in [(app, interp), (interp, parser), (parser, gps)] {
+            assert_eq!(upstream(&asm, &mw, consumer), vec![asm.node_for(provider)]);
+        }
+    }
+
+    #[test]
+    fn a_diamond_builds_one_node_per_factory_and_unbuilds_with_its_root() {
+        // d requires b and c; b and c both require a.
+        let mut mw = Middleware::new();
+        let mut asm = Assembler::new();
+        let d = stage(
+            &mut asm,
+            "d",
+            kinds::POSITION_WGS84,
+            &[kinds::NMEA_SENTENCE, kinds::WIFI_SCAN],
+        );
+        let b = stage(&mut asm, "b", kinds::NMEA_SENTENCE, &[kinds::RAW_STRING]);
+        let c = stage(&mut asm, "c", kinds::WIFI_SCAN, &[kinds::RAW_STRING]);
+        let a = stage(&mut asm, "a", kinds::RAW_STRING, &[]);
+        assert_eq!(asm.sync(&mut mw).unwrap(), 4);
+        let a_node = asm.node_for(a).unwrap();
+        assert_eq!(upstream(&asm, &mw, b), vec![Some(a_node)]);
+        assert_eq!(upstream(&asm, &mw, c), vec![Some(a_node)]);
+        assert_eq!(
+            upstream(&asm, &mw, d),
+            vec![asm.node_for(b), asm.node_for(c)]
+        );
+        let dependents: Vec<NodeId> = [b, c, d].map(|id| asm.node_for(id).unwrap()).into();
+        asm.unregister_factory(a, &mut mw).unwrap();
+        assert_eq!(asm.sync(&mut mw).unwrap(), 0);
+        for (id, node) in [b, c, d].into_iter().zip(dependents) {
+            assert_eq!(asm.node_for(id), None);
+            assert!(!mw.graph().contains(node));
+        }
+    }
+
+    #[test]
+    fn a_factory_waits_for_every_required_kind() {
+        let mut mw = Middleware::new();
+        let mut asm = Assembler::new();
+        let fusion = stage(
+            &mut asm,
+            "fusion",
+            kinds::POSITION_WGS84,
+            &[kinds::RAW_STRING, kinds::WIFI_SCAN],
+        );
+        stage(&mut asm, "gps", kinds::RAW_STRING, &[]);
+        assert_eq!(asm.sync(&mut mw).unwrap(), 1, "one of two kinds provided");
+        assert_eq!(asm.node_for(fusion), None);
+        stage(&mut asm, "wifi", kinds::WIFI_SCAN, &[]);
+        assert_eq!(asm.sync(&mut mw).unwrap(), 2);
+        assert!(upstream(&asm, &mw, fusion).iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn the_lowest_id_provider_wins_and_is_kept_when_a_lower_one_resolves_later() {
+        let mut mw = Middleware::new();
+        let mut asm = Assembler::new();
+        let consumer = stage(
+            &mut asm,
+            "consumer",
+            kinds::NMEA_SENTENCE,
+            &[kinds::RAW_STRING],
+        );
+        let blocked = stage(
+            &mut asm,
+            "blocked",
+            kinds::RAW_STRING,
+            &[kinds::MOTION_SAMPLE],
+        );
+        let ready = stage(&mut asm, "ready", kinds::RAW_STRING, &[]);
+        asm.sync(&mut mw).unwrap();
+        let consumer_node = asm.node_for(consumer);
+        assert_eq!(upstream(&asm, &mw, consumer), vec![asm.node_for(ready)]);
+
+        stage(&mut asm, "motion", kinds::MOTION_SAMPLE, &[]);
+        assert_eq!(asm.sync(&mut mw).unwrap(), 2, "motion and blocked build");
+        assert_eq!(asm.node_for(consumer), consumer_node);
+        assert_eq!(upstream(&asm, &mw, consumer), vec![asm.node_for(ready)]);
+
+        // A consumer resolving now picks the lowest resolved id.
+        let late = stage(&mut asm, "late", kinds::NMEA_SENTENCE, &[kinds::RAW_STRING]);
+        asm.sync(&mut mw).unwrap();
+        assert_eq!(upstream(&asm, &mw, late), vec![asm.node_for(blocked)]);
+    }
+
+    #[test]
+    fn every_registration_order_assembles_the_same_fig1_chain() {
+        let specs: [(&'static str, DataKind, &[DataKind]); 3] = [
+            ("GPS", kinds::RAW_STRING, &[]),
+            ("Parser", kinds::NMEA_SENTENCE, &[kinds::RAW_STRING]),
+            (
+                "Interpreter",
+                kinds::POSITION_WGS84,
+                &[kinds::NMEA_SENTENCE],
+            ),
+        ];
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let mut mw = Middleware::new();
+            let mut asm = Assembler::new();
+            let mut ids = [None; 3];
+            for i in order {
+                let (name, provides, requires) = specs[i].clone();
+                ids[i] = Some(stage(&mut asm, name, provides, requires));
+            }
+            let [gps, parser, interp] = ids.map(Option::unwrap);
+            assert_eq!(asm.sync(&mut mw).unwrap(), 3, "order {order:?}");
+            assert_eq!(upstream(&asm, &mw, parser), vec![asm.node_for(gps)]);
+            assert_eq!(upstream(&asm, &mw, interp), vec![asm.node_for(parser)]);
+            let app = mw.application_sink();
+            mw.connect(asm.node_for(interp).unwrap(), app, 0).unwrap();
+            let channels = mw.channels();
+            assert_eq!(channels.len(), 1, "order {order:?}");
+            assert_eq!(channels[0].member_names, ["GPS", "Parser", "Interpreter"]);
+        }
+    }
+
+    #[test]
+    fn nothing_that_resolves_only_between_two_syncs_is_built() {
+        // The parser can resolve only while gps is registered, and gps
+        // is unregistered before the sync: neither is ever built.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut mw = Middleware::new();
+        let mut asm = Assembler::new();
+        let built = std::sync::Arc::new(AtomicUsize::new(0));
+        let count = std::sync::Arc::clone(&built);
+        let parser = asm.register_factory(
+            "parser",
+            &[kinds::NMEA_SENTENCE],
+            &[kinds::RAW_STRING],
+            move || {
+                count.fetch_add(1, Ordering::Relaxed);
+                parser_factory()
+            },
+        );
+        let gps = asm.register_factory("gps", &[kinds::RAW_STRING], &[], gps_factory);
+        asm.unregister_factory(gps, &mut mw).unwrap();
+        assert_eq!(asm.sync(&mut mw).unwrap(), 0);
+        assert_eq!(built.load(Ordering::Relaxed), 0);
+        assert_eq!(asm.node_for(parser), None);
     }
 }

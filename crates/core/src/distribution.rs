@@ -87,7 +87,8 @@ impl Default for LinkModel {
     }
 }
 
-/// Counters for one host pair, in deployment order.
+/// Traffic counters for one host pair, in deployment order, or summed
+/// over every pair by [`Deployment::dist_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkStats {
     /// Messages handed to the link.
@@ -101,22 +102,6 @@ pub struct LinkStats {
     pub retransmitted: u64,
     /// Messages abandoned for good after exhausting `max_retries`
     /// (previously folded into `lost`).
-    pub gave_up: u64,
-}
-
-/// Traffic counters aggregated over every host pair of a deployment,
-/// returned by [`Deployment::dist_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DistStats {
-    /// Messages handed to any link.
-    pub sent: u64,
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Transmissions lost across all links (recovered or not).
-    pub lost: u64,
-    /// Retransmission attempts across all links.
-    pub retransmitted: u64,
-    /// Messages abandoned for good across all links.
     pub gave_up: u64,
 }
 
@@ -229,10 +214,10 @@ impl Deployment {
     }
 
     /// Traffic counters summed over every host pair.
-    pub fn dist_stats(&self) -> DistStats {
+    pub fn dist_stats(&self) -> LinkStats {
         self.stats
             .values()
-            .fold(DistStats::default(), |acc, s| DistStats {
+            .fold(LinkStats::default(), |acc, s| LinkStats {
                 sent: acc.sent + s.sent,
                 delivered: acc.delivered + s.delivered,
                 lost: acc.lost + s.lost,

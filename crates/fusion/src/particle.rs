@@ -19,6 +19,13 @@ struct Particle {
     weight: f64,
 }
 
+/// The most particles `setParticleCount` accepts. The next update
+/// allocates the whole set, and resampling a second one, at 32 bytes a
+/// particle; this cap keeps both under 7 MB, so a hostile count fails
+/// the call instead of aborting the process on allocation. It is 62
+/// times the largest count the Fig. 6 sweep uses (1,600).
+const MAX_PARTICLES: usize = 100_000;
+
 /// An SIR (sample–importance–resample) particle filter merging position
 /// estimates from several sensors into a refined track.
 ///
@@ -34,7 +41,8 @@ struct Particle {
 ///   restrictions on possible movements in the environment").
 ///
 /// Reflective methods: `particleCount() -> int`,
-/// `setParticleCount(n: int)`, `effectiveSampleSize() -> float`,
+/// `setParticleCount(n: int)` (10 to 100,000),
+/// `effectiveSampleSize() -> float`,
 /// `getParticles() -> list[[x, y, weight]]`.
 pub struct ParticleFilter {
     name: String,
@@ -321,10 +329,10 @@ impl Component for ParticleFilter {
                         reason: "expected one int".into(),
                     }
                 })?;
-                if n < 10 {
+                if !(10..=MAX_PARTICLES as i64).contains(&n) {
                     return Err(CoreError::BadArguments {
                         method: method.to_string(),
-                        reason: format!("need at least 10 particles, got {n}"),
+                        reason: format!("need 10 to {MAX_PARTICLES} particles, got {n}"),
                     });
                 }
                 self.n_particles = n as usize;
@@ -473,6 +481,21 @@ mod tests {
         let item = measurement(&f, Point2::new(30.0, 0.0), 2.0, 1.0);
         ComponentCtxProbe::run_input(&mut pf, item).unwrap();
         assert!(pf.effective_sample_size() > 50.0, "resampled");
+    }
+
+    #[test]
+    fn set_particle_count_rejects_counts_above_the_cap() {
+        // Never stepped: a rejected count must not reach an allocation.
+        let mut pf = ParticleFilter::new("pf", frame(), 1);
+        pf.invoke("setParticleCount", &[Value::Int(100)]).unwrap();
+        for n in [MAX_PARTICLES as i64 + 1, i64::MAX] {
+            let err = pf.invoke("setParticleCount", &[Value::Int(n)]).unwrap_err();
+            assert!(matches!(err, CoreError::BadArguments { .. }), "{err}");
+            assert_eq!(pf.invoke("particleCount", &[]).unwrap(), Value::Int(100));
+        }
+        let max = MAX_PARTICLES as i64;
+        pf.invoke("setParticleCount", &[Value::Int(max)]).unwrap();
+        assert_eq!(pf.invoke("particleCount", &[]).unwrap(), Value::Int(max));
     }
 
     #[test]

@@ -217,13 +217,13 @@ impl Component for Resolver {
     fn invoke(&mut self, method: &str, args: &[Value]) -> Result<Value, CoreError> {
         match method {
             "setFloor" => {
-                let level = args.first().and_then(Value::as_i64).ok_or_else(|| {
+                let level = args.first().and_then(Value::as_i64);
+                self.floor = level.and_then(|l| i32::try_from(l).ok()).ok_or_else(|| {
                     CoreError::BadArguments {
                         method: method.to_string(),
-                        reason: "expected one int".into(),
+                        reason: format!("expected one int in the i32 range, got {args:?}"),
                     }
                 })?;
-                self.floor = level as i32;
                 Ok(Value::Null)
             }
             "getFloor" => Ok(Value::Int(i64::from(self.floor))),
@@ -672,6 +672,21 @@ mod tests {
             .unwrap()
             .is_empty());
         assert_eq!(r.invoke("getFloor", &[]).unwrap(), Value::Int(5));
+    }
+
+    #[test]
+    fn set_floor_rejects_levels_outside_i32_and_keeps_the_floor() {
+        let mut r = Resolver::new(Arc::new(demo_building()));
+        r.invoke("setFloor", &[Value::Int(2)]).unwrap();
+        for level in [
+            1_i64 << 32,
+            i64::from(i32::MAX) + 1,
+            i64::from(i32::MIN) - 1,
+        ] {
+            let err = r.invoke("setFloor", &[Value::Int(level)]).unwrap_err();
+            assert!(matches!(err, CoreError::BadArguments { .. }), "{err}");
+            assert_eq!(r.invoke("getFloor", &[]).unwrap(), Value::Int(2));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Offline shim for the `crossbeam-channel` surface the PerPos workspace
 //! uses: [`unbounded`] channels with cloneable senders, non-blocking
 //! receive, and disconnection tracking (a send to a dropped receiver
-//! fails, which the registry uses to prune dead subscribers).
+//! fails, which the positioning layer uses to prune dead subscribers).
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -8,11 +8,10 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `perpos-core` | the middleware: processing graph (PSL), channels & data trees (PCL), positioning layer, features, engine |
+//! | [`core`] | `perpos-core` | the middleware: processing graph (PSL), channels & data trees (PCL), positioning layer, features, engine, declarative and dynamic assembly |
 //! | [`geo`] | `perpos-geo` | WGS-84 / ECEF / ENU coordinates and planar geometry |
 //! | [`nmea`] | `perpos-nmea` | NMEA-0183 parsing and generation |
 //! | [`model`] | `perpos-model` | buildings, rooms, walls, room graphs (the location model service) |
-//! | [`registry`] | `perpos-registry` | OSGi-like dynamic service registry |
 //! | [`sensors`] | `perpos-sensors` | GPS/WiFi/motion simulators, Fig. 1 pipeline components, trace emulator |
 //! | [`fusion`] | `perpos-fusion` | particle filter, Likelihood channel feature, Kalman baseline |
 //! | [`energy`] | `perpos-energy` | power models and the EnTracked strategy |
@@ -34,7 +33,6 @@ pub use perpos_fusion as fusion;
 pub use perpos_geo as geo;
 pub use perpos_model as model;
 pub use perpos_nmea as nmea;
-pub use perpos_registry as registry;
 pub use perpos_sensors as sensors;
 
 /// Everything an application built on PerPos usually needs.
