@@ -155,6 +155,41 @@ impl ChannelFeature for LikelihoodFeature {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+
+    /// Captures the HDOP window and the apply count, so a restored
+    /// filter weighs with the sigma the uninterrupted one would.
+    fn snapshot_state(&self) -> Option<Value> {
+        let state = self.state.read();
+        Some(Value::List(vec![
+            Value::List(state.hdops.iter().map(|&h| Value::Float(h)).collect()),
+            Value::Int(state.applies as i64),
+        ]))
+    }
+
+    /// Applies a state from [`LikelihoodFeature::snapshot_state`]; one it
+    /// cannot decode (another shape, a non-float HDOP, a window longer
+    /// than the feature keeps) changes nothing.
+    fn restore_state(&mut self, state: &Value) {
+        let Value::List(parts) = state else {
+            return;
+        };
+        let [Value::List(hdops), Value::Int(applies)] = parts.as_slice() else {
+            return;
+        };
+        let window: Option<VecDeque<f64>> = hdops
+            .iter()
+            .map(|h| match h {
+                Value::Float(h) => Some(*h),
+                _ => None,
+            })
+            .collect();
+        if let Some(hdops) = window.filter(|w| w.len() <= WINDOW) {
+            *self.state.write() = State {
+                hdops,
+                applies: *applies as u64,
+            };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -225,6 +260,30 @@ mod tests {
         }
         assert_eq!(f.state.read().hdops.len(), WINDOW);
         assert!((handle.sigma_m() - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn window_survives_snapshot_and_restore() {
+        let (tree, mut graph) = tree_with_hdops(&[1.0, 2.5, 4.0]);
+        let mut f = LikelihoodFeature::new();
+        let members = [];
+        f.apply(&tree, &mut ChannelHost::for_test(&mut graph, &members))
+            .unwrap();
+        let state = f.snapshot_state().unwrap();
+        let mut restored = LikelihoodFeature::new();
+        let handle = restored.handle();
+        restored.restore_state(&state);
+        assert_eq!(handle.sigma_m(), f.handle().sigma_m());
+        assert_eq!(handle.applies(), 1);
+        // Undecodable states change nothing.
+        let long = Value::List(vec![
+            Value::List(vec![Value::Float(1.0); WINDOW + 1]),
+            Value::Int(0),
+        ]);
+        for bad in [Value::Null, Value::List(vec![Value::Int(1)]), long] {
+            restored.restore_state(&bad);
+            assert_eq!(handle.sigma_m(), f.handle().sigma_m());
+        }
     }
 
     #[test]

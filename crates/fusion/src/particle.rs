@@ -1,6 +1,7 @@
 //! The SIR particle filter of the paper's §3.2 / Fig. 6, implemented as a
 //! merge Processing Component.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use perpos_core::component::{Component, ComponentCtx, ComponentDescriptor, InputSpec, MethodSpec};
@@ -17,6 +18,44 @@ struct Particle {
     pos: Point2,
     heading_deg: f64,
     weight: f64,
+}
+
+/// Bytes per particle in a state snapshot: position x and y, heading and
+/// weight, each an `f64` in little-endian order.
+const PARTICLE_BYTES: usize = 32;
+
+impl Particle {
+    fn to_bytes(self) -> [u8; PARTICLE_BYTES] {
+        let mut out = [0; PARTICLE_BYTES];
+        let fields = [self.pos.x, self.pos.y, self.heading_deg, self.weight];
+        for (chunk, field) in out.chunks_exact_mut(8).zip(fields) {
+            chunk.copy_from_slice(&field.to_le_bytes());
+        }
+        out
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Self {
+        let field = |i: usize| {
+            let mut word = [0; 8];
+            word.copy_from_slice(&bytes[8 * i..8 * i + 8]);
+            f64::from_le_bytes(word)
+        };
+        Particle {
+            pos: Point2::new(field(0), field(1)),
+            heading_deg: field(2),
+            weight: field(3),
+        }
+    }
+}
+
+/// Sums over the normalized weights, each accumulated in particle order.
+#[derive(Debug, Clone, Copy)]
+struct Moments {
+    /// Σ w².
+    squares: f64,
+    /// Σ x·w and Σ y·w: the weighted mean.
+    x: f64,
+    y: f64,
 }
 
 /// The most particles `setParticleCount` accepts. The next update
@@ -40,6 +79,10 @@ const MAX_PARTICLES: usize = 100_000;
 ///   through walls are heavily penalized (§1: "location models to impose
 ///   restrictions on possible movements in the environment").
 ///
+/// The filter is snapshot-capable: [`Component::snapshot_state`] captures
+/// the particles, the random generator's position, the last update time
+/// and the counters, so a restored filter continues the same track.
+///
 /// Reflective methods: `particleCount() -> int`,
 /// `setParticleCount(n: int)` (10 to 100,000),
 /// `effectiveSampleSize() -> float`,
@@ -50,6 +93,8 @@ pub struct ParticleFilter {
     walls: Option<WallIndex>,
     likelihood: Option<LikelihoodHandle>,
     particles: Vec<Particle>,
+    /// The previous particle set, kept as the next resample's buffer.
+    spare: Vec<Particle>,
     n_particles: usize,
     motion_speed_mps: f64,
     heading_jitter_deg: f64,
@@ -71,6 +116,7 @@ impl ParticleFilter {
             walls: None,
             likelihood: None,
             particles: Vec::new(),
+            spare: Vec::new(),
             n_particles: 500,
             motion_speed_mps: 1.5,
             heading_jitter_deg: 25.0,
@@ -172,49 +218,57 @@ impl ParticleFilter {
         }
     }
 
-    fn weight_against(&mut self, measurement: Point2, fallback_sigma: f64) {
+    /// Weighs every particle against `measurement` and normalizes.
+    fn weight_against(&mut self, measurement: Point2, fallback_sigma: f64) -> Moments {
         // One read of the Likelihood feature per update, so every
         // particle of the update is weighed with the same sigma.
         let sigma = match &self.likelihood {
             Some(h) => h.sigma_m(),
             None => fallback_sigma.max(2.0),
         };
+        let mut sum = 0.0;
         for p in &mut self.particles {
             p.weight *= gaussian_likelihood(p.pos.distance(&measurement), sigma);
+            sum += p.weight;
         }
-        self.normalize();
+        self.normalize(sum)
     }
 
-    fn normalize(&mut self) {
-        let sum: f64 = self.particles.iter().map(|p| p.weight).sum();
-        if sum <= 0.0 || !sum.is_finite() {
-            let w = 1.0 / self.particles.len() as f64;
-            for p in &mut self.particles {
+    /// Divides every weight by `sum`, their total (or, when that is not
+    /// positive and finite, makes the weights uniform), and returns the
+    /// sums the ESS and the estimate need, from the same pass.
+    fn normalize(&mut self, sum: f64) -> Moments {
+        let uniform = !(sum > 0.0 && sum.is_finite());
+        let w = 1.0 / self.particles.len() as f64;
+        let mut m = Moments {
+            squares: 0.0,
+            x: 0.0,
+            y: 0.0,
+        };
+        for p in &mut self.particles {
+            if uniform {
                 p.weight = w;
-            }
-        } else {
-            for p in &mut self.particles {
+            } else {
                 p.weight /= sum;
             }
+            m.squares += p.weight * p.weight;
+            m.x += p.pos.x * p.weight;
+            m.y += p.pos.y * p.weight;
         }
+        m
     }
 
     /// Effective sample size (1 / sum of squared weights).
     pub fn effective_sample_size(&self) -> f64 {
-        let sq: f64 = self.particles.iter().map(|p| p.weight * p.weight).sum();
-        if sq <= 0.0 {
-            0.0
-        } else {
-            1.0 / sq
-        }
+        ess(self.particles.iter().map(|p| p.weight * p.weight).sum())
     }
 
-    fn maybe_resample(&mut self) {
-        if self.particles.is_empty() {
-            return;
-        }
-        if self.effective_sample_size() > self.particles.len() as f64 / 2.0 {
-            return;
+    /// Resamples when the effective sample size, from the normalized
+    /// weights' `squares`, is at most half the particle count; returns
+    /// whether it did.
+    fn maybe_resample(&mut self, squares: f64) -> bool {
+        if self.particles.is_empty() || ess(squares) > self.particles.len() as f64 / 2.0 {
+            return false;
         }
         // Systematic resampling.
         let n = self.particles.len();
@@ -222,7 +276,8 @@ impl ParticleFilter {
         let mut u: f64 = self.rng.gen_range(0.0..step);
         let mut cumulative = self.particles[0].weight;
         let mut i = 0usize;
-        let mut out = Vec::with_capacity(n);
+        let mut out = std::mem::take(&mut self.spare);
+        out.clear();
         for _ in 0..n {
             while u > cumulative && i + 1 < n {
                 i += 1;
@@ -233,18 +288,20 @@ impl ParticleFilter {
             out.push(p);
             u += step;
         }
-        self.particles = out;
+        self.spare = std::mem::replace(&mut self.particles, out);
+        true
     }
 
     /// Weighted-mean estimate and weighted standard deviation, in local
-    /// coordinates.
-    fn estimate(&self) -> (Point2, f64) {
-        let mut x = 0.0;
-        let mut y = 0.0;
-        for p in &self.particles {
-            x += p.pos.x * p.weight;
-            y += p.pos.y * p.weight;
-        }
+    /// coordinates. `moments` are the current weights' sums when the
+    /// caller has them.
+    fn estimate(&self, moments: Option<Moments>) -> (Point2, f64) {
+        let (x, y) = match moments {
+            Some(m) => (m.x, m.y),
+            None => self.particles.iter().fold((0.0, 0.0), |(x, y), p| {
+                (x + p.pos.x * p.weight, y + p.pos.y * p.weight)
+            }),
+        };
         let mean = Point2::new(x, y);
         let var: f64 = self
             .particles
@@ -258,6 +315,81 @@ impl ParticleFilter {
     /// red dots of Fig. 6).
     pub fn particles(&self) -> Vec<(Point2, f64)> {
         self.particles.iter().map(|p| (p.pos, p.weight)).collect()
+    }
+}
+
+/// The effective sample size of weights whose squares sum to `squares`.
+fn ess(squares: f64) -> f64 {
+    if squares <= 0.0 {
+        0.0
+    } else {
+        1.0 / squares
+    }
+}
+
+/// A decoded [`ParticleFilter::snapshot_state`] value.
+struct Restored {
+    particles: Vec<Particle>,
+    rng: [u64; 4],
+    last_update: Option<SimTime>,
+    initialized: bool,
+    n_particles: usize,
+    updates: u64,
+}
+
+impl Restored {
+    fn decode(state: &Value) -> Option<Self> {
+        let Value::Map(map) = state else {
+            return None;
+        };
+        let int = |key: &str| match map.get(key) {
+            Some(Value::Int(n)) => Some(*n as u64),
+            _ => None,
+        };
+        let Some(Value::Bytes(bytes)) = map.get("particles") else {
+            return None;
+        };
+        let Some(Value::Bool(initialized)) = map.get("initialized") else {
+            return None;
+        };
+        let Some(Value::List(words)) = map.get("rng") else {
+            return None;
+        };
+        let mut rng = [0; 4];
+        if words.len() != rng.len() {
+            return None;
+        }
+        for (word, value) in rng.iter_mut().zip(words) {
+            let Value::Int(w) = value else {
+                return None;
+            };
+            *word = *w as u64;
+        }
+        let last_update = match map.get("last_update_us") {
+            Some(Value::Null) => None,
+            Some(Value::Int(us)) => Some(SimTime::from_micros(*us as u64)),
+            _ => return None,
+        };
+        let n_particles = usize::try_from(int("n_particles")?).ok()?;
+        let count = bytes.len() / PARTICLE_BYTES;
+        if bytes.len() % PARTICLE_BYTES != 0
+            || !(10..=MAX_PARTICLES).contains(&n_particles)
+            || count > MAX_PARTICLES
+            || (*initialized && count != n_particles)
+        {
+            return None;
+        }
+        Some(Restored {
+            particles: bytes
+                .chunks_exact(PARTICLE_BYTES)
+                .map(Particle::from_bytes)
+                .collect(),
+            rng,
+            last_update,
+            initialized: *initialized,
+            n_particles,
+            updates: int("updates")?,
+        })
     }
 }
 
@@ -275,11 +407,8 @@ impl Component for ParticleFilter {
         let inputs = (0..self.inputs)
             .map(|i| InputSpec::new(format!("in{i}"), vec![kinds::POSITION_WGS84]))
             .collect();
-        // The particle population is state with no snapshot hooks yet:
-        // a checkpoint restart silently re-initializes the filter, which
-        // P018 surfaces for fleet deployments.
         ComponentDescriptor::merge(self.name.clone(), inputs, vec![kinds::POSITION_WGS84])
-            .with_effects(EffectSpec::new().stateful(false))
+            .with_effects(EffectSpec::new().stateful(true))
     }
 
     fn on_input(
@@ -292,9 +421,10 @@ impl Component for ParticleFilter {
         let measurement = self.frame.to_local(position.coord());
         let accuracy = position.accuracy_m().unwrap_or(15.0);
 
-        if !self.initialized {
+        let moments = if !self.initialized {
             self.initialize(measurement, accuracy.max(5.0));
             self.last_update = Some(ctx.now());
+            None
         } else {
             let dt = ctx
                 .now()
@@ -302,12 +432,12 @@ impl Component for ParticleFilter {
                 .as_secs_f64();
             self.last_update = Some(ctx.now());
             self.predict(dt);
-            self.weight_against(measurement, accuracy);
-            self.maybe_resample();
-        }
+            let moments = self.weight_against(measurement, accuracy);
+            (!self.maybe_resample(moments.squares)).then_some(moments)
+        };
         self.updates += 1;
 
-        let (est, sigma) = self.estimate();
+        let (est, sigma) = self.estimate(moments);
         let coord = self.frame.from_local(&est);
         let out = DataItem::new(
             kinds::POSITION_WGS84,
@@ -357,6 +487,57 @@ impl Component for ParticleFilter {
                 target: self.name.clone(),
                 method: other.to_string(),
             }),
+        }
+    }
+
+    /// Captures the particles (positions, headings and weights as one
+    /// `Value::Bytes` of 32 bytes a particle), the random generator's
+    /// state words, the last update time, whether the filter is
+    /// initialized, the configured particle count and the update count.
+    fn snapshot_state(&self) -> Option<Value> {
+        let mut particles = Vec::with_capacity(self.particles.len() * PARTICLE_BYTES);
+        for p in &self.particles {
+            particles.extend_from_slice(&p.to_bytes());
+        }
+        let int = |n: u64| Value::Int(n as i64);
+        let mut map = BTreeMap::new();
+        map.insert("particles".to_string(), Value::Bytes(particles));
+        map.insert(
+            "rng".to_string(),
+            Value::List(self.rng.state().iter().map(|&w| int(w)).collect()),
+        );
+        map.insert(
+            "last_update_us".to_string(),
+            self.last_update.map_or(Value::Null, |t| int(t.as_micros())),
+        );
+        map.insert("initialized".to_string(), Value::Bool(self.initialized));
+        map.insert("n_particles".to_string(), int(self.n_particles as u64));
+        map.insert("updates".to_string(), int(self.updates));
+        Some(Value::Map(map))
+    }
+
+    /// Applies a state from [`ParticleFilter::snapshot_state`] as a whole.
+    /// A state it cannot decode (not a map, a missing or mistyped field,
+    /// particle bytes not a multiple of 32, a particle count outside 10 to
+    /// 100,000, or an initialized population whose size is not that
+    /// count) applies nothing but leaves the filter uninitialized: the
+    /// next measurement re-initializes it, as it would in a filter
+    /// restarted without a checkpoint. It never panics.
+    fn restore_state(&mut self, state: &Value) {
+        match Restored::decode(state) {
+            Some(r) => {
+                self.particles = r.particles;
+                self.rng = StdRng::from_state(r.rng);
+                self.last_update = r.last_update;
+                self.initialized = r.initialized;
+                self.n_particles = r.n_particles;
+                self.updates = r.updates;
+            }
+            None => {
+                self.particles.clear();
+                self.initialized = false;
+                self.last_update = None;
+            }
         }
     }
 
@@ -513,6 +694,91 @@ mod tests {
         assert_eq!(particles.as_list().unwrap().len(), 100);
         assert_eq!(pf.invoke("updateCount", &[]).unwrap(), Value::Int(1));
         assert_eq!(pf.methods().len(), 5);
+    }
+
+    /// Steps `pf` over the measurements at the seconds in `steps`
+    /// on the demo floor; returns its fused outputs.
+    fn stepped(pf: &mut ParticleFilter, f: &LocalFrame, steps: std::ops::Range<u32>) -> Vec<Value> {
+        steps
+            .map(|t| {
+                let p = Point2::new(2.0 + 0.4 * f64::from(t), 5.0 + (f64::from(t) * 0.7).sin());
+                let out = ComponentCtxProbe::run_input(pf, measurement(f, p, 4.0, f64::from(t)));
+                (*out.unwrap()[0].payload).clone()
+            })
+            .collect()
+    }
+
+    fn walled(f: LocalFrame) -> ParticleFilter {
+        ParticleFilter::new("pf", f, 1)
+            .with_seed(31)
+            .with_particles(200)
+            .with_building(Arc::new(demo_building()), 0)
+    }
+
+    #[test]
+    fn restored_state_continues_the_same_track() {
+        let f = frame();
+        let mut reference = walled(f);
+        stepped(&mut reference, &f, 0..10);
+        let state = reference.snapshot_state().unwrap();
+        let expected = stepped(&mut reference, &f, 10..30);
+
+        let mut restored = walled(f).with_seed(99);
+        restored.restore_state(&state);
+        assert_eq!(restored.invoke("updateCount", &[]).unwrap(), Value::Int(10));
+        assert_eq!(stepped(&mut restored, &f, 10..30), expected);
+        assert!(restored.descriptor().effects.stateful == Some(true));
+        assert!(restored.descriptor().effects.snapshot_capable == Some(true));
+    }
+
+    #[test]
+    fn undecodable_state_leaves_the_filter_uninitialized() {
+        let f = frame();
+        let mut pf = walled(f);
+        stepped(&mut pf, &f, 0..5);
+        let Some(Value::Map(good)) = pf.snapshot_state() else {
+            panic!("a map state");
+        };
+        let with = |key: &str, value: Value| {
+            let mut map = good.clone();
+            map.insert(key.to_string(), value);
+            Value::Map(map)
+        };
+        let Some(Value::Bytes(bytes)) = good.get("particles") else {
+            panic!("particle bytes");
+        };
+        let without_rng = {
+            let mut map = good.clone();
+            map.remove("rng");
+            Value::Map(map)
+        };
+        for bad in [
+            Value::Null,
+            Value::Int(3),
+            without_rng,
+            with("particles", Value::Bytes(bytes[..bytes.len() - 1].to_vec())),
+            with(
+                "particles",
+                Value::Bytes(bytes[..PARTICLE_BYTES * 7].to_vec()),
+            ),
+            with("particles", Value::List(Vec::new())),
+            with("rng", Value::List(vec![Value::Int(1); 3])),
+            with("n_particles", Value::Int(5)),
+            with("n_particles", Value::Int(-1)),
+            with("last_update_us", Value::Float(1.0)),
+            with("initialized", Value::Int(1)),
+        ] {
+            let mut target = walled(f);
+            stepped(&mut target, &f, 0..3);
+            target.restore_state(&bad);
+            assert!(
+                !target.initialized && target.particles.is_empty(),
+                "{bad:?}"
+            );
+            // The next measurement re-initializes it.
+            stepped(&mut target, &f, 3..5);
+            assert_eq!(pf.particles.len(), target.particles.len());
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! scan, so both use a [`WallIndex`] instead: walls are bucketed into
 //! square cells once, and a query tests only the walls whose bounding box
 //! (with [`SLACK_M`] of slack) overlaps the move's bounding box. Short
-//! moves (a particle's step) find those walls through the cells they
-//! touch; longer ones (an access point's signal path) check each wall's
-//! box, which is cheaper than visiting many cells.
+//! moves find those walls through the cells they touch; longer ones (an
+//! access point's signal path) check each wall's box, which is cheaper
+//! than visiting many cells.
 //!
 //! The answers are the linear scan's answers, bit for bit. A wall can
 //! only report an intersection with a move whose box overlaps its own:
@@ -27,19 +27,60 @@
 //! [`MAX_COORD_M`] in its grid. Any other wall is tested on every query,
 //! and a move with a coordinate beyond [`MAX_COORD_M`] (or NaN, or
 //! infinite) is tested against every wall, exactly as the scan does.
+//!
+//! # Particle-sized moves
+//!
+//! A particle's step is shorter than [`REACH_M`] in both coordinates, and
+//! most steps start far from any wall. A second, fine table answers those
+//! moves from their start cell alone. Over the indexed walls' extent it
+//! lays cells of [`FINE_M`], and for each cell it keeps:
+//!
+//! * its *clearance*: the smallest Chebyshev distance from the cell to
+//!   any indexed wall's *reach box* (the slack box grown by another
+//!   [`SLACK_M`]), capped at [`REACH_M`];
+//! * its *near list*: every indexed wall whose reach box lies within
+//!   Chebyshev distance [`REACH_M`] of the cell (a superset is harmless).
+//!
+//! A move whose larger coordinate delta `d` is below its start cell's
+//! clearance meets no indexed wall; one with `d` below [`REACH_M`] can
+//! only meet the walls of the start cell's near list. Everything else
+//! (longer moves, starts outside the table, NaN or infinite deltas, and
+//! floors too large for [`FINE_MAX_CELLS`]) takes the grid path above.
+//!
+//! Both answers keep the scan's bits. The move's box lies within
+//! Chebyshev distance `d` of its start point. The start point lies in
+//! the cell its coordinates round to, up to rounding below 1e-9 m, and
+//! the cell bounds and gaps of the table carry rounding of the same
+//! size. A wall the move meets has a slack box overlapping the move's
+//! box, by the argument above. Its reach box is [`SLACK_M`] wider than
+//! the slack box, and [`SLACK_M`] is a thousand times every one of those
+//! rounding terms. So that wall's reach box is within `d` of the start
+//! cell even as computed: the cell's clearance is at most `d`, and the
+//! near list, built from every cell within [`REACH_M`] of the reach box,
+//! holds the wall.
 
 use perpos_geo::{Point2, Segment2};
 
 use crate::Floor;
 
-/// Edge length of a grid cell in metres: a particle's one-second move
-/// touches one to four cells.
+/// Edge length of a grid cell in metres.
 const CELL_M: f64 = 2.0;
 
 /// The most cells a move may span and still be answered from the grid:
 /// 2 × 2, what a move shorter than a cell can touch. Longer moves (a WiFi
 /// signal path across the floor) check every indexed wall's box instead.
 const GRID_MAX_CELLS: usize = 4;
+
+/// Edge length of a fine cell in metres.
+const FINE_M: f64 = 0.5;
+
+/// Chebyshev reach of a fine cell's near list in metres: the particle
+/// filter's one-second step at up to 1.5 m/s stays within it.
+const REACH_M: f64 = 1.5;
+
+/// The most fine cells a floor's table may have (a 256 m × 256 m floor);
+/// a larger floor answers every move from the grid.
+const FINE_MAX_CELLS: usize = 1 << 18;
 
 /// Slack around every indexed wall's bounding box, in metres; covers the
 /// 1e-12 m touching tolerance and the sub-nanometre rounding bound above
@@ -57,6 +98,186 @@ struct Entry {
     hi: Point2,
     /// The cell holding `lo`, where the wall's cell range starts.
     first_cell: (usize, usize),
+}
+
+impl Entry {
+    /// Whether the slack box overlaps the box from `lo` to `hi`; `&`, not
+    /// `&&`, so the test is one branch instead of four.
+    fn overlaps(&self, lo: Point2, hi: Point2) -> bool {
+        (self.lo.x <= hi.x) & (lo.x <= self.hi.x) & (self.lo.y <= hi.y) & (lo.y <= self.hi.y)
+    }
+}
+
+/// The bounding box of the move from `from` to `to`.
+fn move_box(from: Point2, to: Point2) -> (Point2, Point2) {
+    (
+        Point2::new(from.x.min(to.x), from.y.min(to.y)),
+        Point2::new(from.x.max(to.x), from.y.max(to.y)),
+    )
+}
+
+/// Half-open column and row ranges of the cells an entry is listed in.
+type Span = ((usize, usize), (usize, usize));
+
+/// The cell index at `offset` metres from a grid's origin with cells of
+/// `size` metres. Monotone in `offset`; negative and NaN offsets land in
+/// the first cell, and `as` saturates huge ones.
+fn cell_at(offset: f64, size: f64) -> usize {
+    (offset / size).max(0.0) as usize
+}
+
+/// [`cell_at`] clamped to a grid of `n` cells.
+fn clamped_cell(offset: f64, size: f64, n: usize) -> usize {
+    cell_at(offset, size).min(n - 1)
+}
+
+/// How many cells of `size` metres a grid needs to cover `extent` metres.
+fn cells_over(extent: f64, size: f64) -> usize {
+    cell_at(extent, size).saturating_add(1)
+}
+
+/// Entry indices listed per grid cell: cell `c` lists
+/// `items[start[c]..start[c + 1]]`, in entry order.
+#[derive(Debug, Clone, Default)]
+struct Buckets {
+    start: Vec<usize>,
+    items: Vec<u32>,
+}
+
+impl Buckets {
+    /// Lists entry `i` in every cell of `spans[i]`, on a row-major grid
+    /// `nx` cells wide with `cells` cells.
+    fn new(nx: usize, cells: usize, spans: &[Span]) -> Self {
+        let rows =
+            |&((x0, x1), (y0, y1)): &Span| (y0..y1).map(move |cy| cy * nx + x0..cy * nx + x1);
+        // Count into `start[c]`, turn the counts into list ends, then
+        // fill back to front: each `start[c]` moves from the end of its
+        // list to its start.
+        let mut start = vec![0; cells + 1];
+        for span in spans {
+            for row in rows(span) {
+                for n in &mut start[row] {
+                    *n += 1;
+                }
+            }
+        }
+        let mut end = 0;
+        for s in &mut start[..cells] {
+            end += *s;
+            *s = end;
+        }
+        start[cells] = end;
+        let mut items = vec![0; end];
+        for (i, span) in spans.iter().enumerate().rev() {
+            for row in rows(span) {
+                for end in &mut start[row] {
+                    *end -= 1;
+                    // A floor never has 2³² walls.
+                    items[*end] = i as u32;
+                }
+            }
+        }
+        Buckets { start, items }
+    }
+
+    fn cell(&self, c: usize) -> &[u32] {
+        &self.items[self.start[c]..self.start[c + 1]]
+    }
+}
+
+/// The fine table of the module docs, over the indexed walls' extent.
+/// Empty (zero cells) when there is no indexed wall or the extent needs
+/// more than [`FINE_MAX_CELLS`].
+#[derive(Debug, Clone, Default)]
+struct Fine {
+    origin: Point2,
+    nx: usize,
+    ny: usize,
+    /// Row-major per cell: a lower bound on the Chebyshev distance to
+    /// every indexed wall's reach box, at most [`REACH_M`].
+    clearance: Vec<f64>,
+    near: Buckets,
+}
+
+impl Fine {
+    fn new(entries: &[Entry], origin: Point2, far: Point2) -> Self {
+        let nx = cells_over(far.x - origin.x, FINE_M);
+        let ny = cells_over(far.y - origin.y, FINE_M);
+        let cells = nx.saturating_mul(ny);
+        if entries.is_empty() || cells > FINE_MAX_CELLS {
+            return Fine::default();
+        }
+        // Each entry's reach box relative to `origin`, and the cells
+        // within `REACH_M` of it (and perhaps a few more).
+        let boxes: Vec<(Point2, Point2)> = entries
+            .iter()
+            .map(|e| {
+                (
+                    Point2::new(e.lo.x - SLACK_M - origin.x, e.lo.y - SLACK_M - origin.y),
+                    Point2::new(e.hi.x + SLACK_M - origin.x, e.hi.y + SLACK_M - origin.y),
+                )
+            })
+            .collect();
+        let span = |lo: f64, hi: f64, n: usize| {
+            (
+                clamped_cell(lo - REACH_M, FINE_M, n),
+                clamped_cell(hi + REACH_M, FINE_M, n) + 1,
+            )
+        };
+        let spans: Vec<Span> = boxes
+            .iter()
+            .map(|(lo, hi)| (span(lo.x, hi.x, nx), span(lo.y, hi.y, ny)))
+            .collect();
+        let gap = |lo: f64, hi: f64, cell: usize| {
+            let low = cell as f64 * FINE_M;
+            (lo - (low + FINE_M)).max(low - hi).max(0.0)
+        };
+        let mut clearance = vec![REACH_M; cells];
+        let mut gaps_x = Vec::new();
+        for (&(lo, hi), &((x0, x1), (y0, y1))) in boxes.iter().zip(&spans) {
+            gaps_x.clear();
+            gaps_x.extend((x0..x1).map(|cx| gap(lo.x, hi.x, cx)));
+            for cy in y0..y1 {
+                let gap_y = gap(lo.y, hi.y, cy);
+                let row = &mut clearance[cy * nx + x0..cy * nx + x1];
+                for (clear, &gap_x) in row.iter_mut().zip(&gaps_x) {
+                    let gap = if gap_x > gap_y { gap_x } else { gap_y };
+                    if gap < *clear {
+                        *clear = gap;
+                    }
+                }
+            }
+        }
+        Fine {
+            origin,
+            nx,
+            ny,
+            clearance,
+            near: Buckets::new(nx, cells, &spans),
+        }
+    }
+
+    /// The indexed walls a move from `from` to `to` may meet: none when
+    /// it stays within its start cell's clearance, the cell's near list
+    /// when it is shorter than [`REACH_M`], and `None` (ask the grid)
+    /// otherwise. NaN fails every comparison, so it asks the grid.
+    fn candidates(&self, from: Point2, to: Point2) -> Option<&[u32]> {
+        let (dx, dy) = ((to.x - from.x).abs(), (to.y - from.y).abs());
+        let fx = (from.x - self.origin.x) / FINE_M;
+        let fy = (from.y - self.origin.y) / FINE_M;
+        // `&`, not `&&`: one branch instead of six.
+        let short = (dx < REACH_M) & (dy < REACH_M);
+        let inside = (fx >= 0.0) & (fy >= 0.0) & (fx < self.nx as f64) & (fy < self.ny as f64);
+        if !(short & inside) {
+            return None;
+        }
+        let c = fy as usize * self.nx + fx as usize;
+        let clear = self.clearance[c];
+        if (dx < clear) & (dy < clear) {
+            return Some(&[]);
+        }
+        Some(self.near.cell(c))
+    }
 }
 
 /// Walls of one floor bucketed into a uniform grid, answering the same
@@ -83,16 +304,8 @@ pub struct WallIndex {
     origin: Point2,
     nx: usize,
     ny: usize,
-    /// Cell `c` holds `cell_entries[cell_start[c]..cell_start[c + 1]]`.
-    cell_start: Vec<usize>,
-    cell_entries: Vec<usize>,
-}
-
-/// One more than the index of the cell at `offset` metres from the grid
-/// origin: at least 1, monotone in `offset`. Negative and NaN offsets
-/// land in the first cell, and `as` saturates huge ones.
-fn cells_to(offset: f64) -> usize {
-    ((offset / CELL_M).max(0.0) as usize).saturating_add(1)
+    grid: Buckets,
+    fine: Fine,
 }
 
 fn within_grid_range(p: Point2) -> bool {
@@ -138,26 +351,20 @@ impl WallIndex {
             entries,
             unindexed,
             origin,
-            nx: cells_to(far.x - origin.x),
-            ny: cells_to(far.y - origin.y),
-            cell_start: vec![0],
-            cell_entries: Vec::new(),
+            nx: cells_over(far.x - origin.x, CELL_M),
+            ny: cells_over(far.y - origin.y, CELL_M),
+            grid: Buckets::default(),
+            fine: Fine::default(),
         };
-        let mut cells = vec![Vec::new(); index.nx * index.ny];
+        let mut spans = Vec::with_capacity(index.entries.len());
         for i in 0..index.entries.len() {
             let (x0, y0) = index.cell(index.entries[i].lo);
             let (x1, y1) = index.cell(index.entries[i].hi);
             index.entries[i].first_cell = (x0, y0);
-            for cy in y0..=y1 {
-                for cx in x0..=x1 {
-                    cells[cy * index.nx + cx].push(i);
-                }
-            }
+            spans.push(((x0, x1 + 1), (y0, y1 + 1)));
         }
-        for cell in cells {
-            index.cell_entries.extend(cell);
-            index.cell_start.push(index.cell_entries.len());
-        }
+        index.grid = Buckets::new(index.nx, index.nx * index.ny, &spans);
+        index.fine = Fine::new(&index.entries, origin, far);
         index
     }
 
@@ -185,8 +392,8 @@ impl WallIndex {
     /// coordinate, so boxes that overlap share a cell.
     fn cell(&self, p: Point2) -> (usize, usize) {
         (
-            cells_to(p.x - self.origin.x).min(self.nx) - 1,
-            cells_to(p.y - self.origin.y).min(self.ny) - 1,
+            clamped_cell(p.x - self.origin.x, CELL_M, self.nx),
+            clamped_cell(p.y - self.origin.y, CELL_M, self.ny),
         )
     }
 
@@ -201,27 +408,48 @@ impl WallIndex {
         if self.unindexed.iter().any(&mut hit) {
             return true;
         }
+        if let Some(near) = self.fine.candidates(from, to) {
+            if near.is_empty() {
+                return false;
+            }
+            let (lo, hi) = move_box(from, to);
+            return near.iter().any(|&i| {
+                let e = &self.entries[i as usize];
+                e.overlaps(lo, hi) && hit(&e.wall)
+            });
+        }
+        self.any_in_grid(from, to, hit)
+    }
+
+    /// [`WallIndex::any_candidate`] for the moves the fine table does
+    /// not answer; kept out of line so the fine path stays small.
+    #[inline(never)]
+    fn any_in_grid(
+        &self,
+        from: Point2,
+        to: Point2,
+        mut hit: impl FnMut(&Segment2) -> bool,
+    ) -> bool {
         if !(within_grid_range(from) && within_grid_range(to)) {
             return self.entries.iter().any(|e| hit(&e.wall));
         }
-        let lo = Point2::new(from.x.min(to.x), from.y.min(to.y));
-        let hi = Point2::new(from.x.max(to.x), from.y.max(to.y));
-        let overlaps =
-            |e: &Entry| e.lo.x <= hi.x && lo.x <= e.hi.x && e.lo.y <= hi.y && lo.y <= e.hi.y;
+        let (lo, hi) = move_box(from, to);
         let (x0, y0) = self.cell(lo);
         let (x1, y1) = self.cell(hi);
         if (x1 - x0 + 1) * (y1 - y0 + 1) > GRID_MAX_CELLS {
-            return self.entries.iter().any(|e| overlaps(e) && hit(&e.wall));
+            return self
+                .entries
+                .iter()
+                .any(|e| e.overlaps(lo, hi) && hit(&e.wall));
         }
         for cy in y0..=y1 {
             for cx in x0..=x1 {
-                let c = cy * self.nx + cx;
-                for &i in &self.cell_entries[self.cell_start[c]..self.cell_start[c + 1]] {
-                    let e = &self.entries[i];
+                for &i in self.grid.cell(cy * self.nx + cx) {
+                    let e = &self.entries[i as usize];
                     // A wall spanning several cells is visited in the
                     // first cell it shares with the move's range only.
                     let first = (e.first_cell.0.max(x0), e.first_cell.1.max(y0));
-                    if first == (cx, cy) && overlaps(e) && hit(&e.wall) {
+                    if first == (cx, cy) && e.overlaps(lo, hi) && hit(&e.wall) {
                         return true;
                     }
                 }
@@ -316,6 +544,108 @@ mod tests {
         }
     }
 
+    /// A particle's move: from next to an indexed wall (sometimes on a
+    /// corner of its fine cell), from an edge cell of the fine table or
+    /// from just outside it, with a larger coordinate delta just below, at
+    /// or just above the start cell's clearance, [`REACH_M`] or the
+    /// Chebyshev distance to that wall; a move from next to a wall
+    /// sometimes heads straight for it.
+    fn particle_move(rng: &mut SampleRng, floor: &Floor) -> (Point2, Point2) {
+        let index = WallIndex::new(floor);
+        let fine = &index.fine;
+        let (o, nx, ny) = (fine.origin, fine.nx, fine.ny);
+        let within = |rng: &mut SampleRng, cells: usize| (0.0..cells as f64 * FINE_M).sample(rng);
+        let mut target = None;
+        let from = match rng.below(3) {
+            0 => {
+                let e = &index.entries[rng.below(index.entries.len())];
+                let near = 2.0 * FINE_M;
+                let p = Point2::new(
+                    (e.lo.x - near..e.hi.x + near).sample(rng),
+                    (e.lo.y - near..e.hi.y + near).sample(rng),
+                );
+                let snap = |rng: &mut SampleRng, v: f64, o: f64| {
+                    let low = o + ((v - o) / FINE_M).floor() * FINE_M;
+                    match rng.below(3) {
+                        0 => low,
+                        1 => (low + FINE_M).next_down(),
+                        _ => v,
+                    }
+                };
+                let from = Point2::new(snap(rng, p.x, o.x), snap(rng, p.y, o.y));
+                let (a, b) = (e.wall.a, e.wall.b);
+                target = Some(Point2::new(
+                    from.x.clamp(a.x.min(b.x), a.x.max(b.x)),
+                    from.y.clamp(a.y.min(b.y), a.y.max(b.y)),
+                ));
+                from
+            }
+            1 => {
+                let (cx, cy) = match rng.below(4) {
+                    0 => (0, rng.below(ny)),
+                    1 => (nx - 1, rng.below(ny)),
+                    2 => (rng.below(nx), 0),
+                    _ => (rng.below(nx), ny - 1),
+                };
+                let corner = rng.below(3) == 0;
+                let offset = |rng: &mut SampleRng| if corner { 0.0 } else { within(rng, 1) };
+                Point2::new(
+                    o.x + cx as f64 * FINE_M + offset(rng),
+                    o.y + cy as f64 * FINE_M + offset(rng),
+                )
+            }
+            _ => {
+                let out = (0.0..FINE_M).sample(rng);
+                let (x, y) = (o.x + within(rng, nx), o.y + within(rng, ny));
+                match rng.below(4) {
+                    0 => Point2::new(o.x - out, y),
+                    1 => Point2::new(o.x + nx as f64 * FINE_M + out, y),
+                    2 => Point2::new(x, o.y - out),
+                    _ => Point2::new(x, o.y + ny as f64 * FINE_M + out),
+                }
+            }
+        };
+        let (fx, fy) = ((from.x - o.x) / FINE_M, (from.y - o.y) / FINE_M);
+        let inside = fx >= 0.0 && fy >= 0.0 && fx < nx as f64 && fy < ny as f64;
+        let clearance = if inside {
+            fine.clearance[fy as usize * nx + fx as usize]
+        } else {
+            REACH_M
+        };
+        let to_target = target.map(|t| t - from);
+        let bound = match (rng.below(3), to_target) {
+            (0, _) => clearance,
+            (1, Some(v)) => v.x.abs().max(v.y.abs()),
+            _ => REACH_M,
+        };
+        let d = match rng.below(5) {
+            0 => bound.next_down(),
+            1 => bound,
+            2 => bound.next_up(),
+            3 => bound - 3e-6,
+            _ => bound + 3e-6,
+        }
+        .max(0.0);
+        if let Some(v) = to_target.filter(|v| v.x != 0.0 || v.y != 0.0) {
+            if rng.below(2) == 0 {
+                return (from, from + v * (d / v.x.abs().max(v.y.abs())));
+            }
+        }
+        let sign = |rng: &mut SampleRng| if rng.below(2) == 0 { 1.0 } else { -1.0 };
+        let along = sign(rng) * d;
+        let across = match rng.below(3) {
+            0 => sign(rng) * d,
+            _ if d > 0.0 => (-d..d).sample(rng),
+            _ => 0.0,
+        };
+        let delta = if rng.below(2) == 0 {
+            perpos_geo::Vec2::new(along, across)
+        } else {
+            perpos_geo::Vec2::new(across, along)
+        };
+        (from, from + delta)
+    }
+
     impl Strategy for AnyMove {
         type Value = (usize, Point2, Point2);
 
@@ -324,7 +654,7 @@ mod tests {
             let floor = &floors()[which];
             let wall = floor.walls()[rng.below(floor.walls().len())];
             let from = point(rng, 5.0);
-            let (from, to) = match rng.below(11) {
+            let (from, to) = match rng.below(12) {
                 // Anywhere around the floor.
                 0 => (from, point(rng, 5.0)),
                 // A particle-sized step.
@@ -393,6 +723,9 @@ mod tests {
                         Point2::new(x, (-5.0..20.0).sample(rng)),
                     )
                 }
+                // A particle's move from near a wall, an edge cell of the
+                // fine table or just outside it.
+                10 => particle_move(rng, floor),
                 // Between two wall endpoints.
                 _ => {
                     let other = floor.walls()[rng.below(floor.walls().len())];

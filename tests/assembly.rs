@@ -1,5 +1,6 @@
-//! End-to-end test of registry-driven dynamic assembly: the full Fig. 1
-//! GPS pipeline wired automatically by declared capabilities, like the
+//! End-to-end test of dynamic assembly: the full Fig. 1 GPS pipeline
+//! wired automatically by the data kinds its factories declare to
+//! provide and require, which `Assembler::sync` resolves, like the
 //! paper's OSGi-based composition.
 
 #![allow(clippy::unwrap_used)]
