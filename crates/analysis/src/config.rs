@@ -4,10 +4,9 @@
 //! component is built, and judged by the same structural lints
 //! (P001–P006), dataflow domains and effect checks as a live structure.
 //! What stays here is what only a configuration can get wrong: broken
-//! references (P007 — duplicate names, unknown kinds, unknown fleet
-//! scheduler names, and wires failing the shared sound-edge rule or
-//! doubly driving a port), missing source fault policies (P009) and
-//! under-provisioned fleet containment (P016).
+//! references (P007 — duplicate names, unknown kinds, and wires failing
+//! the shared sound-edge rule or doubly driving a port), missing source
+//! fault policies (P009) and under-provisioned fleet containment (P016).
 //! All passes run even when earlier ones report errors, so one lint
 //! invocation surfaces everything at once; instances of an unknown kind
 //! stay in the graph untyped, so paths and cycles through them are still
@@ -49,21 +48,6 @@ pub fn analyze_config(config: &GraphConfig, catalog: &TypeCatalog) -> Report {
                      \"restart\" or \"quarantine\" (the default \"propagate\" aborts \
                      the run on the first fault)",
                 ),
-            );
-        }
-    }
-
-    // P007: a fleet scheduler name `GraphConfig::fleet_pool` refuses.
-    if let Some(name) = config.fleet.as_ref().and_then(|f| f.scheduler.as_ref()) {
-        if perpos_core::fleet::FleetScheduler::from_name(name).is_none() {
-            report.push(
-                Diagnostic::new(
-                    Code::P007,
-                    Severity::Error,
-                    format!("unknown fleet scheduler {name:?}"),
-                    vec!["fleet.scheduler".into()],
-                )
-                .with_hint("set fleet.scheduler to \"serial\" or \"work_stealing\""),
             );
         }
     }

@@ -230,9 +230,8 @@ impl Code {
             Code::P007 => CodeExplanation {
                 detail: "The configuration references something that does not exist or \
                          is used twice: unknown type/instance names, duplicate instance \
-                         names, out-of-range port indexes, two producers driving the \
-                         same input port, or a fleet scheduler name other than \"serial\" \
-                         and \"work_stealing\". An adaptation plan step the live graph would \
+                         names, out-of-range port indexes, or two producers driving the \
+                         same input port. An adaptation plan step the live graph would \
                          refuse, or one adapting a quarantined node, also reports P007.",
                 example: "A connection names instance \"parserX\" but only \"parser0\" \
                           is declared.",
@@ -390,19 +389,19 @@ impl Code {
                 detail: "The fleet runtime's byte-equality contract — serial and \
                          work-stealing schedulers produce identical stats, checkpoints \
                          and histories — rests on shards sharing nothing. A fleet block \
-                         that requests more than one worker replicates the template \
-                         into every instance, so a component declaring writes on a \
-                         named shared resource exists once per instance; replicas in \
+                         whose \"workers\" is not 1 (0 means machine-sized) steps shards \
+                         in parallel and replicates the template into every instance, \
+                         so a component declaring writes on a named shared resource \
+                         exists once per instance; replicas in \
                          concurrently stepped shards then hit the same resource with \
                          nothing to serialize them. A single writing component \
                          suffices: it races with its own replicas.",
                 example: "A calibration stage declaring writes on a shared \
                           \"bias-table\" resource inside a fleet block with \
                           \"workers\": 4.",
-                fix: "Set the fleet scheduler to \"serial\" (or workers to 1), move \
-                      the shared state into per-instance component state, or drop the \
-                      shared-resource write declaration if each replica actually owns \
-                      a private copy.",
+                fix: "Set fleet.workers to 1, move the shared state into \
+                      per-instance component state, or drop the shared-resource write \
+                      declaration if each replica actually owns a private copy.",
             },
         }
     }

@@ -81,15 +81,14 @@ pub fn effect_diagnostics(graph: &FlowGraph, report: &mut Report) {
 }
 
 /// **P020** (warning) — the fleet block requests parallel shard
-/// stepping (a `work_stealing` scheduler, or `workers` other than 1)
-/// while a template component declares `writes` on a named shared
-/// resource. Every fleet instance replicates the template, so the
-/// writing component exists once *per instance*; with shards stepped
-/// concurrently, replicas in different shards hit the same named
-/// resource with nothing to serialize them. It does not even need two
-/// components: a single writer races with its own replicas. The fleet's byte-equality
-/// contract (serial ≡ work-stealing) only covers state the instances
-/// actually own.
+/// stepping (`workers` other than 1) while a template component
+/// declares `writes` on a named shared resource. Every fleet instance
+/// replicates the template, so the writing component exists once *per
+/// instance*; with shards stepped concurrently, replicas in different
+/// shards hit the same named resource with nothing to serialize them.
+/// It does not even need two components: a single writer races with
+/// its own replicas. The fleet's byte-equality contract (serial ≡
+/// work-stealing) only covers state the instances actually own.
 pub fn fleet_parallel_diagnostics(graph: &FlowGraph, report: &mut Report) {
     let Some(spec) = &graph.fleet else {
         return;
@@ -98,9 +97,6 @@ pub fn fleet_parallel_diagnostics(graph: &FlowGraph, report: &mut Report) {
         perpos_core::fleet::FleetScheduler::WorkStealing { workers } => workers,
         _ => return,
     };
-    if workers == 1 {
-        return;
-    }
     let workers_txt = if workers == 0 {
         "machine-sized".to_string()
     } else {
@@ -129,9 +125,9 @@ pub fn fleet_parallel_diagnostics(graph: &FlowGraph, report: &mut Report) {
                 vec![n.label.clone()],
             )
             .with_hint(
-                "set the fleet scheduler to \"serial\" (or workers to 1), move the shared \
-                 state into per-instance component state, or drop the shared-resource \
-                 write declaration if each replica really owns a private copy",
+                "set fleet.workers to 1, move the shared state into per-instance component \
+                 state, or drop the shared-resource write declaration if each replica \
+                 really owns a private copy",
             ),
         );
     }
@@ -198,7 +194,6 @@ mod tests {
             instances,
             shards: None,
             checkpoint_every: None,
-            scheduler: None,
             workers: None,
         }
     }
@@ -266,10 +261,10 @@ mod tests {
         assert!(p020[0].message.contains("\"bias-table\""));
         assert!(p020[0].message.contains("4-worker"));
 
-        // Machine-sized work stealing (workers absent) counts as parallel.
+        // Machine-sized work stealing (workers 0) counts as parallel.
         let mut machine = graph_of(nodes.clone());
         machine.fleet = Some(FleetSpec {
-            scheduler: Some("work_stealing".into()),
+            workers: Some(0),
             ..fleet_spec(512)
         });
         let mut report = Report::new();
@@ -280,7 +275,6 @@ mod tests {
         // Explicit workers: 1 pins the fleet serial — clean again.
         let mut one = graph_of(nodes);
         one.fleet = Some(FleetSpec {
-            scheduler: Some("work_stealing".into()),
             workers: Some(1),
             ..fleet_spec(512)
         });

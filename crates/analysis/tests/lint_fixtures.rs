@@ -92,14 +92,6 @@ fn p007_bad_reference_fires_exactly_once() {
 }
 
 #[test]
-fn p007_unknown_fleet_scheduler_fires_exactly_once() {
-    // `GraphConfig::fleet_pool` refuses the name, so the lint must too.
-    let report = lint("p007_unknown_fleet_scheduler.json");
-    assert_only(&report, Code::P007, Severity::Error);
-    assert!(report.with_code(Code::P007)[0].message.contains("threads"));
-}
-
-#[test]
 fn p009_no_fault_policy_fires_exactly_once() {
     // Identical to pipeline_ok.json except the source declares no
     // fault_policy: the only finding is the P009 warning.

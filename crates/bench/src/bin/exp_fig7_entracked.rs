@@ -196,7 +196,6 @@ fn distributed_variant() {
             .default_link(LinkModel {
                 latency: SimDuration::from_millis(40),
                 loss_prob: 0.01,
-                max_retries: 0,
             })
             .with_seed(41),
     );

@@ -236,7 +236,6 @@ fn fleet_config(instances: usize, scheduler: FleetScheduler) -> FleetConfig {
         checkpoint_every: 8,
         shard_fault_threshold: 16,
         shard_fault_window: 16,
-        shard_backoff: 4,
         seed: 0xf1ee7,
         scheduler,
     }

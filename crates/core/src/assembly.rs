@@ -118,16 +118,10 @@ pub struct FleetSpec {
     /// Checkpoint cadence in shard rounds; absent uses the
     /// [`crate::fleet::FleetConfig`] default.
     pub checkpoint_every: Option<u64>,
-    /// Fleet scheduler name (`"serial"` or `"work_stealing"`); absent
-    /// defaults to serial unless [`FleetSpec::workers`] asks for more
-    /// than one worker, which implies work stealing.
-    /// [`GraphConfig::fleet_pool`] rejects unknown names; the total
-    /// [`FleetSpec::resolved_scheduler`] reads them as serial. See
-    /// [`crate::fleet::FleetScheduler`].
-    pub scheduler: Option<String>,
-    /// Worker-thread cap for the work-stealing scheduler; `0` (or
-    /// absent under `"work_stealing"`) means machine-sized. Ignored by
-    /// the serial scheduler.
+    /// Worker threads stepping the shards: absent or `1` steps them
+    /// serially on the calling thread, `0` runs a machine-sized
+    /// work-stealing pool, and any other `n` runs `n` work-stealing
+    /// workers. See [`crate::fleet::FleetScheduler`].
     pub workers: Option<usize>,
 }
 
@@ -146,24 +140,14 @@ impl FleetSpec {
         }
     }
 
-    /// The [`crate::fleet::FleetScheduler`] this spec requests. An
-    /// explicit `scheduler` name wins; with no name, `workers` other
-    /// than 1 implies work stealing (that is what asking for workers
-    /// means), and everything else — an unknown name included — is
-    /// serial.
+    /// The [`crate::fleet::FleetScheduler`] this spec requests:
+    /// [`FleetSpec::workers`] other than 1 means work stealing with that
+    /// many workers, and everything else is serial.
     pub fn resolved_scheduler(&self) -> crate::fleet::FleetScheduler {
         use crate::fleet::FleetScheduler;
-        match self.scheduler.as_deref() {
-            Some(name) => match FleetScheduler::from_name(name) {
-                Some(FleetScheduler::WorkStealing { .. }) => FleetScheduler::WorkStealing {
-                    workers: self.workers.unwrap_or(0),
-                },
-                Some(FleetScheduler::Serial) | None => FleetScheduler::Serial,
-            },
-            None => match self.workers {
-                Some(workers) if workers != 1 => FleetScheduler::WorkStealing { workers },
-                _ => FleetScheduler::Serial,
-            },
+        match self.workers {
+            Some(workers) if workers != 1 => FleetScheduler::WorkStealing { workers },
+            _ => FleetScheduler::Serial,
         }
     }
 }
@@ -279,9 +263,8 @@ impl GraphConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ComponentFailure`] for an unknown
-    /// [`FleetSpec::scheduler`] name and the same errors as
-    /// [`GraphConfig::instantiate`], before any pool is built.
+    /// Returns the same errors as [`GraphConfig::instantiate`], before
+    /// any pool is built.
     pub fn fleet_pool(
         &self,
         factories: BTreeMap<String, Factory>,
@@ -290,17 +273,8 @@ impl GraphConfig {
             instances: 1,
             shards: Some(1),
             checkpoint_every: None,
-            scheduler: None,
             workers: None,
         });
-        if let Some(name) = &spec.scheduler {
-            if crate::fleet::FleetScheduler::from_name(name).is_none() {
-                return Err(CoreError::ComponentFailure {
-                    component: "fleet".into(),
-                    reason: format!("unknown fleet scheduler {name:?}"),
-                });
-            }
-        }
         let mut probe = Middleware::new();
         self.instantiate(&mut probe, &factories)?;
         let template = self.clone();
@@ -646,7 +620,6 @@ mod tests {
                 instances: 12,
                 shards: Some(3),
                 checkpoint_every: Some(4),
-                scheduler: Some("work_stealing".into()),
                 workers: Some(2),
             }),
         };
@@ -664,7 +637,6 @@ mod tests {
             instances: 1000,
             shards: None,
             checkpoint_every: None,
-            scheduler: None,
             workers: None,
         };
         let resolved = spec.to_fleet_config();
@@ -692,45 +664,10 @@ mod tests {
                 instances: 4,
                 shards: None,
                 checkpoint_every: None,
-                scheduler: None,
                 workers: None,
             }),
         };
         assert!(config.fleet_pool(factories).is_err());
-    }
-
-    #[test]
-    fn fleet_pool_rejects_unknown_scheduler_names() {
-        for name in ["permuted", "work_stealign"] {
-            let config = GraphConfig {
-                components: vec![ComponentConfig {
-                    name: "app".into(),
-                    kind: "application".into(),
-                    fault_policy: None,
-                    transfer: None,
-                    effects: None,
-                }],
-                connections: vec![],
-                fleet: Some(FleetSpec {
-                    instances: 2,
-                    shards: None,
-                    checkpoint_every: None,
-                    scheduler: Some(name.into()),
-                    workers: None,
-                }),
-            };
-            let Err(CoreError::ComponentFailure { reason, .. }) =
-                config.fleet_pool(BTreeMap::new())
-            else {
-                panic!("scheduler {name:?} must be rejected");
-            };
-            assert!(reason.contains(name), "{reason}");
-            // The resolver stays total: analysis reads the name as serial.
-            assert_eq!(
-                config.fleet.unwrap().resolved_scheduler(),
-                crate::fleet::FleetScheduler::Serial
-            );
-        }
     }
 
     #[test]
@@ -799,6 +736,37 @@ mod tests {
             "fleet": null}"#;
         let config: GraphConfig = serde_json::from_str(json).unwrap();
         assert_eq!(config, GraphConfig::default());
+    }
+
+    #[test]
+    fn stored_fleet_blocks_with_a_scheduler_key_still_load() {
+        // Fleet blocks written before `workers` alone chose the scheduler
+        // carry a `"scheduler"` name; it is ignored on load, an unknown
+        // name included, and `workers` decides.
+        use crate::fleet::FleetScheduler;
+        for (name, workers, expected) in [
+            (
+                "work_stealing",
+                "4",
+                FleetScheduler::WorkStealing { workers: 4 },
+            ),
+            ("serial", "4", FleetScheduler::WorkStealing { workers: 4 }),
+            ("threads", "0", FleetScheduler::WorkStealing { workers: 0 }),
+            ("work_stealing", "null", FleetScheduler::Serial),
+            ("permuted", "null", FleetScheduler::Serial),
+        ] {
+            let json = format!(
+                r#"{{"components": [], "connections": [],
+                "fleet": {{"instances": 8, "scheduler": "{name}", "workers": {workers}}}}}"#
+            );
+            let config: GraphConfig = serde_json::from_str(&json).unwrap();
+            let spec = config.fleet.clone().unwrap();
+            assert_eq!(spec.workers, workers.parse().ok(), "{name} {workers}");
+            assert_eq!(spec.resolved_scheduler(), expected, "{name} {workers}");
+            assert_eq!(spec.to_fleet_config().scheduler, expected);
+            let pool = config.fleet_pool(BTreeMap::new()).unwrap();
+            assert_eq!(pool.scheduler(), expected, "{name} {workers}");
+        }
     }
 
     #[test]

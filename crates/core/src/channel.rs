@@ -202,44 +202,6 @@ impl<'a> ChannelHost<'a> {
         self.members
     }
 
-    /// Reflectively invokes a method on a member component (dispatching
-    /// to its features when the component does not know the method).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] for non-members and propagates
-    /// reflective errors.
-    pub fn invoke_member(
-        &mut self,
-        node: NodeId,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, CoreError> {
-        if !self.members.contains(&node) {
-            return Err(CoreError::UnknownNode(node));
-        }
-        self.invoke_node(node, method, args)
-    }
-
-    /// Reflectively invokes a method on a named Component Feature of a
-    /// member.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ChannelHost::invoke_member`].
-    pub fn invoke_member_feature(
-        &mut self,
-        node: NodeId,
-        feature: &str,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, CoreError> {
-        if !self.members.contains(&node) {
-            return Err(CoreError::UnknownNode(node));
-        }
-        self.invoke_node_feature(node, feature, method, args)
-    }
-
     /// Reflectively invokes a method on *any* node of the processing
     /// graph — the paper's "combining the ability to traverse the nodes
     /// of the processing tree with … state manipulation features"

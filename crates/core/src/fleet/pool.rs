@@ -26,9 +26,6 @@ pub struct FleetConfig {
     /// Window, in shard rounds, over which faults count towards the
     /// threshold.
     pub shard_fault_window: u64,
-    /// Base quarantine pause in shard rounds; consecutive trips double
-    /// it (with seeded jitter) until a clean round resets the ladder.
-    pub shard_backoff: u64,
     /// Seed feeding each shard watchdog's backoff jitter.
     pub seed: u64,
     /// How [`FleetPool::run`] distributes shards over cores. Every
@@ -45,7 +42,6 @@ impl Default for FleetConfig {
             checkpoint_every: 8,
             shard_fault_threshold: 16,
             shard_fault_window: 16,
-            shard_backoff: 4,
             seed: 0xf1ee7,
             scheduler: FleetScheduler::Serial,
         }
@@ -165,7 +161,6 @@ impl FleetPool {
             let watchdog = Watchdog::new(
                 config.shard_fault_threshold,
                 config.shard_fault_window,
-                config.shard_backoff,
                 config.seed.wrapping_add(s as u64),
             );
             shards.push(Shard::new(
@@ -470,7 +465,6 @@ mod tests {
                 checkpoint_every: 2,
                 shard_fault_threshold: 8,
                 shard_fault_window: 4,
-                shard_backoff: 4,
                 seed: 11,
                 scheduler: FleetScheduler::Serial,
             },
@@ -507,7 +501,6 @@ mod tests {
                     checkpoint_every: 4,
                     shard_fault_threshold: 4,
                     shard_fault_window: 8,
-                    shard_backoff: 4,
                     seed: 99,
                     scheduler: FleetScheduler::Serial,
                 },
@@ -557,7 +550,6 @@ mod tests {
             checkpoint_every: 4,
             shard_fault_threshold: 3,
             shard_fault_window: 8,
-            shard_backoff: 4,
             seed: 77,
             scheduler,
         }

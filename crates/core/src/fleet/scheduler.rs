@@ -34,24 +34,14 @@ pub enum FleetScheduler {
 }
 
 impl FleetScheduler {
-    /// The scheduler's canonical name: `"serial"` or `"work_stealing"`.
+    /// The scheduler's name in reports and analysis facts: `"serial"`
+    /// or `"work_stealing"`. Configurations do not name a scheduler;
+    /// [`FleetSpec::workers`](crate::assembly::FleetSpec::workers)
+    /// selects it.
     pub fn as_str(&self) -> &'static str {
         match self {
             FleetScheduler::Serial => "serial",
             FleetScheduler::WorkStealing { .. } => "work_stealing",
-        }
-    }
-
-    /// Parses a scheduler name (the inverse of [`FleetScheduler::as_str`],
-    /// with `"work-stealing"` accepted as an alias). `work_stealing`
-    /// starts machine-sized (`workers: 0`); use the struct syntax or
-    /// [`FleetSpec`](crate::assembly::FleetSpec) fields to pick an
-    /// explicit cap.
-    pub fn from_name(name: &str) -> Option<FleetScheduler> {
-        match name {
-            "serial" => Some(FleetScheduler::Serial),
-            "work_stealing" | "work-stealing" => Some(FleetScheduler::WorkStealing { workers: 0 }),
-            _ => None,
         }
     }
 
@@ -94,19 +84,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for sched in [
-            FleetScheduler::Serial,
-            FleetScheduler::WorkStealing { workers: 0 },
-        ] {
-            assert_eq!(FleetScheduler::from_name(sched.as_str()), Some(sched));
+    fn report_names_ignore_the_worker_count() {
+        assert_eq!(FleetScheduler::Serial.as_str(), "serial");
+        for workers in [0, 2, 8] {
+            assert_eq!(
+                FleetScheduler::WorkStealing { workers }.as_str(),
+                "work_stealing"
+            );
         }
-        assert_eq!(
-            FleetScheduler::from_name("work-stealing"),
-            Some(FleetScheduler::WorkStealing { workers: 0 })
-        );
-        assert_eq!(FleetScheduler::from_name("threads"), None);
-        assert_eq!(FleetScheduler::from_name("permuted"), None);
     }
 
     #[test]

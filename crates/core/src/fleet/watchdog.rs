@@ -9,16 +9,18 @@ use std::collections::VecDeque;
 /// its own ladder the same way.
 pub const MAX_SHARD_BACKOFF_LEVEL: u32 = 10;
 
+/// Base quarantine pause in shard rounds; consecutive trips double it.
+pub const SHARD_BACKOFF: u64 = 4;
+
 /// Watches one shard's fault stream and opens a quarantine window when
 /// instance failures cluster: `threshold` faults within the last
-/// `window` shard steps trip the breaker for `base_backoff * 2^level`
+/// `window` shard steps trip the breaker for `SHARD_BACKOFF * 2^level`
 /// steps plus a seeded jitter of up to half that. Each consecutive trip
 /// doubles the pause (capped); a clean round resets the ladder.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     threshold: u32,
     window: u64,
-    base_backoff: u64,
     rng: StdRng,
     level: u32,
     recent: VecDeque<u64>,
@@ -28,7 +30,7 @@ pub struct Watchdog {
 
 impl Watchdog {
     /// Creates a watchdog tripping after `threshold` faults within
-    /// `window` steps, pausing `base_backoff` steps at first.
+    /// `window` steps, pausing [`SHARD_BACKOFF`] steps at first.
     ///
     /// The `seed` is **shard-local** by contract: the pool derives it
     /// as `FleetConfig::seed + shard_id` at construction, each watchdog
@@ -38,11 +40,10 @@ impl Watchdog {
     /// exactly why backoff schedules stay byte-identical when the
     /// work-stealing [`FleetScheduler`](crate::fleet::FleetScheduler)
     /// steps the shards concurrently and in any order.
-    pub fn new(threshold: u32, window: u64, base_backoff: u64, seed: u64) -> Self {
+    pub fn new(threshold: u32, window: u64, seed: u64) -> Self {
         Watchdog {
             threshold: threshold.max(1),
             window: window.max(1),
-            base_backoff: base_backoff.max(1),
             rng: StdRng::seed_from_u64(seed),
             level: 0,
             recent: VecDeque::new(),
@@ -63,9 +64,7 @@ impl Watchdog {
             }
         }
         if self.recent.len() >= self.threshold as usize {
-            let base = self
-                .base_backoff
-                .saturating_mul(1 << self.level.min(MAX_SHARD_BACKOFF_LEVEL));
+            let base = SHARD_BACKOFF.saturating_mul(1 << self.level.min(MAX_SHARD_BACKOFF_LEVEL));
             let jitter = (base as f64 * 0.5 * self.rng.gen::<f64>()) as u64;
             self.until = Some(step + base + jitter);
             self.level = (self.level + 1).min(MAX_SHARD_BACKOFF_LEVEL);
@@ -100,7 +99,7 @@ mod tests {
 
     #[test]
     fn trips_only_when_faults_cluster() {
-        let mut w = Watchdog::new(3, 10, 4, 1);
+        let mut w = Watchdog::new(3, 10, 1);
         assert!(!w.record_fault(0));
         assert!(!w.record_fault(1));
         assert!(w.record_fault(2), "third fault within the window trips");
@@ -115,7 +114,7 @@ mod tests {
 
     #[test]
     fn old_faults_age_out_of_the_window() {
-        let mut w = Watchdog::new(3, 5, 4, 1);
+        let mut w = Watchdog::new(3, 5, 1);
         assert!(!w.record_fault(0));
         assert!(!w.record_fault(1));
         // Step 6: the fault at step 0 (and 1) aged out; no trip.
@@ -126,29 +125,29 @@ mod tests {
 
     #[test]
     fn backoff_doubles_until_clean_round_resets() {
-        let mut w = Watchdog::new(1, 4, 8, 2);
+        let mut w = Watchdog::new(1, 4, 2);
         assert!(w.record_fault(0));
         let first = w.quarantined_until(0).unwrap();
-        assert!((8..=12).contains(&first), "base 8 + jitter, got {first}");
+        assert!((4..=6).contains(&first), "base 4 + jitter, got {first}");
         assert!(w.record_fault(first));
         let second = w.quarantined_until(first).unwrap() - first;
         assert!(
-            (16..=24).contains(&second),
-            "doubled to 16 + jitter, got {second}"
+            (8..=12).contains(&second),
+            "doubled to 8 + jitter, got {second}"
         );
         w.record_clean_round();
         assert!(w.record_fault(100));
         let after_reset = w.quarantined_until(100).unwrap() - 100;
         assert!(
-            (8..=12).contains(&after_reset),
+            (4..=6).contains(&after_reset),
             "ladder reset to base, got {after_reset}"
         );
     }
 
     #[test]
     fn seeded_watchdogs_replay_identically() {
-        let mut a = Watchdog::new(1, 4, 8, 7);
-        let mut b = Watchdog::new(1, 4, 8, 7);
+        let mut a = Watchdog::new(1, 4, 7);
+        let mut b = Watchdog::new(1, 4, 7);
         for step in [0u64, 20, 50, 90] {
             a.record_fault(step);
             b.record_fault(step);

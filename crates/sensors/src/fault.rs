@@ -7,20 +7,12 @@
 //! node, it perturbs the host's output stream with a seeded RNG so that
 //! every run of an experiment sees the identical fault schedule.
 //!
-//! Four fault classes are supported, each with an independent rate:
+//! Two fault classes are supported, each with an independent rate:
 //!
 //! * **errors** — the item is replaced by a `ComponentFailure`, which the
 //!   engine routes through the host node's fault policy,
 //! * **panics** — the feature panics; under supervision the engine
-//!   contains the unwind and treats it as a fault,
-//! * **stalls** — the item is silently swallowed ([`FeatureAction::Drop`]),
-//!   modelling a sensor that stops reporting,
-//! * **garbage** — the payload is replaced with a junk value while the
-//!   kind and timestamp survive, modelling corrupt readings,
-//! * **stuck** — the item is replaced by the last value the injector
-//!   emitted, stale timestamp included, modelling a frozen sensor that
-//!   keeps reporting its final reading (silent while nothing has been
-//!   emitted yet).
+//!   contains the unwind and treats it as a fault.
 //!
 //! Rates are cumulative slices of a single uniform roll per item, so the
 //! draw sequence (and therefore the schedule) is independent of which
@@ -43,12 +35,6 @@ pub struct FaultCounts {
     pub errors: u64,
     /// Panics raised.
     pub panics: u64,
-    /// Items silently swallowed.
-    pub stalls: u64,
-    /// Items with their payload corrupted.
-    pub garbage: u64,
-    /// Items replaced by the last emitted value (frozen sensor).
-    pub stuck: u64,
     /// Items passed through untouched.
     pub passed: u64,
 }
@@ -56,7 +42,7 @@ pub struct FaultCounts {
 impl FaultCounts {
     /// Total faults injected (everything except `passed`).
     pub fn injected(&self) -> u64 {
-        self.errors + self.panics + self.stalls + self.garbage + self.stuck
+        self.errors + self.panics
     }
 }
 
@@ -68,7 +54,7 @@ impl FaultCounts {
 ///
 /// let injector = FaultInjector::with_seed(7)
 ///     .with_error_rate(0.10)
-///     .with_garbage_rate(0.05);
+///     .with_panic_rate(0.05);
 /// let handle = injector.handle();
 /// // ... attach to a source, run the scenario ...
 /// assert_eq!(handle.counts().injected(), 0);
@@ -77,14 +63,8 @@ impl FaultCounts {
 pub struct FaultInjector {
     rng: Arc<Mutex<StdRng>>,
     counts: Arc<Mutex<FaultCounts>>,
-    /// The most recent item the injector let through (possibly
-    /// corrupted), repeated verbatim by the stuck mode.
-    last: Arc<Mutex<Option<DataItem>>>,
     error_rate: f64,
     panic_rate: f64,
-    stall_rate: f64,
-    garbage_rate: f64,
-    stuck_rate: f64,
 }
 
 impl FaultInjector {
@@ -101,12 +81,8 @@ impl FaultInjector {
         FaultInjector {
             rng: Arc::new(Mutex::new(StdRng::seed_from_u64(seed))),
             counts: Arc::new(Mutex::new(FaultCounts::default())),
-            last: Arc::new(Mutex::new(None)),
             error_rate: 0.0,
             panic_rate: 0.0,
-            stall_rate: 0.0,
-            garbage_rate: 0.0,
-            stuck_rate: 0.0,
         }
     }
 
@@ -119,27 +95,6 @@ impl FaultInjector {
     /// Fraction of items on which the feature panics.
     pub fn with_panic_rate(mut self, rate: f64) -> Self {
         self.panic_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Fraction of items silently swallowed.
-    pub fn with_stall_rate(mut self, rate: f64) -> Self {
-        self.stall_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Fraction of items whose payload is replaced with junk.
-    pub fn with_garbage_rate(mut self, rate: f64) -> Self {
-        self.garbage_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Fraction of items replaced by the last emitted value — a frozen
-    /// sensor repeating its final reading, stale timestamp and all.
-    /// While nothing has been emitted yet the frozen sensor is silent
-    /// (the item is dropped); either way the event counts as `stuck`.
-    pub fn with_stuck_rate(mut self, rate: f64) -> Self {
-        self.stuck_rate = rate.clamp(0.0, 1.0);
         self
     }
 
@@ -169,49 +124,24 @@ impl ComponentFeature for FaultInjector {
 
     fn on_produce(
         &mut self,
-        mut item: DataItem,
+        item: DataItem,
         _host: &mut FeatureHost<'_>,
     ) -> Result<FeatureAction, CoreError> {
         // One roll per item; the rates carve up [0, 1) in a fixed order
         // so enabling a class never shifts the others' schedule.
         let roll: f64 = self.rng.lock().gen();
-        let mut edge = self.panic_rate;
-        if roll < edge {
+        if roll < self.panic_rate {
             self.counts.lock().panics += 1;
             panic!("injected panic ({})", Self::NAME);
         }
-        edge += self.error_rate;
-        if roll < edge {
+        if roll < self.panic_rate + self.error_rate {
             self.counts.lock().errors += 1;
             return Err(CoreError::ComponentFailure {
                 component: Self::NAME.into(),
                 reason: "injected fault".into(),
             });
         }
-        edge += self.stall_rate;
-        if roll < edge {
-            self.counts.lock().stalls += 1;
-            return Ok(FeatureAction::Drop);
-        }
-        edge += self.garbage_rate;
-        if roll < edge {
-            self.counts.lock().garbage += 1;
-            item.payload = Value::from("\u{fffd}garbage").into();
-            *self.last.lock() = Some(item.clone());
-            return Ok(FeatureAction::Continue(item));
-        }
-        edge += self.stuck_rate;
-        if roll < edge {
-            self.counts.lock().stuck += 1;
-            // Frozen sensor: repeat the previous reading verbatim
-            // (stale timestamp included); silent before the first one.
-            return match self.last.lock().clone() {
-                Some(prev) => Ok(FeatureAction::Continue(prev)),
-                None => Ok(FeatureAction::Drop),
-            };
-        }
         self.counts.lock().passed += 1;
-        *self.last.lock() = Some(item.clone());
         Ok(FeatureAction::Continue(item))
     }
 
@@ -248,23 +178,12 @@ impl ComponentFeature for FaultInjector {
         map.insert(
             "counts".to_string(),
             Value::List(
-                [c.errors, c.panics, c.stalls, c.garbage, c.stuck, c.passed]
+                [c.errors, c.panics, c.passed]
                     .iter()
                     .map(|n| Value::Int(*n as i64))
                     .collect(),
             ),
         );
-        if let Some(last) = self.last.lock().as_ref() {
-            let mut lm = std::collections::BTreeMap::new();
-            lm.insert("kind".to_string(), Value::from(last.kind.as_str()));
-            lm.insert(
-                "ts_us".to_string(),
-                Value::Int(last.timestamp.since(SimTime::ZERO).as_micros() as i64),
-            );
-            lm.insert("payload".to_string(), (*last.payload).clone());
-            lm.insert("attrs".to_string(), Value::Map(last.attrs.to_map()));
-            map.insert("last".to_string(), Value::Map(lm));
-        }
         Some(Value::Map(map))
     }
 
@@ -284,35 +203,9 @@ impl ComponentFeature for FaultInjector {
             *self.counts.lock() = FaultCounts {
                 errors: n(0),
                 panics: n(1),
-                stalls: n(2),
-                garbage: n(3),
-                stuck: n(4),
-                passed: n(5),
+                passed: n(2),
             };
         }
-        *self.last.lock() = match map.get("last") {
-            Some(Value::Map(lm)) => {
-                let kind = lm
-                    .get("kind")
-                    .and_then(|v| v.as_text())
-                    .map(DataKind::new)
-                    .unwrap_or(kinds::RAW_STRING);
-                let ts = lm.get("ts_us").and_then(|v| v.as_i64()).unwrap_or(0);
-                let payload = lm.get("payload").cloned().unwrap_or(Value::Null);
-                let mut item = DataItem::new(
-                    kind,
-                    SimTime::ZERO + SimDuration::from_micros(ts as u64),
-                    payload,
-                );
-                if let Some(Value::Map(am)) = lm.get("attrs") {
-                    for (k, v) in am {
-                        item.attrs.insert(k.clone(), v.clone());
-                    }
-                }
-                Some(item)
-            }
-            _ => None,
-        };
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -382,25 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_and_garbage_shape_the_stream() {
-        let injector = FaultInjector::with_seed(3)
-            .with_stall_rate(0.25)
-            .with_garbage_rate(0.25);
-        let handle = injector.handle();
-        let (_mw, _src, p) = run(injector, 100);
-        let c = handle.counts();
-        assert!(c.stalls > 5 && c.garbage > 5);
-        // Stalled items vanish; garbage ones arrive with a junk payload.
-        assert_eq!(p.delivered_count(), c.passed + c.garbage);
-        let junk = p
-            .history()
-            .iter()
-            .filter(|i| matches!(&*i.payload, Value::Text(t) if t.contains("garbage")))
-            .count() as u64;
-        assert_eq!(junk, c.garbage);
-    }
-
-    #[test]
     fn panic_rate_is_contained_by_supervision() {
         let injector = FaultInjector::with_seed(11).with_panic_rate(0.2);
         let handle = injector.handle();
@@ -410,27 +284,6 @@ mod tests {
         let h = mw.node_health(src);
         assert_eq!(h.faults, c.panics);
         assert!(h.last_error.as_deref().unwrap_or("").contains("panic"));
-    }
-
-    #[test]
-    fn stuck_mode_repeats_the_last_reading() {
-        let injector = FaultInjector::with_seed(13).with_stuck_rate(0.3);
-        let handle = injector.handle();
-        let (_mw, _src, p) = run(injector, 100);
-        let c = handle.counts();
-        assert!(c.stuck > 10, "stuck = {}", c.stuck);
-        assert_eq!(c.injected(), c.stuck, "only the stuck mode is enabled");
-        let history = p.history();
-        // Every stuck event after the first emission repeats the
-        // previous delivery verbatim — same payload AND timestamp.
-        let repeats = history
-            .windows(2)
-            .filter(|w| w[0].payload == w[1].payload && w[0].timestamp == w[1].timestamp)
-            .count() as u64;
-        assert!(repeats > 0, "frozen repeats visible in the stream");
-        // Nothing is lost outright once a reading exists: deliveries =
-        // passes + repeats (stuck before the first pass stays silent).
-        assert_eq!(p.delivered_count(), c.passed + repeats);
     }
 
     /// A counting source whose counter participates in checkpoints —
@@ -474,7 +327,7 @@ mod tests {
         let build = || {
             let injector = FaultInjector::with_seed(29)
                 .with_error_rate(0.2)
-                .with_stuck_rate(0.2);
+                .with_panic_rate(0.2);
             let handle = injector.handle();
             let mut mw = Middleware::new();
             let src = mw.add_boxed_component(Box::new(CountingSource(0)));

@@ -44,7 +44,6 @@ fn cross_host_edges_travel_the_link() {
             .default_link(LinkModel {
                 latency: SimDuration::from_millis(500),
                 loss_prob: 0.0,
-                max_retries: 0,
             }),
     );
     let provider = mw
@@ -104,7 +103,6 @@ fn lossy_link_degrades_but_does_not_stop_delivery() {
             .default_link(LinkModel {
                 latency: SimDuration::from_millis(10),
                 loss_prob: 0.5,
-                max_retries: 0,
             })
             .with_seed(7),
     );
@@ -113,11 +111,18 @@ fn lossy_link_degrades_but_does_not_stop_delivery() {
         .unwrap();
     mw.run_for(SimDuration::from_secs(60), SimDuration::from_secs(1))
         .unwrap();
-    let stats: Vec<_> = mw.deployment().unwrap().stats().values().copied().collect();
+    let deployment = mw.deployment().unwrap();
+    let stats: Vec<_> = deployment.stats().values().copied().collect();
     let sent: u64 = stats.iter().map(|s| s.sent).sum();
+    let delivered: u64 = stats.iter().map(|s| s.delivered).sum();
     let lost: u64 = stats.iter().map(|s| s.lost).sum();
     assert!(lost > 0, "a 50% link must lose messages");
     assert!(lost < sent, "and deliver some");
+    assert_eq!(
+        sent,
+        delivered + lost + deployment.in_flight() as u64,
+        "every message is delivered, lost once, or still in flight"
+    );
     assert!(provider.delivered_count() > 0);
 }
 
@@ -149,7 +154,6 @@ fn data_trees_stay_correct_across_hosts() {
             .default_link(LinkModel {
                 latency: SimDuration::from_millis(250),
                 loss_prob: 0.0,
-                max_retries: 0,
             }),
     );
     let app = mw.application_sink();
@@ -181,7 +185,6 @@ fn clearing_deployment_restores_synchrony() {
             .default_link(LinkModel {
                 latency: SimDuration::from_secs(3600),
                 loss_prob: 0.0,
-                max_retries: 0,
             }),
     );
     let provider = mw.location_provider(Criteria::new()).unwrap();

@@ -129,7 +129,6 @@ fn config(scheduler: FleetScheduler) -> FleetConfig {
         checkpoint_every: 4,
         shard_fault_threshold: 4,
         shard_fault_window: 8,
-        shard_backoff: 4,
         seed: 0xf1ee7,
         scheduler,
     }
@@ -248,7 +247,6 @@ fn bare_shards(demanded: bool) -> (InstanceFactory, Vec<Shard>) {
             let watchdog = Watchdog::new(
                 cfg.shard_fault_threshold,
                 cfg.shard_fault_window,
-                cfg.shard_backoff,
                 cfg.seed.wrapping_add(s as u64),
             );
             Shard::new(
