@@ -17,7 +17,7 @@
 //! values, Fig. 5) through reflective methods or typed handles.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -421,9 +421,9 @@ pub(crate) struct ChannelLayerSnapshot {
 pub(crate) struct ChannelLayer {
     /// Channel runtimes, ascending by id.
     runtimes: Vec<ChannelRuntime>,
-    /// id -> index into `runtimes`, for the by-id management surface.
-    by_id: BTreeMap<ChannelId, usize>,
     /// [`NodeId::index`] -> (runtime index, level) for channel members.
+    /// A channel's head is its level-0 member, so the head's entry also
+    /// resolves the channel's id.
     node_index: Vec<Option<(u32, u32)>>,
 }
 
@@ -440,9 +440,8 @@ impl ChannelLayer {
     /// observers, counters and buffers of channels whose head survived.
     pub(crate) fn recompute(&mut self, graph: &ProcessingGraph) {
         let old = std::mem::take(&mut self.runtimes);
-        let mut old_by_id = std::mem::take(&mut self.by_id);
+        let old_index = std::mem::take(&mut self.node_index);
         let mut old: Vec<Option<ChannelRuntime>> = old.into_iter().map(Some).collect();
-        self.node_index.clear();
         // `channel_heads` follows graph id order, so runtimes stay
         // ascending by id without sorting.
         for head in channel_heads(graph) {
@@ -472,7 +471,7 @@ impl ChannelLayer {
                 materialized: 0,
                 skipped: 0,
             };
-            if let Some(mut prior) = old_by_id.remove(&id).and_then(|i| old[i].take()) {
+            if let Some(mut prior) = head_slot(&old_index, id).and_then(|i| old[i].take()) {
                 runtime.features = std::mem::take(&mut prior.features);
                 runtime.history = prior.history.take();
                 runtime.outputs = prior.outputs;
@@ -491,20 +490,19 @@ impl ChannelLayer {
                 }
                 self.node_index[i] = Some((slot as u32, level as u32));
             }
-            self.by_id.insert(id, slot);
             self.runtimes.push(runtime);
         }
     }
 
     /// The runtime behind `id`, or [`CoreError::UnknownChannel`].
     fn runtime(&self, id: ChannelId) -> Result<&ChannelRuntime, CoreError> {
-        let idx = *self.by_id.get(&id).ok_or(CoreError::UnknownChannel(id))?;
+        let idx = head_slot(&self.node_index, id).ok_or(CoreError::UnknownChannel(id))?;
         Ok(&self.runtimes[idx])
     }
 
     /// Mutable access to the runtime behind `id`.
     fn runtime_mut(&mut self, id: ChannelId) -> Result<&mut ChannelRuntime, CoreError> {
-        let idx = *self.by_id.get(&id).ok_or(CoreError::UnknownChannel(id))?;
+        let idx = head_slot(&self.node_index, id).ok_or(CoreError::UnknownChannel(id))?;
         Ok(&mut self.runtimes[idx])
     }
 
@@ -697,8 +695,7 @@ impl ChannelLayer {
         id: ChannelId,
         feature: Box<dyn ChannelFeature>,
     ) -> Result<(), CoreError> {
-        let idx = *self.by_id.get(&id).ok_or(CoreError::UnknownChannel(id))?;
-        let rt = &mut self.runtimes[idx];
+        let rt = self.runtime_mut(id)?;
         let descriptor = feature.descriptor();
         for dep in &descriptor.requires {
             let mut found = rt.member_names.iter().any(|n| n.as_ref() == dep.as_str())
@@ -909,6 +906,15 @@ fn channel_heads(graph: &ProcessingGraph) -> Vec<NodeId> {
                 .unwrap_or(false)
         })
         .collect()
+}
+
+/// The runtime slot of the channel `id` in a layer's node index: the
+/// slot its head node holds at level 0. Any other node heads no channel.
+fn head_slot(node_index: &[Option<(u32, u32)>], id: ChannelId) -> Option<usize> {
+    match node_index.get(id.0.index()) {
+        Some(&Some((slot, 0))) => Some(slot as usize),
+        _ => None,
+    }
 }
 
 /// Walks the linear run from `head` to the next merge, sink or fan-out.

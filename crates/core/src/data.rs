@@ -30,9 +30,9 @@
 //!   `Arc` everywhere else — across distribution links, in snapshots and
 //!   in history — and needs no conversion at any seam.
 //! * [`Attrs`] — flattened from a string-keyed B-tree into a small sorted
-//!   vec of ([`InternedKey`], [`Value`]) pairs behind one optional `Arc`.
-//!   Attribute names are a tiny closed set at runtime (feature names), so
-//!   a process-wide key interner turns every key into a copyable token;
+//!   vec of (name, [`Value`]) pairs behind one optional `Arc`. A name is a
+//!   `Cow<'static, str>`, as a [`DataKind`] is, so the literal names
+//!   features use (`"hdop"`, `"satellites"`) are stored without a copy;
 //!   the empty map — the common case on the hot path — allocates nothing.
 
 use perpos_geo::Wgs84;
@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::{CoreError, SimTime};
 
@@ -48,10 +48,10 @@ use crate::{CoreError, SimTime};
 ///
 /// Kinds are cheap to clone and compare. By convention they are
 /// dot-namespaced lowercase, e.g. `"position.wgs84"`. The well-known kinds
-/// used across the PerPos crates live in [`kinds`]. Edge routing does not
-/// compare kind strings on the hot path: the graph interns every kind that
-/// can appear on an edge into a dense `u16` id table at build time (see
-/// `ProcessingGraph`), and `as_str()` stays for diagnostics.
+/// used across the PerPos crates live in [`kinds`]. Edge routing compares
+/// an item's kind with the kinds each input port declares, as strings
+/// (see `InputSpec::accepts_kind`); a static kind and one built at runtime
+/// from the same name are equal.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct DataKind(Cow<'static, str>);
 
@@ -69,17 +69,6 @@ impl DataKind {
     /// The kind name.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// The kind name when it is a static borrow (the `kinds::*`
-    /// constants and `from_static` kinds). Statics are never freed, so
-    /// callers may use the returned reference's address as an identity
-    /// key — equal address and length imply equal strings forever.
-    pub fn as_static(&self) -> Option<&'static str> {
-        match self.0 {
-            Cow::Borrowed(s) => Some(s),
-            Cow::Owned(_) => None,
-        }
     }
 }
 
@@ -556,92 +545,12 @@ impl Deserialize for Payload {
 }
 
 // ---------------------------------------------------------------------
-// Interned attribute keys and flattened attrs
+// Flattened attrs
 // ---------------------------------------------------------------------
 
-/// A process-wide interned attribute key: a copyable token holding a
-/// `&'static str`. Attribute names form a tiny closed set at runtime
-/// (feature names like `"hdop"`, `"satellites"`, `"source"`), so the
-/// interner leaks each distinct name once and every later use is a
-/// pointer copy. Ordering and display follow the name string, so
-/// iteration order over [`Attrs`] is identical to the old
-/// `BTreeMap<String, _>` representation.
-#[derive(Debug, Clone, Copy, Eq)]
-pub struct InternedKey {
-    id: u32,
-    name: &'static str,
-}
-
-fn key_interner() -> &'static Mutex<BTreeMap<&'static str, InternedKey>> {
-    static KEYS: OnceLock<Mutex<BTreeMap<&'static str, InternedKey>>> = OnceLock::new();
-    KEYS.get_or_init(Mutex::default)
-}
-
-impl InternedKey {
-    /// Interns `name`, returning the process-wide token for it. The
-    /// first intern of a distinct name allocates (and intentionally
-    /// leaks) one copy; every subsequent intern is a lookup.
-    pub fn intern(name: &str) -> Self {
-        let mut keys = key_interner().lock().expect("key interner poisoned");
-        if let Some(k) = keys.get(name) {
-            return *k;
-        }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let key = InternedKey {
-            id: keys.len() as u32,
-            name: leaked,
-        };
-        keys.insert(leaked, key);
-        key
-    }
-
-    /// The key name.
-    pub fn as_str(self) -> &'static str {
-        self.name
-    }
-
-    /// The dense process-wide id (assigned in first-intern order).
-    pub fn id(self) -> u32 {
-        self.id
-    }
-}
-
-impl PartialEq for InternedKey {
-    fn eq(&self, other: &Self) -> bool {
-        // Ids are unique per name within the process-wide interner.
-        self.id == other.id
-    }
-}
-
-impl PartialOrd for InternedKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for InternedKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Order by name, not id, so Attrs iterate in the same order the
-        // BTreeMap representation did.
-        self.name.cmp(other.name)
-    }
-}
-
-impl std::hash::Hash for InternedKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
-    }
-}
-
-impl fmt::Display for InternedKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name)
-    }
-}
-
 /// Feature-attached attributes of a [`DataItem`]: a flat vec of
-/// ([`InternedKey`], [`Value`]) pairs sorted by key name, behind one
-/// optional shared `Arc`.
+/// (name, [`Value`]) pairs sorted by name, behind one optional shared
+/// `Arc`. A name given as a `&'static str` is stored without a copy.
 ///
 /// The representation is tuned for the two real access patterns: the
 /// empty map (every freshly produced item — `None`, zero allocation,
@@ -651,7 +560,10 @@ impl fmt::Display for InternedKey {
 /// previous `Arc<BTreeMap<String, Value>>` representation are preserved;
 /// serialization still renders a string-keyed map.
 #[derive(Debug, Clone, Default)]
-pub struct Attrs(Option<Arc<Vec<(InternedKey, Value)>>>);
+pub struct Attrs(Option<Arc<Vec<AttrEntry>>>);
+
+/// One attribute: its name and value.
+type AttrEntry = (Cow<'static, str>, Value);
 
 impl Attrs {
     /// An empty attribute map (no allocation).
@@ -661,8 +573,8 @@ impl Attrs {
 
     /// Sets an attribute (copy-on-write when shared). Returns the
     /// previous value, if any.
-    pub fn insert(&mut self, key: impl AsRef<str>, value: Value) -> Option<Value> {
-        let key = InternedKey::intern(key.as_ref());
+    pub fn insert(&mut self, key: impl Into<Cow<'static, str>>, value: Value) -> Option<Value> {
+        let key = key.into();
         match &mut self.0 {
             None => {
                 self.0 = Some(Arc::new(vec![(key, value)]));
@@ -670,7 +582,7 @@ impl Attrs {
             }
             Some(entries) => {
                 let entries = Arc::make_mut(entries);
-                match entries.binary_search_by(|(k, _)| k.as_str().cmp(key.as_str())) {
+                match entries.binary_search_by(|(k, _)| k.as_ref().cmp(key.as_ref())) {
                     Ok(i) => Some(std::mem::replace(&mut entries[i].1, value)),
                     Err(i) => {
                         entries.insert(i, (key, value));
@@ -685,7 +597,7 @@ impl Attrs {
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         let entries = self.0.as_mut()?;
         let i = entries
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
             .ok()?;
         let entries = Arc::make_mut(entries);
         let (_, v) = entries.remove(i);
@@ -699,7 +611,7 @@ impl Attrs {
     pub fn get(&self, key: &str) -> Option<&Value> {
         let entries = self.0.as_ref()?;
         let i = entries
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
             .ok()?;
         Some(&entries[i].1)
     }
@@ -754,7 +666,7 @@ impl Attrs {
 /// Iterator over [`Attrs`] entries in sorted name order.
 #[derive(Debug, Clone)]
 pub struct AttrsIter<'a> {
-    entries: &'a [(InternedKey, Value)],
+    entries: &'a [AttrEntry],
     next: usize,
 }
 
@@ -763,7 +675,7 @@ impl<'a> Iterator for AttrsIter<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         let (k, v) = self.entries.get(self.next)?;
         self.next += 1;
-        Some((k.as_str(), v))
+        Some((k.as_ref(), v))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -779,9 +691,7 @@ impl From<BTreeMap<String, Value>> for Attrs {
         }
         // BTreeMap iterates sorted by name, matching the vec invariant.
         Attrs(Some(Arc::new(
-            m.into_iter()
-                .map(|(k, v)| (InternedKey::intern(&k), v))
-                .collect(),
+            m.into_iter().map(|(k, v)| (Cow::Owned(k), v)).collect(),
         )))
     }
 }
@@ -851,7 +761,7 @@ impl DataItem {
     }
 
     /// Builder-style attribute attachment.
-    pub fn with_attr(mut self, key: impl AsRef<str>, value: Value) -> Self {
+    pub fn with_attr(mut self, key: impl Into<Cow<'static, str>>, value: Value) -> Self {
         self.attrs.insert(key, value);
         self
     }
@@ -930,13 +840,26 @@ mod tests {
     }
 
     #[test]
-    fn interned_keys_dedupe_and_order_by_name() {
-        let a = InternedKey::intern("zeta");
-        let b = InternedKey::intern("alpha");
-        let a2 = InternedKey::intern("zeta");
-        assert_eq!(a, a2);
-        assert_eq!(a.as_str(), "zeta");
-        assert!(b < a, "keys order by name, not intern order");
+    fn attr_names_compare_as_strings_however_given() {
+        let mut from_static = Attrs::new();
+        from_static.insert("zeta", Value::Int(1));
+        from_static.insert("alpha", Value::Int(2));
+        let mut from_owned = Attrs::new();
+        from_owned.insert(String::from("alpha"), Value::Int(2));
+        from_owned.insert(String::from("zeta"), Value::Int(1));
+        let from_map = Attrs::from(BTreeMap::from([
+            ("zeta".to_string(), Value::Int(1)),
+            ("alpha".to_string(), Value::Int(2)),
+        ]));
+        for attrs in [&from_owned, &from_map] {
+            assert_eq!(attrs, &from_static);
+            assert_eq!(attrs.keys().collect::<Vec<_>>(), ["alpha", "zeta"]);
+            assert_eq!(
+                serde_json::to_string(attrs).unwrap(),
+                serde_json::to_string(&from_static).unwrap()
+            );
+        }
+        assert_eq!(from_map.get("zeta"), Some(&Value::Int(1)));
     }
 
     #[test]

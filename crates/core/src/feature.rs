@@ -18,6 +18,7 @@
 //!    its host component through [`FeatureHost::invoke_component`].
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::component::{Component, MethodSpec};
@@ -248,14 +249,14 @@ pub trait ComponentFeature: Send {
 #[derive(Debug, Clone)]
 pub struct TagFeature {
     name: String,
-    key: String,
+    key: Cow<'static, str>,
     value: Value,
 }
 
 impl TagFeature {
     /// Creates a tagging feature named `name` that sets `key` to `value`
     /// on every produced item.
-    pub fn new(name: impl Into<String>, key: impl Into<String>, value: Value) -> Self {
+    pub fn new(name: impl Into<String>, key: impl Into<Cow<'static, str>>, value: Value) -> Self {
         TagFeature {
             name: name.into(),
             key: key.into(),

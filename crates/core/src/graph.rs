@@ -48,45 +48,26 @@ pub(crate) struct Node {
     pub inputs: Vec<Option<NodeId>>,
     /// Consumers of the output port as `(node, port)`.
     pub outputs: Vec<(NodeId, usize)>,
-    /// Cached effective output kinds (declared plus feature-added);
-    /// recomputed only when a feature is attached or detached, so the
-    /// per-item connect/accepts checks on the hot path stay
-    /// allocation-free.
-    provides: Vec<DataKind>,
-    /// Per input port, the accepted kinds as dense ids into the graph's
-    /// kind table (`None` = the port accepts any kind). Rebuilt by
-    /// [`ProcessingGraph::refresh_kind_table`] on every structural
-    /// mutation, so edge routing compares `u16`s instead of strings.
-    pub(crate) accept_ids: Vec<Option<Box<[u16]>>>,
 }
 
 impl Node {
     fn new(component: Box<dyn Component>) -> Self {
         let descriptor = component.descriptor();
         let inputs = vec![None; descriptor.inputs.len()];
-        let mut node = Node {
+        Node {
             component,
             descriptor,
             features: Vec::new(),
             inputs,
             outputs: Vec::new(),
-            provides: Vec::new(),
-            accept_ids: Vec::new(),
-        };
-        node.refresh_provides();
-        node
+        }
     }
 
     /// The kinds this node can produce: declared output capabilities plus
     /// everything its attached features may add (paper §2.1: "When adding
-    /// data the capabilities of the output port is changed").
-    pub(crate) fn effective_provides(&self) -> &[DataKind] {
-        &self.provides
-    }
-
-    /// Rebuilds the cached `provides` set; called whenever the feature
-    /// set changes.
-    fn refresh_provides(&mut self) {
+    /// data the capabilities of the output port is changed"), without
+    /// duplicates, declared kinds first.
+    fn effective_provides(&self) -> Vec<DataKind> {
         let mut kinds: Vec<DataKind> = self
             .descriptor
             .output
@@ -100,7 +81,7 @@ impl Node {
                 }
             }
         }
-        self.provides = kinds;
+        kinds
     }
 
     fn feature_names(&self) -> Vec<String> {
@@ -260,11 +241,6 @@ impl<'a> IntoIterator for &'a NodeStore {
 pub struct ProcessingGraph {
     nodes: NodeStore,
     next_id: u64,
-    /// The interned kind namespace: every kind string any input port
-    /// accepts, sorted, so `id = sorted index`. Rebuilt eagerly with
-    /// each structural mutation; per-item routing then resolves an
-    /// item's kind to an id once and compares `u16`s per edge.
-    kind_names: Vec<Box<str>>,
 }
 
 impl fmt::Debug for ProcessingGraph {
@@ -304,11 +280,9 @@ impl ProcessingGraph {
                     feature: Box::new(StandInFeature(d.clone())),
                 })
                 .collect();
-            node.refresh_provides();
             graph.nodes.insert(info.id, node);
             graph.next_id = graph.next_id.max(info.id.0);
         }
-        graph.refresh_kind_table();
         graph
     }
 
@@ -317,7 +291,6 @@ impl ProcessingGraph {
         self.next_id += 1;
         let id = NodeId(self.next_id);
         self.nodes.insert(id, Node::new(component));
-        self.refresh_kind_table();
         id
     }
 
@@ -337,7 +310,6 @@ impl ProcessingGraph {
                 }
             }
         }
-        self.refresh_kind_table();
         Ok(node.component)
     }
 
@@ -372,12 +344,14 @@ impl ProcessingGraph {
             return Err(CoreError::NoOutput(from));
         }
         let provides = from_node.effective_provides();
-        if !spec.accepts.is_empty() && !provides.iter().any(|k| spec.accepts.contains(k)) {
+        // An accepts-any port takes any producer, even one that declares
+        // no kinds; otherwise one provided kind must be accepted.
+        if !spec.accepts.is_empty() && !provides.iter().any(|k| spec.accepts_kind(k)) {
             return Err(CoreError::IncompatibleConnection {
                 from,
                 to,
                 accepts: spec.accepts.clone(),
-                provides: provides.to_vec(),
+                provides,
             });
         }
         let feature_names = from_node.feature_names();
@@ -401,7 +375,6 @@ impl ProcessingGraph {
             .get_mut(&to)
             .ok_or(CoreError::UnknownNode(to))?
             .inputs[port] = Some(from);
-        self.refresh_kind_table();
         Ok(())
     }
 
@@ -424,7 +397,6 @@ impl ProcessingGraph {
                 pn.outputs.retain(|(t, pt)| !(*t == to && *pt == port));
             }
         }
-        self.refresh_kind_table();
         Ok(producer)
     }
 
@@ -507,7 +479,6 @@ impl ProcessingGraph {
             descriptor,
             feature,
         });
-        node.refresh_provides();
         Ok(())
     }
 
@@ -532,86 +503,17 @@ impl ProcessingGraph {
                 feature: name.to_string(),
             })?;
         let feature = node.features.remove(idx).feature;
-        node.refresh_provides();
         Ok(feature)
     }
 
-    /// Rebuilds the dense kind-id table: collects every kind string any
-    /// input port accepts, sorts it, and stores each port's accepted set
-    /// as ids into that table. Runs on structural mutation (the kind
-    /// namespace is closed between mutations), so per-item routing pays
-    /// one id resolution per item and a `u16` comparison per edge.
-    fn refresh_kind_table(&mut self) {
-        let mut names: Vec<Box<str>> = Vec::new();
-        for (_, node) in self.nodes.iter() {
-            for spec in &node.descriptor.inputs {
-                for kind in &spec.accepts {
-                    if !names.iter().any(|n| n.as_ref() == kind.as_str()) {
-                        names.push(kind.as_str().into());
-                    }
-                }
-            }
-        }
-        names.sort_unstable();
-        debug_assert!(
-            names.len() <= u16::MAX as usize,
-            "kind namespace exceeds the dense u16 id space"
-        );
-        for node in self.nodes.values_mut() {
-            node.accept_ids = node
-                .descriptor
-                .inputs
-                .iter()
-                .map(|spec| {
-                    if spec.accepts.is_empty() {
-                        None // accepts any kind
-                    } else {
-                        Some(
-                            spec.accepts
-                                .iter()
-                                .filter_map(|k| {
-                                    names
-                                        .binary_search_by(|n| n.as_ref().cmp(k.as_str()))
-                                        .ok()
-                                        .map(|i| i as u16)
-                                })
-                                .collect(),
-                        )
-                    }
-                })
-                .collect();
-        }
-        self.kind_names = names;
-    }
-
-    /// Resolves a kind to its dense id, if any input port in the graph
-    /// accepts it by name. Kinds outside the table can only be consumed
-    /// by accepts-any ports.
-    pub fn kind_id(&self, kind: &DataKind) -> Option<u16> {
-        self.kind_names
-            .binary_search_by(|n| n.as_ref().cmp(kind.as_str()))
-            .ok()
-            .map(|i| i as u16)
-    }
-
-    /// The interned kind namespace as `(name, id)` pairs, for
-    /// diagnostics.
-    pub fn kind_table(&self) -> impl Iterator<Item = (&str, u16)> {
-        self.kind_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_ref(), i as u16))
-    }
-
-    /// Whether `target` declares an input at `port` accepting the kind
-    /// with dense id `kind_id` — the routing-hot-path equivalent of the
-    /// string-comparing `InputSpec::accepts_kind`.
-    pub(crate) fn accepts_by_id(&self, target: NodeId, port: usize, kind_id: Option<u16>) -> bool {
-        match self.nodes.get(&target).and_then(|n| n.accept_ids.get(port)) {
-            Some(None) => true,
-            Some(Some(ids)) => kind_id.is_some_and(|k| ids.contains(&k)),
-            None => false,
-        }
+    /// Whether `target` declares an input at `port` that accepts
+    /// `kind` ([`crate::component::InputSpec::accepts_kind`]) — the
+    /// routing rule the engine applies per edge.
+    pub(crate) fn accepts(&self, target: NodeId, port: usize, kind: &DataKind) -> bool {
+        self.nodes
+            .get(&target)
+            .and_then(|n| n.descriptor.inputs.get(port))
+            .is_some_and(|spec| spec.accepts_kind(kind))
     }
 
     /// All node ids in insertion order, without allocating.
@@ -810,13 +712,13 @@ impl ProcessingGraph {
     }
 
     /// The kinds a node can currently provide (declared plus
-    /// feature-added). Borrowed from the node's cache; an unknown node
-    /// yields the empty slice.
-    pub fn effective_provides(&self, id: NodeId) -> &[DataKind] {
+    /// feature-added), computed on each call; an unknown node yields
+    /// none.
+    pub fn effective_provides(&self, id: NodeId) -> Vec<DataKind> {
         self.nodes
             .get(&id)
-            .map(|n| n.effective_provides())
-            .unwrap_or(&[])
+            .map(Node::effective_provides)
+            .unwrap_or_default()
     }
 
     /// Whether `to` is reachable from `from` following output edges.

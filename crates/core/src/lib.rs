@@ -84,8 +84,7 @@ pub mod prelude {
         FnProcessor, FnRelay, FnSource, InputSpec, MethodSpec, OutputSpec, TransferSpec,
     };
     pub use crate::data::{
-        kinds, ArenaStats, Attrs, DataItem, DataKind, InternedKey, Payload, PayloadArena, Position,
-        Value,
+        kinds, ArenaStats, Attrs, DataItem, DataKind, Payload, PayloadArena, Position, Value,
     };
     pub use crate::feature::{ComponentFeature, FeatureAction, FeatureDescriptor, FeatureHost};
     pub use crate::fleet::{

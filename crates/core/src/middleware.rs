@@ -11,8 +11,8 @@
 //! features (consume direction) and the component itself process them.
 //! Graph manipulation between steps keeps the channel views causally
 //! connected — they are recomputed from the live graph on every change
-//! (paper §2: "maintaining a causal connection between the positioning
-//! system and the tree").
+//! to its nodes or edges (paper §2: "maintaining a causal connection
+//! between the positioning system and the tree").
 
 use std::fmt;
 use std::sync::Arc;
@@ -261,9 +261,9 @@ impl Middleware {
         id: NodeId,
         feature: impl ComponentFeature + 'static,
     ) -> Result<(), CoreError> {
-        self.graph.attach_feature(id, Box::new(feature))?;
-        self.channels.recompute(&self.graph);
-        Ok(())
+        // A Component Feature changes no channel's members, names or
+        // endpoint, so the channel layer needs no recompute.
+        self.graph.attach_feature(id, Box::new(feature))
     }
 
     /// Detaches a Component Feature by name.
@@ -276,9 +276,7 @@ impl Middleware {
         id: NodeId,
         name: &str,
     ) -> Result<Box<dyn ComponentFeature>, CoreError> {
-        let f = self.graph.detach_feature(id, name)?;
-        self.channels.recompute(&self.graph);
-        Ok(f)
+        self.graph.detach_feature(id, name)
     }
 
     /// Inspection of the full process structure (PSL view).
@@ -544,12 +542,13 @@ impl Middleware {
     /// kinds that no component in the graph can provide.
     pub fn location_provider(&self, criteria: Criteria) -> Result<LocationProvider, CoreError> {
         if !criteria.kinds().is_empty() {
-            let available = self
-                .graph
-                .node_ids()
-                .flat_map(|id| self.graph.effective_provides(id))
-                .collect::<Vec<_>>();
-            if !criteria.kinds().iter().any(|k| available.contains(&k)) {
+            let provided = self.graph.node_ids().any(|id| {
+                self.graph
+                    .effective_provides(id)
+                    .iter()
+                    .any(|k| criteria.kinds().contains(k))
+            });
+            if !provided {
                 return Err(CoreError::NoMatchingProvider(criteria.to_string()));
             }
         }

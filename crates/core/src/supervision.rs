@@ -15,7 +15,7 @@
 //! original engine contract: the first component error aborts the step.
 //! Everything else is opt-in.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::graph::NodeId;
 use crate::{SimDuration, SimTime};
@@ -132,30 +132,47 @@ pub(crate) enum FaultAction {
     Quarantine,
 }
 
+/// Everything the registry knows about one node that has faulted: its
+/// public health record and its private circuit-breaker state.
+#[derive(Debug, Clone, Default)]
+struct NodeRecord {
+    health: NodeHealth,
+    /// Sliding-window fault timestamps (quarantine policy).
+    window: Vec<SimTime>,
+    /// Exponential backoff level (doubles per failed probe).
+    backoff_level: u32,
+    /// In the breaker's half-open state: one probe run allowed.
+    probing: bool,
+}
+
+impl NodeRecord {
+    /// Closes the breaker: healthy, no quarantine, no breaker state. The
+    /// fault counters and last error stay.
+    fn reset_breaker(&mut self) {
+        self.health.status = HealthStatus::Healthy;
+        self.health.quarantined_until = None;
+        self.window.clear();
+        self.backoff_level = 0;
+        self.probing = false;
+    }
+}
+
 /// Tracks fault policies and health for every node of one middleware
 /// instance, implementing the quarantine circuit breaker over simulated
 /// time.
 #[derive(Debug, Clone, Default)]
 pub struct HealthRegistry {
     policies: BTreeMap<NodeId, FaultPolicy>,
-    records: BTreeMap<NodeId, NodeHealth>,
-    /// Sliding-window fault timestamps for quarantine-policy nodes.
-    windows: BTreeMap<NodeId, Vec<SimTime>>,
-    /// Exponential backoff level per node (doubles per failed probe).
-    backoff_level: BTreeMap<NodeId, u32>,
-    /// Nodes in the breaker's half-open state: one probe run allowed.
-    probing: BTreeSet<NodeId>,
+    /// One record per node that has faulted; a node that never faulted
+    /// has none, so a healthy instance keeps this map empty.
+    records: BTreeMap<NodeId, NodeRecord>,
 }
 
 impl HealthRegistry {
     /// Sets the fault policy for `id`, resetting its breaker state.
     pub fn set_policy(&mut self, id: NodeId, policy: FaultPolicy) {
-        self.windows.remove(&id);
-        self.backoff_level.remove(&id);
-        self.probing.remove(&id);
         if let Some(r) = self.records.get_mut(&id) {
-            r.status = HealthStatus::Healthy;
-            r.quarantined_until = None;
+            r.reset_breaker();
         }
         self.policies.insert(id, policy);
     }
@@ -167,44 +184,47 @@ impl HealthRegistry {
 
     /// The health record for `id` (default healthy).
     pub fn health(&self, id: NodeId) -> NodeHealth {
-        self.records.get(&id).cloned().unwrap_or_default()
+        self.records
+            .get(&id)
+            .map(|r| r.health.clone())
+            .unwrap_or_default()
     }
 
     /// The current status of `id`.
     pub fn status(&self, id: NodeId) -> HealthStatus {
-        self.records.get(&id).map(|r| r.status).unwrap_or_default()
+        self.records
+            .get(&id)
+            .map(|r| r.health.status)
+            .unwrap_or_default()
     }
 
     /// Forgets everything about `id` (component removed).
     pub fn forget(&mut self, id: NodeId) {
         self.policies.remove(&id);
         self.records.remove(&id);
-        self.windows.remove(&id);
-        self.backoff_level.remove(&id);
-        self.probing.remove(&id);
     }
 
     /// Whether the engine must skip `id` this step. Expired quarantines
     /// transition to the half-open (probing) state, which allows one run.
     pub(crate) fn is_quarantined(&mut self, id: NodeId, now: SimTime) -> bool {
-        // Health records only exist for nodes that have faulted; a
-        // healthy fleet answers every per-step probe from this one
-        // branch instead of a tree lookup per node per step.
+        // Records only exist for nodes that have faulted; a healthy
+        // fleet answers every per-step probe from this one branch
+        // instead of a tree lookup per node per step.
         if self.records.is_empty() {
             return false;
         }
         let Some(r) = self.records.get_mut(&id) else {
             return false;
         };
-        if r.status != HealthStatus::Quarantined {
+        if r.health.status != HealthStatus::Quarantined {
             return false;
         }
-        match r.quarantined_until {
+        match r.health.quarantined_until {
             Some(until) if now >= until => {
                 // Half-open: let one probe run through.
-                r.status = HealthStatus::Degraded;
-                r.quarantined_until = None;
-                self.probing.insert(id);
+                r.health.status = HealthStatus::Degraded;
+                r.health.quarantined_until = None;
+                r.probing = true;
                 false
             }
             _ => true,
@@ -215,34 +235,29 @@ impl HealthRegistry {
     /// quarantined node; otherwise a degraded node recovers once its
     /// fault window has drained.
     pub(crate) fn record_success(&mut self, id: NodeId, now: SimTime) {
-        // Same healthy-fleet fast path as `is_quarantined`: with no
-        // fault records and no half-open probes there is nothing to
-        // reinstate or recover.
-        if self.records.is_empty() && self.probing.is_empty() {
-            return;
-        }
-        if self.probing.remove(&id) {
-            self.backoff_level.remove(&id);
-            self.windows.remove(&id);
-            if let Some(r) = self.records.get_mut(&id) {
-                r.status = HealthStatus::Healthy;
-                r.quarantined_until = None;
-            }
+        // Same healthy-fleet fast path as `is_quarantined`: a half-open
+        // probe belongs to a faulted node, so with no records there is
+        // nothing to reinstate or recover.
+        if self.records.is_empty() {
             return;
         }
         let Some(r) = self.records.get_mut(&id) else {
             return;
         };
-        if r.status == HealthStatus::Degraded {
-            let drained = match (self.policies.get(&id), self.windows.get_mut(&id)) {
-                (Some(FaultPolicy::Quarantine { window, .. }), Some(faults)) => {
-                    faults.retain(|t| now.since(*t) <= *window);
-                    faults.is_empty()
+        if r.probing {
+            r.reset_breaker();
+            return;
+        }
+        if r.health.status == HealthStatus::Degraded {
+            let drained = match self.policies.get(&id) {
+                Some(FaultPolicy::Quarantine { window, .. }) => {
+                    r.window.retain(|t| now.since(*t) <= *window);
+                    r.window.is_empty()
                 }
                 _ => true,
             };
             if drained {
-                r.status = HealthStatus::Healthy;
+                r.health.status = HealthStatus::Healthy;
             }
         }
     }
@@ -251,18 +266,18 @@ impl HealthRegistry {
     /// per the node's policy.
     pub(crate) fn on_fault(&mut self, id: NodeId, now: SimTime, reason: &str) -> FaultAction {
         let policy = self.policy(id);
-        let record = self.records.entry(id).or_default();
-        record.faults += 1;
-        record.last_error = Some(reason.to_string());
+        let r = self.records.entry(id).or_default();
+        r.health.faults += 1;
+        r.health.last_error = Some(reason.to_string());
         match policy {
             FaultPolicy::Propagate => FaultAction::Propagate,
             FaultPolicy::DropItem => {
-                record.status = record.status.max(HealthStatus::Degraded);
+                r.health.status = r.health.status.max(HealthStatus::Degraded);
                 FaultAction::Drop
             }
             FaultPolicy::Restart => {
-                record.status = record.status.max(HealthStatus::Degraded);
-                record.restarts += 1;
+                r.health.status = r.health.status.max(HealthStatus::Degraded);
+                r.health.restarts += 1;
                 FaultAction::Restart
             }
             FaultPolicy::Quarantine {
@@ -270,28 +285,24 @@ impl HealthRegistry {
                 window,
                 backoff,
             } => {
-                if self.probing.remove(&id) {
+                if std::mem::take(&mut r.probing) {
                     // Failed probe: re-open the breaker, doubled backoff.
-                    let level = self.backoff_level.entry(id).or_insert(0);
-                    *level = (*level + 1).min(MAX_BACKOFF_LEVEL);
-                    let pause = backoff_at(backoff, *level);
-                    record.status = HealthStatus::Quarantined;
-                    record.quarantines += 1;
-                    record.quarantined_until = Some(now + pause);
+                    r.backoff_level = (r.backoff_level + 1).min(MAX_BACKOFF_LEVEL);
+                    r.health.status = HealthStatus::Quarantined;
+                    r.health.quarantines += 1;
+                    r.health.quarantined_until = Some(now + backoff_at(backoff, r.backoff_level));
                     return FaultAction::Quarantine;
                 }
-                let faults = self.windows.entry(id).or_default();
-                faults.push(now);
-                faults.retain(|t| now.since(*t) <= window);
-                if faults.len() as u64 >= u64::from(max_faults.max(1)) {
-                    faults.clear();
-                    let level = *self.backoff_level.entry(id).or_insert(0);
-                    record.status = HealthStatus::Quarantined;
-                    record.quarantines += 1;
-                    record.quarantined_until = Some(now + backoff_at(backoff, level));
+                r.window.push(now);
+                r.window.retain(|t| now.since(*t) <= window);
+                if r.window.len() as u64 >= u64::from(max_faults.max(1)) {
+                    r.window.clear();
+                    r.health.status = HealthStatus::Quarantined;
+                    r.health.quarantines += 1;
+                    r.health.quarantined_until = Some(now + backoff_at(backoff, r.backoff_level));
                     FaultAction::Quarantine
                 } else {
-                    record.status = HealthStatus::Degraded;
+                    r.health.status = HealthStatus::Degraded;
                     FaultAction::Drop
                 }
             }

@@ -1,9 +1,11 @@
 //! Property tests of engine-level invariants: item conservation through
 //! pass-through pipelines, data-tree partitioning of intermediate items,
-//! and graph-edge consistency under random manipulation sequences.
+//! graph-edge consistency under random manipulation sequences, and
+//! fan-out routing by the kinds each port declares.
 
 #![allow(clippy::unwrap_used)]
 use std::any::Any;
+use std::sync::{Arc, Mutex};
 
 use perpos_core::channel::{ChannelFeature, ChannelHost, DataTree};
 use perpos_core::feature::FeatureDescriptor;
@@ -63,8 +65,138 @@ impl ChannelFeature for TreeAccounting {
     }
 }
 
+/// The kinds a routing case draws from; bit `i` of a port's mask
+/// accepts `KIND_POOL[i]`.
+const KIND_POOL: [DataKind; 4] = [
+    kinds::RAW_STRING,
+    kinds::NMEA_SENTENCE,
+    kinds::POSITION_WGS84,
+    kinds::WIFI_SCAN,
+];
+
+/// `KIND_POOL[i]`, either the static constant or the same name built at
+/// runtime.
+fn pool_kind(i: usize, runtime: bool) -> DataKind {
+    if runtime {
+        DataKind::new(KIND_POOL[i].as_str())
+    } else {
+        KIND_POOL[i].clone()
+    }
+}
+
+/// A source that emits one scripted item per step: item `n` has kind
+/// `script[n]` and payload `n`.
+struct Scripted {
+    script: Vec<DataKind>,
+    next: usize,
+}
+
+impl Component for Scripted {
+    fn descriptor(&self) -> ComponentDescriptor {
+        ComponentDescriptor::source("scripted", KIND_POOL.to_vec())
+    }
+    fn on_input(
+        &mut self,
+        _p: usize,
+        _i: DataItem,
+        _c: &mut ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
+        Ok(())
+    }
+    fn on_tick(&mut self, ctx: &mut ComponentCtx<'_>) -> Result<(), CoreError> {
+        if let Some(kind) = self.script.get(self.next) {
+            ctx.emit_value(kind.clone(), Value::Int(self.next as i64));
+            self.next += 1;
+        }
+        Ok(())
+    }
+}
+
+/// A sink that logs `(its index, item payload)` for every item it gets.
+struct Logging {
+    index: usize,
+    accepts: Vec<DataKind>,
+    log: Arc<Mutex<Vec<(usize, i64)>>>,
+}
+
+impl Component for Logging {
+    fn descriptor(&self) -> ComponentDescriptor {
+        ComponentDescriptor::sink(
+            format!("log{}", self.index),
+            InputSpec::new("in", self.accepts.clone()),
+        )
+    }
+    fn on_input(
+        &mut self,
+        _p: usize,
+        item: DataItem,
+        _c: &mut ComponentCtx<'_>,
+    ) -> Result<(), CoreError> {
+        let n = item.payload.as_i64().unwrap();
+        self.log.lock().unwrap().push((self.index, n));
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A fan-out delivers each item to exactly the edges whose port
+    /// accepts its kind (`InputSpec::accepts_kind`), in `downstream`
+    /// order, whether the port's kinds and the item's kind are the
+    /// static constants or equal names built at runtime. A mask of 0
+    /// declares no kinds, so that port accepts any.
+    #[test]
+    fn fan_out_routes_by_declared_kinds(
+        ports in proptest::collection::vec((0u8..16, any::<bool>()), 1..6),
+        items in proptest::collection::vec((0usize..4, any::<bool>()), 1..24),
+    ) {
+        let mut mw = Middleware::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let script: Vec<DataKind> = items.iter().map(|&(k, rt)| pool_kind(k, rt)).collect();
+        let src = mw.add_component(Scripted { script: script.clone(), next: 0 });
+        let mut sinks = Vec::new();
+        for (index, &(mask, runtime)) in ports.iter().enumerate() {
+            let accepts = (0..KIND_POOL.len())
+                .filter(|bit| mask & (1 << bit) != 0)
+                .map(|bit| pool_kind(bit, runtime))
+                .collect();
+            let sink = mw.add_component(Logging { index, accepts, log: Arc::clone(&log) });
+            mw.connect(src, sink, 0).unwrap();
+            sinks.push(sink);
+        }
+        for _ in &items {
+            mw.step().unwrap();
+            mw.advance_clock(SimDuration::from_millis(10));
+        }
+
+        let g = mw.graph();
+        let mut expected = Vec::new();
+        for (n, kind) in script.iter().enumerate() {
+            for &(target, port) in g.downstream(src) {
+                let info = g.info(target).unwrap();
+                if info.descriptor.inputs[port].accepts_kind(kind) {
+                    let index = sinks.iter().position(|&s| s == target).unwrap();
+                    expected.push((index, n as i64));
+                }
+            }
+        }
+        // The declared masks agree with `accepts_kind`: names compare as
+        // strings, however each side was built.
+        let by_mask: Vec<(usize, i64)> = items
+            .iter()
+            .enumerate()
+            .flat_map(|(n, &(k, _))| {
+                ports
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, &(mask, _))| mask == 0 || mask & (1 << k) != 0)
+                    .map(move |(index, _)| (index, n as i64))
+            })
+            .collect();
+        prop_assert_eq!(&expected, &by_mask);
+        prop_assert_eq!(&*log.lock().unwrap(), &expected);
+    }
 
     /// Every item the source emits arrives at the application exactly
     /// once, in order, regardless of pipeline depth.

@@ -6,6 +6,12 @@
 //! position, so the instance's heap after 2,000 rounds stays within 2×
 //! its built size.
 //!
+//! The built size itself is bounded too: live bytes are exact and
+//! noise-free, so a change that makes an instance heavier to build (one
+//! more per-node table, one more cached set) fails here deterministically.
+//! The bound is the measured 9,300 B plus under 1 % headroom; raise it
+//! only in a change whose diff says why an instance needs the bytes.
+//!
 //! This file holds exactly one test: the counting allocator is
 //! process-global, so it gets an integration-test binary of its own and
 //! no parallel test threads that would pollute the counter.
@@ -39,6 +45,9 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static GLOBAL: LiveBytes = LiveBytes;
 
+/// Upper bound on a built Fig. 1 instance's live bytes, pool included.
+const MAX_BUILT_BYTES: i64 = 9_390;
+
 #[test]
 fn unread_fleet_instance_heap_stays_within_twice_its_built_size() {
     let frame = LocalFrame::new(Wgs84::new(56.17, 10.19, 0.0).unwrap());
@@ -70,6 +79,10 @@ fn unread_fleet_instance_heap_stays_within_twice_its_built_size() {
         mw
     });
     let built = LIVE.load(Ordering::Relaxed) - before;
+    assert!(
+        built <= MAX_BUILT_BYTES,
+        "a built instance weighs {built} B, above the {MAX_BUILT_BYTES} B bound"
+    );
 
     pool.run(2_000, SimDuration::from_secs(1));
     let after = LIVE.load(Ordering::Relaxed) - before;
