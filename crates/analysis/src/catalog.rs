@@ -10,15 +10,12 @@
 use std::collections::BTreeMap;
 
 use perpos_core::assembly::ComponentFactory;
-use perpos_core::component::{EffectSpec, TransferSpec};
+use perpos_core::component::{ComponentDescriptor, EffectSpec, InputSpec, TransferSpec};
+use perpos_core::Middleware;
 use serde::{Deserialize, Serialize};
 
 /// The reserved configuration kind for the middleware's application sink.
 pub const APPLICATION_KIND: &str = "application";
-
-/// Number of any-kind input ports the application sink exposes (mirrors
-/// the core's `SINK_PORTS`).
-const APPLICATION_PORTS: usize = 16;
 
 /// Declaration of one input port of a component type.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -35,6 +32,20 @@ impl PortSpec {
     /// Whether the port lets items of `kind` through.
     pub fn accepts_kind(&self, kind: &str) -> bool {
         self.accepts.is_empty() || self.accepts.iter().any(|k| k == kind)
+    }
+}
+
+impl From<&InputSpec> for PortSpec {
+    fn from(input: &InputSpec) -> Self {
+        PortSpec {
+            name: input.name.clone(),
+            accepts: input
+                .accepts
+                .iter()
+                .map(|k| k.as_str().to_string())
+                .collect(),
+            required_features: input.required_features.clone(),
+        }
     }
 }
 
@@ -60,6 +71,22 @@ pub struct ComponentTypeSpec {
 }
 
 impl ComponentTypeSpec {
+    /// The description of type `kind` whose instances declare `d`.
+    fn declared(kind: &str, d: &ComponentDescriptor) -> Self {
+        ComponentTypeSpec {
+            kind: kind.to_string(),
+            role: d.role.to_string(),
+            inputs: d.inputs.iter().map(PortSpec::from).collect(),
+            provides: d
+                .output
+                .as_ref()
+                .map(|o| o.provides.iter().map(|k| k.as_str().to_string()).collect())
+                .unwrap_or_default(),
+            transfer: (!d.transfer.is_empty()).then(|| d.transfer.clone()),
+            effects: (!d.effects.is_empty()).then(|| d.effects.clone()),
+        }
+    }
+
     /// Whether instances of this type consume data (sink role).
     pub fn is_sink(&self) -> bool {
         self.role == "sink"
@@ -89,39 +116,10 @@ impl TypeCatalog {
     /// principle applied to tooling: the same declarations the graph
     /// validates at connect time feed the ahead-of-time analysis.
     pub fn probe(factories: &BTreeMap<String, ComponentFactory>) -> Self {
-        let mut types = Vec::new();
-        for (kind, factory) in factories {
-            let component = factory();
-            let d = component.descriptor();
-            types.push(ComponentTypeSpec {
-                kind: kind.clone(),
-                role: d.role.to_string(),
-                inputs: d
-                    .inputs
-                    .iter()
-                    .map(|i| PortSpec {
-                        name: i.name.clone(),
-                        accepts: i.accepts.iter().map(|k| k.as_str().to_string()).collect(),
-                        required_features: i.required_features.clone(),
-                    })
-                    .collect(),
-                provides: d
-                    .output
-                    .as_ref()
-                    .map(|o| o.provides.iter().map(|k| k.as_str().to_string()).collect())
-                    .unwrap_or_default(),
-                transfer: if d.transfer.is_empty() {
-                    None
-                } else {
-                    Some(d.transfer.clone())
-                },
-                effects: if d.effects.is_empty() {
-                    None
-                } else {
-                    Some(d.effects.clone())
-                },
-            });
-        }
+        let types = factories
+            .iter()
+            .map(|(kind, factory)| ComponentTypeSpec::declared(kind, &factory().descriptor()))
+            .collect();
         TypeCatalog { types }
     }
 
@@ -145,22 +143,15 @@ impl TypeCatalog {
     }
 }
 
-/// The built-in description of the application sink.
+/// The description of the application sink every `Middleware` is
+/// created with, read from that sink's own declaration.
 pub fn application_spec() -> ComponentTypeSpec {
-    ComponentTypeSpec {
-        kind: APPLICATION_KIND.to_string(),
-        role: "sink".to_string(),
-        inputs: (0..APPLICATION_PORTS)
-            .map(|i| PortSpec {
-                name: format!("in{i}"),
-                accepts: Vec::new(),
-                required_features: Vec::new(),
-            })
-            .collect(),
-        provides: Vec::new(),
-        transfer: None,
-        effects: None,
-    }
+    let mw = Middleware::new();
+    let sink = mw
+        .graph()
+        .info(mw.application_sink())
+        .expect("a new middleware has its application sink");
+    ComponentTypeSpec::declared(APPLICATION_KIND, &sink.descriptor)
 }
 
 #[cfg(test)]

@@ -49,8 +49,11 @@
 //!
 //! Every finding is a [`Diagnostic`] with a stable code (P001–P020), a
 //! severity, the offending node/edge path and, where possible, a fix-it
-//! hint; a [`Report`] renders human-readable or JSON. The [`gate`]
-//! module adapts reports to the core's opt-in `*_checked` entry points.
+//! hint; a [`Report`] renders human-readable or JSON. The core
+//! carries no analysis hooks: a caller that wants composition gated
+//! runs [`analyze_config`] (or [`analyze_structure`]) and calls
+//! `GraphConfig::instantiate` (or `Assembler::sync`) only when the
+//! report has no errors.
 //!
 //! ```
 //! use perpos_analysis::{analyze_config, Code, ComponentTypeSpec, PortSpec, TypeCatalog};
@@ -89,7 +92,6 @@ pub mod dataflow;
 pub mod diagnostic;
 pub mod domains;
 pub mod effects;
-pub mod gate;
 mod lint;
 pub mod live;
 pub mod probe;
@@ -104,6 +106,6 @@ pub use dataflow::{solve, Domain, FlowGraph, Solution};
 pub use diagnostic::{Code, Diagnostic, Report, Severity, JSON_SCHEMA_VERSION};
 pub use domains::{analyze_dataflow, dataflow_diagnostics, facts_json, infer_facts, GraphFacts};
 pub use effects::{determinism_diagnostics, effect_diagnostics};
-pub use live::{analyze_structure, analyze_structure_in, StructureContext};
+pub use live::analyze_structure;
 pub use probe::MonotonicityProbe;
 pub use synth::{synthesize, Infeasibility, RankedPipeline, Synthesis, SynthesisGoal};

@@ -13,45 +13,17 @@
 
 use std::collections::BTreeMap;
 
-use perpos_core::assembly::FleetSpec;
 use perpos_core::graph::NodeInfo;
 
 use crate::dataflow::{FlowGraph, FlowNode, FlowPort};
 use crate::diagnostic::Report;
 
-/// Deployment context of a live structure, for the effect checks
-/// (P018–P020). A reflected [`NodeInfo`] list records components and
-/// wires but not how the graph is *run* — whether it is replicated into
-/// a fleet — so callers that know supply it here. The default (no
-/// fleet) makes the effect checks vacuous, matching
-/// [`analyze_structure`].
-#[derive(Debug, Clone, Default)]
-pub struct StructureContext {
-    /// Fleet deployment the instance belongs to (`None` = standalone).
-    pub fleet: Option<FleetSpec>,
-}
-
-impl StructureContext {
-    /// Declares the fleet deployment (builder style).
-    pub fn with_fleet(mut self, fleet: FleetSpec) -> StructureContext {
-        self.fleet = Some(fleet);
-        self
-    }
-}
-
-/// Analyzes a live (or simulated) process structure with no deployment
-/// context: the effect checks (P018–P020) assume no fleet. Use
-/// [`analyze_structure_in`] when fleet membership is known.
+/// Analyzes a live (or simulated) process structure. A reflected
+/// [`NodeInfo`] list records no fleet deployment, so the effect checks
+/// (P018–P020) find nothing to flag.
 pub fn analyze_structure(nodes: &[NodeInfo]) -> Report {
-    analyze_structure_in(nodes, &StructureContext::default())
-}
-
-/// Analyzes a live (or simulated) process structure in a known
-/// deployment context, so the effect checks see the fleet it runs in.
-pub fn analyze_structure_in(nodes: &[NodeInfo], ctx: &StructureContext) -> Report {
     let mut report = Report::new();
-    let mut graph = lower(nodes, &mut report);
-    graph.fleet = ctx.fleet.clone();
+    let graph = lower(nodes, &mut report);
     crate::lint::structural(&graph, &mut report);
     crate::lint::semantic(&graph, &mut report);
     report
@@ -91,16 +63,7 @@ pub(crate) fn lower(structure: &[NodeInfo], report: &mut Report) -> FlowGraph {
             FlowNode {
                 label: format!("{} ({})", n.descriptor.name, n.id),
                 role: n.descriptor.role,
-                inputs: n
-                    .descriptor
-                    .inputs
-                    .iter()
-                    .map(|p| FlowPort {
-                        name: p.name.clone(),
-                        accepts: p.accepts.iter().map(|k| k.as_str().to_string()).collect(),
-                        required_features: p.required_features.clone(),
-                    })
-                    .collect(),
+                inputs: n.descriptor.inputs.iter().map(FlowPort::from).collect(),
                 provides,
                 transfer: n.descriptor.transfer.clone(),
                 anonymizes: n.descriptor.transfer.anonymizes == Some(true)

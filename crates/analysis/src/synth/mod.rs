@@ -18,17 +18,19 @@
 //! the search with one criterion relaxed at a time) instead of a bare
 //! empty list, and [`Synthesis::report`] renders it as diagnostic P015.
 //!
-//! Surfaces: this library API, the `perpos-lint synth` subcommand, and
-//! re-gated instantiation of a
-//! [`perpos_core::assembly::SynthesizedConfig`] through its config's
-//! `instantiate_checked` with [`crate::gate::config_gate`].
+//! Surfaces: this library API and the `perpos-lint synth` subcommand.
+//! To stand a candidate up, re-run [`crate::analyze_config`] on its
+//! `config` against the catalog it will be built from, then call
+//! `GraphConfig::instantiate` when the report has no errors: a stale
+//! serialized candidate then never builds a pipeline that no longer
+//! passes analysis.
 
 pub mod explain;
 mod search;
 
 pub use explain::Infeasibility;
 
-use perpos_core::assembly::{GraphConfig, SynthesizedConfig};
+use perpos_core::assembly::GraphConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::TypeCatalog;
@@ -136,20 +138,8 @@ pub struct RankedPipeline {
     pub power_mw: Option<f64>,
     /// Coordinate frames observed at the sink.
     pub frames: Vec<String>,
-    /// The pipeline itself, ready for `instantiate_checked`.
+    /// The pipeline itself, ready for `GraphConfig::instantiate`.
     pub config: GraphConfig,
-}
-
-impl RankedPipeline {
-    /// Wraps the pipeline as a core [`SynthesizedConfig`] carrying the
-    /// goal summary and rank.
-    pub fn into_synthesized(self, goal: &SynthesisGoal) -> SynthesizedConfig {
-        SynthesizedConfig {
-            config: self.config,
-            goal: goal.summary(),
-            rank: self.rank,
-        }
-    }
 }
 
 /// The result of a synthesis run: ranked candidates, or a

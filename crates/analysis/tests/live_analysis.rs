@@ -1,5 +1,5 @@
-//! Live-graph analysis, adaptation safety, validation gates and the
-//! runtime monotonicity probe, exercised against real middleware
+//! Live-graph analysis, adaptation safety, analyze-then-compose and
+//! the runtime monotonicity probe, exercised against real middleware
 //! instances.
 
 #![allow(clippy::unwrap_used)]
@@ -7,9 +7,8 @@
 use std::collections::BTreeMap;
 
 use perpos_analysis::adaptation::{check_adaptation, simulate, AdaptationOp, AdaptationPlan};
-use perpos_analysis::gate::{config_gate, structure_gate};
 use perpos_analysis::probe::{MonotonicityProbe, PROBE_NAME};
-use perpos_analysis::{analyze_structure, Code, Report, TypeCatalog};
+use perpos_analysis::{analyze_config, analyze_structure, Code, Report, TypeCatalog};
 use perpos_core::assembly::{
     Assembler, ComponentConfig, ComponentFactory, ConnectionConfig, GraphConfig,
 };
@@ -461,7 +460,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Gates
+// Analyze, then compose
 // ---------------------------------------------------------------------
 
 fn factories() -> BTreeMap<String, ComponentFactory> {
@@ -471,10 +470,25 @@ fn factories() -> BTreeMap<String, ComponentFactory> {
     f
 }
 
+/// The analyze-then-instantiate idiom: a configuration is built only
+/// when its analysis against `catalog` reports no errors.
+fn instantiate_if_sound(
+    config: &GraphConfig,
+    mw: &mut Middleware,
+    factories: &BTreeMap<String, ComponentFactory>,
+    catalog: &TypeCatalog,
+) -> Result<BTreeMap<String, NodeId>, Report> {
+    let report = analyze_config(config, catalog);
+    if report.has_errors() {
+        return Err(report);
+    }
+    Ok(config.instantiate(mw, factories).unwrap())
+}
+
 #[test]
-fn instantiate_checked_blocks_bad_config_without_touching_middleware() {
+fn config_analysis_blocks_bad_config_without_touching_middleware() {
     let factories = factories();
-    let gate = config_gate(TypeCatalog::probe(&factories));
+    let catalog = TypeCatalog::probe(&factories);
     // parser's input is never driven: P002 error at config level.
     let bad = GraphConfig {
         components: vec![
@@ -502,13 +516,16 @@ fn instantiate_checked_blocks_bad_config_without_touching_middleware() {
     };
     let mut mw = Middleware::new();
     let before = mw.structure().len();
-    let err = bad
-        .instantiate_checked(&mut mw, &factories, &gate)
-        .unwrap_err();
-    assert!(err.to_string().contains("P002"), "{err}");
+    let report = instantiate_if_sound(&bad, &mut mw, &factories, &catalog).unwrap_err();
+    assert_eq!(
+        report.errors().next().map(|d| d.code),
+        Some(Code::P002),
+        "{}",
+        report.render_human()
+    );
     assert_eq!(mw.structure().len(), before, "nothing was instantiated");
 
-    // The same gate passes a sound configuration.
+    // The same analysis passes a sound configuration.
     let good = GraphConfig {
         components: vec![
             ComponentConfig {
@@ -547,24 +564,28 @@ fn instantiate_checked_blocks_bad_config_without_touching_middleware() {
         ],
         fleet: None,
     };
-    let nodes = good
-        .instantiate_checked(&mut mw, &factories, &gate)
-        .unwrap();
+    let nodes = instantiate_if_sound(&good, &mut mw, &factories, &catalog).unwrap();
     assert_eq!(nodes.len(), 3);
 }
 
 #[test]
-fn sync_checked_flags_unsound_assembled_structure() {
+fn structure_analysis_flags_unsound_assembled_structure() {
     let mut mw = Middleware::new();
     let mut asm = Assembler::new();
     // A parser that declares an input port but no registry requirement:
     // it resolves immediately and assembles with a dangling input.
     asm.register_factory("parser", &[kinds::NMEA_SENTENCE], &[], parser_factory);
-    let err = asm.sync_checked(&mut mw, &structure_gate()).unwrap_err();
-    assert!(err.to_string().contains("P002"), "{err}");
+    asm.sync(&mut mw).unwrap();
+    let report = analyze_structure(&mw.structure());
+    assert_eq!(
+        report.errors().next().map(|d| d.code),
+        Some(Code::P002),
+        "{}",
+        report.render_human()
+    );
 
-    // A sound assembly passes the same gate (the unconnected app sink and
-    // the parser not reaching it are warnings, not errors).
+    // A sound assembly passes the same analysis (the unconnected app
+    // sink and the parser not reaching it are warnings, not errors).
     let mut mw = Middleware::new();
     let mut asm = Assembler::new();
     asm.register_factory(
@@ -574,7 +595,76 @@ fn sync_checked_flags_unsound_assembled_structure() {
         parser_factory,
     );
     asm.register_factory("gps", &[kinds::RAW_STRING], &[], gps_factory);
-    assert_eq!(asm.sync_checked(&mut mw, &structure_gate()).unwrap(), 2);
+    assert_eq!(asm.sync(&mut mw).unwrap(), 2);
+    let report = analyze_structure(&mw.structure());
+    assert!(!report.has_errors(), "{}", report.render_human());
+}
+
+#[test]
+fn application_sink_has_sixteen_ports_in_config_and_live() {
+    // Config side: the catalog's application sink takes ports 0..=15.
+    let catalog = TypeCatalog::probe(&factories());
+    let into_app = |port| GraphConfig {
+        components: vec![
+            ComponentConfig {
+                name: "gps0".into(),
+                kind: "gps".into(),
+                fault_policy: None,
+                transfer: None,
+                effects: None,
+            },
+            ComponentConfig {
+                name: "app".into(),
+                kind: "application".into(),
+                fault_policy: None,
+                transfer: None,
+                effects: None,
+            },
+        ],
+        connections: vec![ConnectionConfig {
+            from: "gps0".into(),
+            to: "app".into(),
+            port,
+        }],
+        fleet: None,
+    };
+    let last = analyze_config(&into_app(15), &catalog);
+    assert!(
+        last.with_code(Code::P007).is_empty(),
+        "{}",
+        last.render_human()
+    );
+    let beyond = analyze_config(&into_app(16), &catalog);
+    assert_eq!(
+        beyond.with_code(Code::P007).len(),
+        1,
+        "{}",
+        beyond.render_human()
+    );
+
+    // Live side: the middleware's sink answers the same way.
+    let mut mw = Middleware::new();
+    let app = mw.application_sink();
+    let mut source =
+        |i: usize| mw.add_component(FnSource::new(format!("s{i}"), kinds::RAW_STRING, |_| None));
+    let sources: Vec<NodeId> = (0..17).map(&mut source).collect();
+    assert_eq!(
+        mw.connect(sources[0], app, 16),
+        Err(CoreError::UnknownPort {
+            node: app,
+            port: 16
+        })
+    );
+    for (port, &s) in sources[..16].iter().enumerate() {
+        assert_eq!(mw.connect_to_sink(s, app), Ok(port));
+    }
+    assert_eq!(
+        mw.connect_to_sink(sources[16], app),
+        Err(CoreError::PortOccupied {
+            node: app,
+            port: 16
+        })
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -147,7 +147,7 @@ fn privacy_goal_routes_identifiable_data_through_the_anonymizer() {
 }
 
 #[test]
-fn goal_summary_and_synthesized_wrapper_round_trip() {
+fn goal_summary_and_top_candidate_round_trip() {
     let goal = SynthesisGoal {
         accuracy_m: Some(5.0),
         no_identifiable_at_sink: true,
@@ -158,8 +158,8 @@ fn goal_summary_and_synthesized_wrapper_round_trip() {
         "kind=position.wgs84, accuracy<=5m, no-identifiable-at-sink"
     );
     let result = synthesize(&goal, &example_catalog());
-    let synthesized = result.candidates[0].clone().into_synthesized(&goal);
-    assert_eq!(synthesized.rank, 0);
-    assert_eq!(synthesized.goal, goal.summary());
-    assert_eq!(synthesized.config.components.len(), 3);
+    let best = &result.candidates[0];
+    assert_eq!(best.rank, 0);
+    assert_eq!(result.goal.summary(), goal.summary());
+    assert_eq!(best.config.components.len(), 3);
 }

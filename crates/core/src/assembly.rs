@@ -235,25 +235,6 @@ impl GraphConfig {
         Ok(nodes)
     }
 
-    /// Like [`GraphConfig::instantiate`], but runs `check` over the
-    /// configuration first and instantiates nothing unless it passes —
-    /// the opt-in static-analysis gate (`perpos-analysis` provides a
-    /// ready-made check via its `gate` module).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `check`'s error without touching `mw`, then behaves
-    /// like [`GraphConfig::instantiate`].
-    pub fn instantiate_checked(
-        &self,
-        mw: &mut Middleware,
-        factories: &BTreeMap<String, Factory>,
-        check: &dyn Fn(&GraphConfig) -> Result<(), CoreError>,
-    ) -> Result<BTreeMap<String, NodeId>, CoreError> {
-        check(self)?;
-        self.instantiate(mw, factories)
-    }
-
     /// Stands the configuration up as a supervised
     /// [`crate::fleet::FleetPool`], replicating the process per its
     /// [`FleetSpec`] (one single-instance pool when the `fleet` block is
@@ -289,26 +270,6 @@ impl GraphConfig {
             },
         ))
     }
-}
-
-/// A [`GraphConfig`] produced by a pipeline synthesizer (e.g.
-/// `perpos-analysis`'s `synth` module) rather than written by hand,
-/// together with the goal it was synthesized for.
-///
-/// Stand one up with `synthesized.config.instantiate_checked(..)`
-/// ([`GraphConfig::instantiate_checked`]), which re-runs the caller's
-/// acceptance gate before touching the graph — a synthesizer bug (or a
-/// stale serialized artifact) can therefore never instantiate a pipeline
-/// that no longer passes analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SynthesizedConfig {
-    /// The synthesized processing graph.
-    pub config: GraphConfig,
-    /// Human-readable summary of the goal the pipeline satisfies, e.g.
-    /// `"accuracy<=5m, no-identifiable-at-sink"`.
-    pub goal: String,
-    /// Rank among the synthesizer's candidates (0 = best).
-    pub rank: u64,
 }
 
 /// Identifier of a factory registered with an [`Assembler`]. Ids are
@@ -473,29 +434,6 @@ impl Assembler {
                 break;
             }
         }
-        Ok(added)
-    }
-
-    /// Like [`Assembler::sync`], but runs `check` over the resulting
-    /// process structure afterwards — the opt-in analysis gate for the
-    /// dynamic-resolution composition path.
-    ///
-    /// The structural changes have already been applied when `check`
-    /// runs (dynamic assembly is incremental and has no transaction to
-    /// roll back); a failed check therefore reports the unsound state
-    /// rather than preventing it. Callers that need an untouched
-    /// middleware on failure should sync into a scratch instance first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Assembler::sync`] errors, then `check`'s error.
-    pub fn sync_checked(
-        &mut self,
-        mw: &mut Middleware,
-        check: &dyn Fn(&[crate::graph::NodeInfo]) -> Result<(), CoreError>,
-    ) -> Result<usize, CoreError> {
-        let added = self.sync(mw)?;
-        check(&mw.structure())?;
         Ok(added)
     }
 }

@@ -447,24 +447,24 @@ impl ChannelLayer {
         for head in channel_heads(graph) {
             let (members, endpoint) = walk_channel(graph, head);
             let id = ChannelId(head);
+            let slot = self.runtimes.len();
+            for (level, m) in members.iter().enumerate() {
+                let i = m.index();
+                if self.node_index.len() <= i {
+                    self.node_index.resize(i + 1, None);
+                }
+                self.node_index[i] = Some((slot as u32, level as u32));
+            }
             let member_names = members
                 .iter()
-                .map(|m| {
-                    Arc::from(
-                        graph
-                            .info(*m)
-                            .map(|i| i.descriptor.name)
-                            .unwrap_or_default()
-                            .as_str(),
-                    )
-                })
+                .map(|m| Arc::from(graph.node(*m).map_or("", |n| n.descriptor.name.as_str())))
                 .collect();
             let mut runtime = ChannelRuntime {
                 id,
                 member_names,
                 endpoint,
                 levels: members.iter().map(|_| LevelState::default()).collect(),
-                members: members.clone(),
+                members,
                 features: Vec::new(),
                 history: None,
                 outputs: 0,
@@ -481,14 +481,6 @@ impl ChannelLayer {
                     // Unchanged shape: keep logical time and buffers.
                     runtime.levels = prior.levels;
                 }
-            }
-            let slot = self.runtimes.len();
-            for (level, m) in members.iter().enumerate() {
-                let i = m.index();
-                if self.node_index.len() <= i {
-                    self.node_index.resize(i + 1, None);
-                }
-                self.node_index[i] = Some((slot as u32, level as u32));
             }
             self.runtimes.push(runtime);
         }
@@ -698,18 +690,13 @@ impl ChannelLayer {
         let rt = self.runtime_mut(id)?;
         let descriptor = feature.descriptor();
         for dep in &descriptor.requires {
-            let mut found = rt.member_names.iter().any(|n| n.as_ref() == dep.as_str())
-                || rt.features.iter().any(|f| &f.descriptor.name == dep);
-            if !found {
-                for m in &rt.members {
-                    if let Ok(info) = graph.info(*m) {
-                        if info.features.iter().any(|f| &f.name == dep) {
-                            found = true;
-                            break;
-                        }
-                    }
-                }
-            }
+            let found = rt.member_names.iter().any(|n| n.as_ref() == dep.as_str())
+                || rt.features.iter().any(|f| &f.descriptor.name == dep)
+                || rt
+                    .members
+                    .iter()
+                    .filter_map(|m| graph.node(*m))
+                    .any(|n| n.features.iter().any(|s| &s.descriptor.name == dep));
             if !found {
                 return Err(CoreError::MissingFeature {
                     node: id.0,
@@ -891,21 +878,15 @@ impl ChannelLayer {
 
 /// A channel head is a source or a merge component (paper §2.2: nodes of
 /// the PCL are data sources or merging components).
-fn channel_heads(graph: &ProcessingGraph) -> Vec<NodeId> {
-    graph
-        .node_ids()
-        .filter(|id| {
-            graph
-                .info(*id)
-                .map(|i| {
-                    matches!(
-                        i.descriptor.role,
-                        ComponentRole::Source | ComponentRole::Merge
-                    )
-                })
-                .unwrap_or(false)
+fn channel_heads(graph: &ProcessingGraph) -> impl Iterator<Item = NodeId> + '_ {
+    graph.node_ids().filter(|id| {
+        graph.node(*id).is_some_and(|n| {
+            matches!(
+                n.descriptor.role,
+                ComponentRole::Source | ComponentRole::Merge
+            )
         })
-        .collect()
+    })
 }
 
 /// The runtime slot of the channel `id` in a layer's node index: the
@@ -927,10 +908,10 @@ fn walk_channel(graph: &ProcessingGraph, head: NodeId) -> (Vec<NodeId>, Option<(
             return (members, None);
         }
         let (next, port) = outs[0];
-        let Ok(info) = graph.info(next) else {
+        let Some(node) = graph.node(next) else {
             return (members, None);
         };
-        match info.descriptor.role {
+        match node.descriptor.role {
             ComponentRole::Merge | ComponentRole::Sink => {
                 return (members, Some((next, port)));
             }

@@ -317,12 +317,6 @@ impl EffectSpec {
         }
     }
 
-    /// Whether the component declares any exogenous input or unseeded
-    /// randomness — the effects that break trace determinism.
-    pub fn is_nondeterministic(&self) -> bool {
-        self.wall_clock == Some(true) || self.io == Some(true) || self.unseeded == Some(true)
-    }
-
     /// Declares a shared resource read (builder style).
     pub fn reading(mut self, resource: impl Into<String>) -> Self {
         self.reads

@@ -437,11 +437,6 @@ impl Payload {
         }
     }
 
-    /// Borrow of the wrapped value (also available via `Deref`).
-    pub fn as_value(&self) -> &Value {
-        &self.value
-    }
-
     /// An owned deep copy of the wrapped value, for APIs that need a
     /// bare [`Value`].
     pub fn to_value(&self) -> Value {

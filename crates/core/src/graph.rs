@@ -63,22 +63,23 @@ impl Node {
         }
     }
 
-    /// The kinds this node can produce: declared output capabilities plus
-    /// everything its attached features may add (paper §2.1: "When adding
-    /// data the capabilities of the output port is changed"), without
-    /// duplicates, declared kinds first.
+    /// The kinds this node can produce: declared output capabilities,
+    /// then everything its attached features may add (paper §2.1: "When
+    /// adding data the capabilities of the output port is changed"),
+    /// borrowed in place. A kind may appear more than once.
+    fn provided_kinds(&self) -> impl Iterator<Item = &DataKind> {
+        let declared = self.descriptor.output.iter().flat_map(|o| &o.provides);
+        let added = self.features.iter().flat_map(|s| &s.descriptor.adds_kinds);
+        declared.chain(added)
+    }
+
+    /// [`Node::provided_kinds`] as an owned list without duplicates,
+    /// declared kinds first.
     fn effective_provides(&self) -> Vec<DataKind> {
-        let mut kinds: Vec<DataKind> = self
-            .descriptor
-            .output
-            .as_ref()
-            .map(|o| o.provides.clone())
-            .unwrap_or_default();
-        for slot in &self.features {
-            for k in &slot.descriptor.adds_kinds {
-                if !kinds.contains(k) {
-                    kinds.push(k.clone());
-                }
+        let mut kinds: Vec<DataKind> = Vec::new();
+        for k in self.provided_kinds() {
+            if !kinds.contains(k) {
+                kinds.push(k.clone());
             }
         }
         kinds
@@ -326,37 +327,35 @@ impl ProcessingGraph {
     /// Returns the corresponding [`CoreError`] variant for each violated
     /// check.
     pub fn connect(&mut self, from: NodeId, to: NodeId, port: usize) -> Result<(), CoreError> {
-        if !self.nodes.contains_key(&from) {
-            return Err(CoreError::UnknownNode(from));
-        }
+        let from_node = self.nodes.get(&from).ok_or(CoreError::UnknownNode(from))?;
         let to_node = self.nodes.get(&to).ok_or(CoreError::UnknownNode(to))?;
         let spec = to_node
             .descriptor
             .inputs
             .get(port)
-            .ok_or(CoreError::UnknownPort { node: to, port })?
-            .clone();
+            .ok_or(CoreError::UnknownPort { node: to, port })?;
         if to_node.inputs[port].is_some() {
             return Err(CoreError::PortOccupied { node: to, port });
         }
-        let from_node = &self.nodes[&from];
         if from_node.descriptor.output.is_none() {
             return Err(CoreError::NoOutput(from));
         }
-        let provides = from_node.effective_provides();
         // An accepts-any port takes any producer, even one that declares
         // no kinds; otherwise one provided kind must be accepted.
-        if !spec.accepts.is_empty() && !provides.iter().any(|k| spec.accepts_kind(k)) {
+        if !spec.accepts.is_empty() && !from_node.provided_kinds().any(|k| spec.accepts_kind(k)) {
             return Err(CoreError::IncompatibleConnection {
                 from,
                 to,
                 accepts: spec.accepts.clone(),
-                provides,
+                provides: from_node.effective_provides(),
             });
         }
-        let feature_names = from_node.feature_names();
         for required in &spec.required_features {
-            if !feature_names.iter().any(|n| n == required) {
+            if !from_node
+                .features
+                .iter()
+                .any(|s| &s.descriptor.name == required)
+            {
                 return Err(CoreError::MissingFeature {
                     node: to,
                     feature: required.clone(),

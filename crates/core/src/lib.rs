@@ -25,7 +25,7 @@
 //!    adaptations made below still reachable.
 //!
 //! The [`Middleware`] facade ties the layers together over a deterministic
-//! simulation clock ([`SimClock`]).
+//! simulation clock ([`SimTime`]).
 //!
 //! # Examples
 //!
@@ -70,13 +70,12 @@ mod time;
 
 pub use error::CoreError;
 pub use middleware::Middleware;
-pub use time::{SimClock, SimDuration, SimTime};
+pub use time::{SimDuration, SimTime};
 
 /// Convenient glob import for applications built on PerPos.
 pub mod prelude {
     pub use crate::assembly::{
         Assembler, ComponentConfig, ComponentFactory, ConnectionConfig, GraphConfig,
-        SynthesizedConfig,
     };
     pub use crate::channel::{ChannelFeature, ChannelId, ChannelStats, DataNode, DataTree};
     pub use crate::component::{
@@ -97,5 +96,5 @@ pub mod prelude {
         Criteria, FailoverProvider, LocationProvider, ProviderEvent, ProximityEvent,
     };
     pub use crate::supervision::{FaultPolicy, HealthStatus, NodeHealth};
-    pub use crate::{CoreError, SimClock, SimDuration, SimTime};
+    pub use crate::{CoreError, SimDuration, SimTime};
 }

@@ -31,7 +31,7 @@ use crate::positioning::{
     ApplicationSink, Criteria, FailoverProvider, FailoverShared, LocationProvider, SinkShared,
 };
 use crate::supervision::{FaultPolicy, HealthRegistry, NodeHealth};
-use crate::{CoreError, SimClock, SimDuration, SimTime};
+use crate::{CoreError, SimDuration, SimTime};
 
 /// A named tracked target: an application end-point of its own, to which
 /// several sensor pipelines may be connected (paper §2.3: "definition of
@@ -77,7 +77,7 @@ impl fmt::Debug for Target {
 pub struct Middleware {
     graph: ProcessingGraph,
     channels: ChannelLayer,
-    clock: SimClock,
+    now: SimTime,
     app_sink: NodeId,
     app_shared: Arc<SinkShared>,
     targets: Vec<Target>,
@@ -122,7 +122,7 @@ impl Middleware {
         Middleware {
             graph,
             channels,
-            clock: SimClock::new(),
+            now: SimTime::ZERO,
             app_sink,
             app_shared: shared,
             targets: Vec::new(),
@@ -141,7 +141,7 @@ impl Middleware {
 
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.now
     }
 
     /// Number of engine steps executed so far.
@@ -152,7 +152,8 @@ impl Middleware {
     /// Advances the simulation clock by `d` without running a step —
     /// for experiment loops that interleave stepping with measurements.
     pub fn advance_clock(&mut self, d: SimDuration) -> SimTime {
-        self.clock.advance(d)
+        self.now += d;
+        self.now
     }
 
     // ------------------------------------------------------------------
@@ -218,14 +219,16 @@ impl Middleware {
     /// Returns [`CoreError::PortOccupied`] when every port is taken, or
     /// the usual connection validation errors.
     pub fn connect_to_sink(&mut self, from: NodeId, sink: NodeId) -> Result<usize, CoreError> {
-        let info = self.graph.info(sink)?;
-        let port = info
-            .inputs
+        if !self.graph.contains(sink) {
+            return Err(CoreError::UnknownNode(sink));
+        }
+        let inputs = self.graph.upstream(sink);
+        let port = inputs
             .iter()
             .position(|p| p.is_none())
             .ok_or(CoreError::PortOccupied {
                 node: sink,
-                port: info.inputs.len(),
+                port: inputs.len(),
             })?;
         self.connect(from, sink, port)?;
         Ok(port)
@@ -287,15 +290,6 @@ impl Middleware {
             .collect()
     }
 
-    /// Inspection record for one node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] for unknown nodes.
-    pub fn node_info(&self, id: NodeId) -> Result<NodeInfo, CoreError> {
-        self.graph.info(id)
-    }
-
     /// Renders the process tree as indented text.
     pub fn render_process_tree(&self) -> String {
         self.graph.render_tree()
@@ -314,8 +308,7 @@ impl Middleware {
     /// Returns [`CoreError::UnknownNode`] for unknown nodes and
     /// [`CoreError::NoSuchMethod`] when nothing handles the method.
     pub fn invoke(&mut self, id: NodeId, method: &str, args: &[Value]) -> Result<Value, CoreError> {
-        let now = self.clock.now();
-        let (value, emitted) = self.graph.invoke(id, method, args, now)?;
+        let (value, emitted) = self.graph.invoke(id, method, args, self.now)?;
         self.pending.extend(emitted.into_iter().map(|i| (id, i)));
         Ok(value)
     }
@@ -332,8 +325,9 @@ impl Middleware {
         method: &str,
         args: &[Value],
     ) -> Result<Value, CoreError> {
-        let now = self.clock.now();
-        let (value, emitted) = self.graph.invoke_feature(id, feature, method, args, now)?;
+        let (value, emitted) = self
+            .graph
+            .invoke_feature(id, feature, method, args, self.now)?;
         self.pending.extend(emitted.into_iter().map(|i| (id, i)));
         Ok(value)
     }
@@ -673,7 +667,7 @@ impl Middleware {
         Snapshot {
             version: SNAPSHOT_VERSION,
             structure: structure_signature(&self.graph),
-            now: self.clock.now(),
+            now: self.now,
             steps_run: self.steps_run,
             channels: self.channels.snapshot(),
             health: self.health.clone(),
@@ -716,8 +710,7 @@ impl Middleware {
             });
         }
         self.channels.restore(&snap.channels)?;
-        self.clock = SimClock::new();
-        self.clock.advance(snap.now.since(SimTime::ZERO));
+        self.now = snap.now;
         self.steps_run = snap.steps_run;
         self.pending = snap.pending.clone();
         self.health = snap.health.clone();
@@ -819,20 +812,18 @@ impl Middleware {
         steps: u64,
         tick: SimDuration,
     ) -> Result<(), CoreError> {
-        let start = self.clock.now();
         let mut ctx = EngineCtx::new(
             &mut self.graph,
             &mut self.channels,
             &mut self.health,
             self.deployment.as_mut(),
             &self.failovers,
-            start,
+            self.now,
             &mut self.arena,
         );
         let (completed, result) = ctx.run(&mut self.pending, sources, steps, tick);
-        let elapsed = ctx.now.since(start);
+        self.now = ctx.now;
         self.steps_run += completed + u64::from(result.is_err());
-        self.clock.advance(elapsed);
         result
     }
 
@@ -1185,7 +1176,7 @@ mod tests {
         ));
         mw.insert_between(filter, src, app, 0).unwrap();
         for _ in 0..4 {
-            mw.clock.advance(SimDuration::from_millis(100));
+            mw.advance_clock(SimDuration::from_millis(100));
             mw.step().unwrap();
         }
         let values: Vec<i64> = p

@@ -138,30 +138,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// The simulation clock driving a PerPos engine.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// Creates a clock at the epoch.
-    pub fn new() -> Self {
-        SimClock::default()
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the clock by `d` and returns the new time.
-    pub fn advance(&mut self, d: SimDuration) -> SimTime {
-        self.now += d;
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,15 +164,6 @@ mod tests {
     #[should_panic(expected = "invalid duration")]
     fn rejects_negative_duration() {
         let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    fn clock_advances() {
-        let mut c = SimClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance(SimDuration::from_secs(1));
-        c.advance(SimDuration::from_millis(500));
-        assert!((c.now().as_secs_f64() - 1.5).abs() < 1e-9);
     }
 
     #[test]

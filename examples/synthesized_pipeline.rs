@@ -7,8 +7,8 @@
 //!    declarations the graph validates at connect time feed the search,
 //! 2. asks the synthesizer for a pipeline meeting *criteria* (accuracy
 //!    ≤ 5 m, no identifiable sensor data at the application),
-//! 3. instantiates the top-ranked candidate through the re-checked
-//!    `instantiate_checked` gate, and
+//! 3. re-analyzes the top-ranked candidate against the probed catalog
+//!    and instantiates it only when the report has no errors, and
 //! 4. runs it for 100 logical ticks and reads positions.
 //!
 //! It also shows the other half of the contract: an impossible goal is
@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use perpos::analysis::{gate, synthesize, SynthesisGoal, TypeCatalog};
+use perpos::analysis::{analyze_config, synthesize, SynthesisGoal, TypeCatalog};
 use perpos::core::assembly::ComponentFactory;
 use perpos::prelude::*;
 use perpos::sensors::RadioMap;
@@ -100,20 +100,18 @@ fn main() -> Result<(), CoreError> {
         .candidates
         .first()
         .expect("the probed catalog satisfies the goal");
-    let synthesized = best.clone().into_synthesized(&goal);
 
-    // Instantiate through the gate: the middleware re-runs the full lint
-    // pass on the synthesized configuration before building anything.
+    // Analyze, then instantiate: the full lint pass runs again on the
+    // synthesized configuration before anything is built.
+    let report = analyze_config(&best.config, &catalog);
+    assert!(!report.has_errors(), "{}", report.render_human());
     let mut mw = Middleware::new();
-    let check = gate::config_gate(catalog);
-    let nodes = synthesized
-        .config
-        .instantiate_checked(&mut mw, &factories, &check)?;
+    let nodes = best.config.instantiate(&mut mw, &factories)?;
     println!(
         "instantiated {} nodes from rank-{} pipeline (goal: {})",
         nodes.len(),
-        synthesized.rank,
-        synthesized.goal
+        best.rank,
+        goal.summary()
     );
 
     let provider = mw.location_provider(Criteria::new().kind(kinds::POSITION_WGS84))?;

@@ -12,13 +12,19 @@
 //! The bound is the measured 9,300 B plus under 1 % headroom; raise it
 //! only in a change whose diff says why an instance needs the bytes.
 //!
+//! So is the number of allocations the build makes, counted exactly the
+//! same way: a structural call that copies declarations it could borrow
+//! (a whole node record per node, a port spec per connect) multiplies
+//! the count and fails here. The bound is the measured count plus at
+//! most 1 % headroom: 108 allocations, the same in debug and release.
+//!
 //! This file holds exactly one test: the counting allocator is
 //! process-global, so it gets an integration-test binary of its own and
 //! no parallel test threads that would pollute the counter.
 
 #![allow(clippy::unwrap_used)]
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use perpos::prelude::*;
 
@@ -27,9 +33,13 @@ struct LiveBytes;
 /// Bytes currently allocated by the process.
 static LIVE: AtomicI64 = AtomicI64::new(0);
 
+/// Allocation calls the process has made (reallocations not counted).
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -47,6 +57,10 @@ static GLOBAL: LiveBytes = LiveBytes;
 
 /// Upper bound on a built Fig. 1 instance's live bytes, pool included.
 const MAX_BUILT_BYTES: i64 = 9_390;
+
+/// Upper bound on the allocation calls building that instance makes,
+/// pool included.
+const MAX_BUILD_ALLOCS: u64 = 109;
 
 #[test]
 fn unread_fleet_instance_heap_stays_within_twice_its_built_size() {
@@ -67,6 +81,7 @@ fn unread_fleet_instance_heap_stays_within_twice_its_built_size() {
     };
 
     let before = LIVE.load(Ordering::Relaxed);
+    let allocs_before = ALLOCS.load(Ordering::Relaxed);
     let mut pool = FleetPool::new(config, move |_| {
         let mut mw = Middleware::new();
         let gps = mw.add_component(GpsSimulator::new("GPS", frame, walk.clone()).with_seed(7));
@@ -79,6 +94,13 @@ fn unread_fleet_instance_heap_stays_within_twice_its_built_size() {
         mw
     });
     let built = LIVE.load(Ordering::Relaxed) - before;
+    let build_allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    eprintln!("fleet instance build: {build_allocs} allocations");
+    assert!(
+        build_allocs <= MAX_BUILD_ALLOCS,
+        "building an instance made {build_allocs} allocations, above the \
+         {MAX_BUILD_ALLOCS} bound"
+    );
     assert!(
         built <= MAX_BUILT_BYTES,
         "a built instance weighs {built} B, above the {MAX_BUILT_BYTES} B bound"
